@@ -10,32 +10,30 @@ __version__ = "0.1.0"
 
 from .core import (
     Activation,
+    ConfigError,
+    DataError,
     SparseCode,
     TrainConfig,
     normalize_filters,
     reconstruct,
     residual_energy,
 )
-from .conv_mp import build_shift_gram, conv_mp_encode, correlate, toeplitz_expand
+from .conv_mp import build_shift_gram, conv_mp_encode, correlate
 from .dict_learn import TrainStats, init_filters, train
-from .patch_mp import PatchCode, gram_matrix, mp_encode, mp_encode_gram
 
 __all__ = [
     "Activation",
+    "ConfigError",
+    "DataError",
     "SparseCode",
     "TrainConfig",
     "TrainStats",
-    "PatchCode",
     "normalize_filters",
     "reconstruct",
     "residual_energy",
     "correlate",
     "build_shift_gram",
     "conv_mp_encode",
-    "toeplitz_expand",
-    "gram_matrix",
-    "mp_encode",
-    "mp_encode_gram",
     "init_filters",
     "train",
 ]

@@ -1,10 +1,11 @@
 """Command-line driver: preprocessing, training, encoding, reconstruction,
 filter rendering, the two-layer pipeline, and the pursuit-loop benchmark.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
-error. Batch commands write a key=value manifest into their output
-location before computing; re-running with the same inputs and manifest
-reproduces the outputs bit for bit.
+Exit codes: 0 success, 2 configuration error (core.ConfigError), 3 data
+error (core.DataError or OSError), 4 internal error. The library raises
+the typed errors; main only maps them. Batch commands write a key=value
+manifest into their output location before computing; re-running with the
+same inputs and manifest reproduces the outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
-from .core import TrainConfig, reconstruct, residual_energy
-from .dict_learn import TrainStats, train
+from .core import ConfigError, DataError, TrainConfig, reconstruct, residual_energy
+from .dict_learn import train
 from .model_io import (
+    check_cell_scale,
     list_float_images,
     list_images,
     load_bank,
@@ -46,14 +48,6 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
-
-
 def _parse_dims(text: str, flag: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     try:
@@ -71,18 +65,6 @@ def _write_manifest(path: Path, entries: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_train_stats(stats: TrainStats, path: Path) -> None:
-    lines = []
-    for epoch, energy in enumerate(stats.epoch_energy):
-        counts = stats.activation_counts[epoch]
-        reinits = sum(1 for e, _ in stats.reinit_events if e == epoch)
-        lines.append(
-            f"epoch={epoch} energy={energy:.17g} act_min={min(counts)} "
-            f"act_max={max(counts)} reinits={reinits}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _load_any_image(path: Path):
     if path.suffix.lower() == ".f64":
         return load_float_image(path)
@@ -96,10 +78,7 @@ def _load_corpus(directory: Path):
     paths = list_float_images(directory) or list_images(directory)
     if not paths:
         raise DataError(f"no corpus images (.f64/.pgm/.ppm) found in {directory}")
-    try:
-        return [_load_any_image(p) for p in paths]
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    return [_load_any_image(p) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +138,7 @@ def _train_config_from_args(args) -> TrainConfig:
         residual_tolerance=args.tolerance,
         min_activations=args.min_activations,
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg.validate()
     return cfg
 
 
@@ -188,33 +164,16 @@ def cmd_train(args) -> int:
         },
     )
     images = _load_corpus(Path(args.corpus))
-    try:
-        bank, stats = train(images, cfg, threads=args.threads)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    bank, stats = train(images, cfg, threads=args.threads)
     save_bank(bank, out)
-    _write_train_stats(stats, Path(str(out) + ".stats.txt"))
+    Path(str(out) + ".stats.txt").write_text("\n".join(stats.lines()) + "\n")
     logger.info("wrote %s", out)
     return 0
 
 
 def cmd_encode(args) -> int:
-    try:
-        bank = load_bank(args.model)
-        image = _load_any_image(Path(args.image))
-    except (ValueError, OSError) as exc:
-        raise DataError(str(exc)) from exc
-    if args.q < 1:
-        raise ConfigError(f"--q must be >= 1, got {args.q}")
-    if image.shape[0] != bank.shape[1]:
-        raise ConfigError(
-            f"image has {image.shape[0]} channels but the model expects {bank.shape[1]}"
-        )
-    if image.shape[1] < bank.shape[2] or image.shape[2] < bank.shape[3]:
-        raise ConfigError(
-            f"image {image.shape[1]}x{image.shape[2]} is smaller than the model's "
-            f"{bank.shape[2]}x{bank.shape[3]} filters"
-        )
+    bank = load_bank(args.model)
+    image = _load_any_image(Path(args.image))
     table = build_shift_gram(bank)
     code = conv_mp_encode(bank, table, image, args.q, args.tolerance)
     save_code(code, args.out)
@@ -225,28 +184,15 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        bank = load_bank(args.model)
-        code = load_code(args.code)
-    except (ValueError, OSError) as exc:
-        raise DataError(str(exc)) from exc
-    try:
-        image = reconstruct(code, bank)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    bank = load_bank(args.model)
+    image = reconstruct(load_code(args.code), bank)
     save_image(image, args.out, signed=True)
     logger.info("wrote %s", args.out)
     return 0
 
 
 def cmd_render_filters(args) -> int:
-    try:
-        bank = load_bank(args.model)
-    except (ValueError, OSError) as exc:
-        raise DataError(str(exc)) from exc
-    if args.scale < 1:
-        raise ConfigError(f"--scale must be >= 1, got {args.scale}")
-    render_filter_grid(bank, args.out, cell_scale=args.scale)
+    render_filter_grid(load_bank(args.model), args.out, cell_scale=args.scale)
     logger.info("wrote %s", args.out)
     return 0
 
@@ -266,18 +212,17 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
+def _config_number(values: dict[str, str], key: str, default, kind=int):
+    try:
+        return kind(values.get(key, default))
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key} must be {noun}") from None
+
+
 def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
     def get_int(key, default):
-        try:
-            return int(values.get(key, default))
-        except ValueError:
-            raise ConfigError(f"config key {key} must be an integer") from None
-
-    def get_float(key, default):
-        try:
-            return float(values.get(key, default))
-        except ValueError:
-            raise ConfigError(f"config key {key} must be a number") from None
+        return _config_number(values, key, default)
 
     def layer(prefix, defaults):
         fh, fw = _parse_dims(
@@ -290,7 +235,9 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
             sparsity=get_int(f"{prefix}.q", defaults["q"]),
             epochs=get_int(f"{prefix}.epochs", defaults["epochs"]),
             seed=get_int(f"{prefix}.seed", defaults["seed"]),
-            residual_tolerance=get_float(f"{prefix}.tolerance", defaults["tolerance"]),
+            residual_tolerance=_config_number(
+                values, f"{prefix}.tolerance", defaults["tolerance"], float
+            ),
             min_activations=get_int(f"{prefix}.min_activations", 1),
         )
 
@@ -316,22 +263,17 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
         pool_size=get_int("pool", 8),
         image_size=get_int("image_size", 64),
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg.validate()
     return cfg
 
 
 def cmd_pipeline(args) -> int:
+    check_cell_scale(args.scale)
     values = _parse_config_file(Path(args.config))
     cfg = _pipeline_config(values)
     seed = args.seed  # flags override file values
     if seed is None and "seed" in values:
-        try:
-            seed = int(values["seed"])
-        except ValueError:
-            raise ConfigError("config key seed must be an integer") from None
+        seed = _config_number(values, "seed", None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -350,12 +292,9 @@ def cmd_pipeline(args) -> int:
         manifest[f"{prefix}.epochs"] = layer.epochs
         manifest[f"{prefix}.seed"] = layer.seed
     _write_manifest(out / "manifest.txt", manifest)
-    try:
-        bank1, bank2, _ = run_two_layer(
-            args.corpus, cfg, seed=seed, out_dir=out, threads=args.threads
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    bank1, bank2, _ = run_two_layer(
+        args.corpus, cfg, seed=seed, out_dir=out, threads=args.threads
+    )
     render_filter_grid(bank1, out / "layer1_filters.pgm", cell_scale=args.scale)
     render_filter_grid(bank2, out / "layer2_filters.pgm", cell_scale=args.scale)
     logger.info("pipeline outputs in %s", out)
@@ -504,7 +443,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # anything unexpected maps to the internal code

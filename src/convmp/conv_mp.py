@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Activation, SparseCode, as_bank, as_image
+from .core import Activation, ConfigError, SparseCode, as_bank, as_image
 
 TOEPLITZ_COLUMN_LIMIT = 100_000
 
@@ -31,9 +31,9 @@ def correlate(bank, image) -> np.ndarray:
     k, c, fh, fw = bank.shape
     ci, h, w = img.shape
     if ci != c:
-        raise ValueError(f"channels mismatch: bank has {c}, image has {ci}")
+        raise ConfigError(f"channels mismatch: bank has {c}, image has {ci}")
     if fh > h or fw > w:
-        raise ValueError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
+        raise ConfigError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
     hv, wv = h - fh + 1, w - fw + 1
     windows = sliding_window_view(img, (c, fh, fw))  # (1, hv, wv, c, fh, fw)
     flat = windows.reshape(hv * wv, c * fh * fw)
@@ -75,10 +75,10 @@ def _check_table(bank: np.ndarray, table: np.ndarray) -> None:
     expect = (k, k, 2 * fh - 1, 2 * fw - 1)
     t = np.asarray(table)
     if t.shape != expect:
-        raise ValueError(f"shift table shape {t.shape} does not match bank, expected {expect}")
+        raise ConfigError(f"shift table shape {t.shape} does not match bank, expected {expect}")
     center = t[np.arange(k), np.arange(k), fh - 1, fw - 1]
     if np.any(np.abs(center - 1.0) > 1e-6):
-        raise ValueError("shift table center diagonal is not 1; stale or corrupt table")
+        raise ConfigError("shift table center diagonal is not 1; stale or corrupt table")
 
 
 def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Activation]:
@@ -122,9 +122,9 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     """
     bank = as_bank(bank)
     if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+        raise ConfigError(f"q must be >= 1, got {q}")
     if residual_tolerance < 0:
-        raise ValueError(f"residual_tolerance must be >= 0, got {residual_tolerance}")
+        raise ConfigError(f"residual_tolerance must be >= 0, got {residual_tolerance}")
     _check_table(bank, table)
     img = as_image(image)
     maps = correlate(bank, img)
@@ -145,11 +145,11 @@ def toeplitz_expand(bank, image_dims) -> np.ndarray:
     k, c, fh, fw = bank.shape
     h, w = image_dims
     if fh > h or fw > w:
-        raise ValueError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
+        raise ConfigError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
     hv, wv = h - fh + 1, w - fw + 1
     ncols = k * hv * wv
     if ncols > TOEPLITZ_COLUMN_LIMIT:
-        raise ValueError(
+        raise ConfigError(
             f"Toeplitz expansion needs {ncols} columns, over the {TOEPLITZ_COLUMN_LIMIT} guard"
         )
     out = np.zeros((c * h * w, ncols))

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNIT_NORM_ATOL = 1e-10
+UNIT_NORM_ATOL = 1e-10  # the one filter-norm tolerance: loaders, encoder and saver agree
+
+
+class ConfigError(ValueError):
+    """A bad argument value, or two individually valid inputs that disagree."""
+
+
+class DataError(ValueError):
+    """Unreadable, malformed or non-finite input, or a corpus that cannot be used."""
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,13 @@ class TrainConfig:
     def validate(self) -> None:
         for name in ("num_filters", "filter_height", "filter_width", "epochs"):
             if getattr(self, name) < (0 if name == "epochs" else 1):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sparsity < 1:
-            raise ValueError(f"sparsity must be >= 1, got {self.sparsity}")
+            raise ConfigError(f"sparsity must be >= 1, got {self.sparsity}")
         if self.min_activations < 1:
-            raise ValueError(f"min_activations must be >= 1, got {self.min_activations}")
+            raise ConfigError(f"min_activations must be >= 1, got {self.min_activations}")
         if self.residual_tolerance < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"residual_tolerance must be >= 0, got {self.residual_tolerance}"
             )
 
@@ -80,11 +88,11 @@ def as_image(arr, name: str = "image") -> np.ndarray:
     """Validate an array as a (channels, height, width) image of finite floats."""
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 3:
-        raise ValueError(f"{name} must have shape (channels, height, width), got {a.shape}")
+        raise DataError(f"{name} must have shape (channels, height, width), got {a.shape}")
     if min(a.shape) < 1:
-        raise ValueError(f"{name} has an empty dimension: {a.shape}")
+        raise DataError(f"{name} has an empty dimension: {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} samples must be finite (found NaN or Inf)")
+        raise DataError(f"{name} samples must be finite (found NaN or Inf)")
     return a
 
 
@@ -92,16 +100,16 @@ def as_bank(arr, name: str = "bank", unit_norm: bool = True) -> np.ndarray:
     """Validate an array as a (count, channels, h_f, w_f) filter bank."""
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 4:
-        raise ValueError(f"{name} must have shape (count, channels, h_f, w_f), got {a.shape}")
+        raise DataError(f"{name} must have shape (count, channels, h_f, w_f), got {a.shape}")
     if min(a.shape) < 1:
-        raise ValueError(f"{name} has an empty dimension: {a.shape}")
+        raise DataError(f"{name} has an empty dimension: {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} entries must be finite (found NaN or Inf)")
+        raise DataError(f"{name} entries must be finite (found NaN or Inf)")
     if unit_norm:
         norms = filter_norms(a)
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_ATOL)
         if bad.size:
-            raise ValueError(
+            raise DataError(
                 f"{name} filter {bad[0]} has norm {norms[bad[0]]:.12g}, expected 1"
             )
     return a
@@ -115,24 +123,24 @@ def check_compatible(code: SparseCode, bank: np.ndarray) -> None:
     """Reject (code, bank) pairs whose dims disagree, naming the offending field."""
     k, c, fh, fw = bank.shape
     if code.channels != c:
-        raise ValueError(f"channels mismatch: code has {code.channels}, bank has {c}")
+        raise ConfigError(f"channels mismatch: code has {code.channels}, bank has {c}")
     if fh > code.image_height:
-        raise ValueError(
+        raise ConfigError(
             f"filter_height {fh} exceeds image_height {code.image_height}"
         )
     if fw > code.image_width:
-        raise ValueError(f"filter_width {fw} exceeds image_width {code.image_width}")
+        raise ConfigError(f"filter_width {fw} exceeds image_width {code.image_width}")
     max_row = code.image_height - fh
     max_col = code.image_width - fw
     for i, act in enumerate(code.activations):
         if not 0 <= act.filter_index < k:
-            raise ValueError(
+            raise ConfigError(
                 f"activation {i}: filter_index {act.filter_index} outside bank of {k}"
             )
         if not 0 <= act.row <= max_row:
-            raise ValueError(f"activation {i}: row {act.row} outside valid grid [0, {max_row}]")
+            raise ConfigError(f"activation {i}: row {act.row} outside valid grid [0, {max_row}]")
         if not 0 <= act.col <= max_col:
-            raise ValueError(f"activation {i}: col {act.col} outside valid grid [0, {max_col}]")
+            raise ConfigError(f"activation {i}: col {act.col} outside valid grid [0, {max_col}]")
 
 
 def reconstruct(code: SparseCode, bank: np.ndarray) -> np.ndarray:
@@ -152,7 +160,7 @@ def residual_energy(image, code: SparseCode, bank: np.ndarray) -> float:
     """Squared l2 norm of image minus its reconstruction from the code."""
     img = as_image(image)
     if (code.channels, code.image_height, code.image_width) != img.shape:
-        raise ValueError(
+        raise ConfigError(
             f"code dims {(code.channels, code.image_height, code.image_width)} "
             f"do not match image shape {img.shape}"
         )
@@ -166,5 +174,5 @@ def normalize_filters(bank) -> np.ndarray:
     norms = filter_norms(a)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"filter {zero[0]} is identically zero and cannot be normalized")
+        raise DataError(f"filter {zero[0]} is identically zero and cannot be normalized")
     return a / norms[:, None, None, None]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conv_mp import build_shift_gram, conv_mp_encode
-from .core import Activation, SparseCode, TrainConfig, as_image, reconstruct
+from .core import Activation, DataError, SparseCode, TrainConfig, as_image, reconstruct
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,18 @@ class TrainStats:
     activation_counts: list[list[int]] = field(default_factory=list)
     reinit_events: list[tuple[int, int]] = field(default_factory=list)  # (epoch, filter)
 
+    def lines(self, prefix: str = "") -> list[str]:
+        """One stats-file line per epoch: energy, activation-count range, reinits."""
+        out = []
+        for epoch, energy in enumerate(self.epoch_energy):
+            counts = self.activation_counts[epoch]
+            reinits = sum(1 for e, _ in self.reinit_events if e == epoch)
+            out.append(
+                f"{prefix}epoch={epoch} energy={energy:.17g} act_min={min(counts)} "
+                f"act_max={max(counts)} reinits={reinits}"
+            )
+        return out
+
 
 def _random_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.ndarray:
     idx = int(rng.integers(len(images)))
@@ -73,7 +85,7 @@ def _draw_unit_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.n
         norm = float(np.sqrt(np.sum(patch * patch)))
         if norm > 0.0:
             return patch / norm
-    raise ValueError(
+    raise DataError(
         f"could not draw a nonzero {fh}x{fw} patch in {_REDRAW_LIMIT} tries; "
         "is the corpus all zero?"
     )
@@ -86,7 +98,7 @@ def init_filters(images, cfg: TrainConfig) -> np.ndarray:
     fh, fw = cfg.filter_height, cfg.filter_width
     usable = [im for im in imgs if im.shape[1] >= fh and im.shape[2] >= fw]
     if not usable:
-        raise ValueError(f"no corpus image is at least {fh}x{fw}")
+        raise DataError(f"no corpus image is at least {fh}x{fw}")
     rng = np.random.default_rng(cfg.seed)
     return np.stack([_draw_unit_patch(usable, fh, fw, rng) for _ in range(cfg.num_filters)])
 
@@ -141,11 +153,11 @@ def pca_top_component(
     """
     mats = [np.asarray(p, dtype=np.float64) for p in patches]
     if not mats:
-        raise ValueError("cannot take the principal direction of an empty patch set")
+        raise DataError("cannot take the principal direction of an empty patch set")
     shape = mats[0].shape
     rows = np.stack([m.ravel() for m in mats])  # (n, dim)
     if not np.any(rows):
-        raise ValueError("all patches are zero; dead filter")
+        raise DataError("all patches are zero; dead filter")
     scatter = rows.T @ rows
     dim = scatter.shape[0]
 
@@ -257,15 +269,15 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
     cfg.validate()
     imgs = [as_image(im) for im in images]
     if not imgs:
-        raise ValueError("corpus is empty")
+        raise DataError("corpus is empty")
     channels = imgs[0].shape[0]
     for i, im in enumerate(imgs):
         if im.shape[0] != channels:
-            raise ValueError(
+            raise DataError(
                 f"image {i} has {im.shape[0]} channels, expected {channels} like image 0"
             )
         if im.shape[1] < cfg.filter_height or im.shape[2] < cfg.filter_width:
-            raise ValueError(
+            raise DataError(
                 f"image {i} is {im.shape[1]}x{im.shape[2]}, smaller than the "
                 f"{cfg.filter_height}x{cfg.filter_width} filters"
             )
@@ -287,7 +299,7 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
         stats.epoch_energy.append(energy)
         stats.activation_counts.append(counts)
         if max(counts) == 0:
-            raise ValueError(
+            raise DataError(
                 "every filter is dead: no activations were produced this epoch "
                 "(all-zero corpus or residual_tolerance too high)"
             )

@@ -23,13 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Activation, SparseCode, as_bank, as_image, filter_norms
+from .core import Activation, ConfigError, DataError, SparseCode, as_bank, as_image
 
 BANK_MAGIC = b"CMPD1"
 FLOAT_IMAGE_MAGIC = b"CMPF1"
 CODE_MAGIC = "CMPC1"
 FORMAT_VERSION = 1
-LOAD_NORM_ATOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -48,23 +47,17 @@ def save_bank(bank, path) -> None:
 def load_bank(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if len(data) < 25 or data[:5] != BANK_MAGIC:
-        raise ValueError(f"{path}: not a bank file (bad magic)")
+        raise DataError(f"{path}: not a bank file (bad magic)")
     version, k, c, fh, fw = struct.unpack("<5I", data[5:25])
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     expected = k * c * fh * fw * 8
     if len(data) - 25 != expected:
-        raise ValueError(
+        raise DataError(
             f"{path}: payload is {len(data) - 25} bytes, expected {expected}"
         )
     bank = np.frombuffer(data[25:], dtype="<f8").astype(np.float64).reshape(k, c, fh, fw)
-    norms = filter_norms(bank)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > LOAD_NORM_ATOL)
-    if bad.size:
-        raise ValueError(
-            f"{path}: filter {bad[0]} has norm {norms[bad[0]]:.9g}; corrupt model"
-        )
-    return bank
+    return as_bank(bank, name=f"{path}: corrupt model, bank")
 
 
 def save_float_image(image, path) -> None:
@@ -79,15 +72,15 @@ def save_float_image(image, path) -> None:
 def load_float_image(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if len(data) < 21 or data[:5] != FLOAT_IMAGE_MAGIC:
-        raise ValueError(f"{path}: not a float image file (bad magic)")
+        raise DataError(f"{path}: not a float image file (bad magic)")
     version, c, h, w = struct.unpack("<4I", data[5:21])
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     expected = c * h * w * 8
     if len(data) - 21 != expected:
-        raise ValueError(f"{path}: payload is {len(data) - 21} bytes, expected {expected}")
+        raise DataError(f"{path}: payload is {len(data) - 21} bytes, expected {expected}")
     img = np.frombuffer(data[21:], dtype="<f8").astype(np.float64).reshape(c, h, w)
-    return as_image(img)
+    return as_image(img, name=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +89,7 @@ def load_float_image(path) -> np.ndarray:
 def _scan_pnm_header(data: bytes, path) -> tuple[list[int], int]:
     """Return the three numeric header fields and the raster offset."""
     if len(data) < 2 or data[0:1] != b"P" or data[1:2] not in b"56":
-        raise ValueError(f"{path}: unsupported magic {data[:2]!r}")
+        raise DataError(f"{path}: unsupported magic {data[:2]!r}")
     fields: list[int] = []
     i = 2
     while len(fields) < 3:
@@ -110,11 +103,11 @@ def _scan_pnm_header(data: bytes, path) -> tuple[list[int], int]:
         while i < len(data) and not data[i : i + 1].isspace():
             i += 1
         if start == i:
-            raise ValueError(f"{path}: truncated header")
+            raise DataError(f"{path}: truncated header")
         try:
             fields.append(int(data[start:i]))
         except ValueError:
-            raise ValueError(f"{path}: bad header token {data[start:i]!r}") from None
+            raise DataError(f"{path}: bad header token {data[start:i]!r}") from None
     return fields, i + 1  # single whitespace byte separates header and raster
 
 
@@ -124,17 +117,17 @@ def load_image(path) -> np.ndarray:
     (width, height, maxval), offset = _scan_pnm_header(data, path)
     channels = 1 if data[1:2] == b"5" else 3
     if not 0 < maxval < 256:
-        raise ValueError(f"{path}: unsupported depth (maxval {maxval})")
+        raise DataError(f"{path}: unsupported depth (maxval {maxval})")
     expected = width * height * channels
     raster = data[offset : offset + expected]
     if len(raster) != expected:
-        raise ValueError(f"{path}: raster is {len(raster)} bytes, expected {expected}")
+        raise DataError(f"{path}: raster is {len(raster)} bytes, expected {expected}")
     arr = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
     if channels == 1:
         out = arr.reshape(1, height, width)
     else:
         out = arr.reshape(height, width, 3).transpose(2, 0, 1)
-    return out / maxval
+    return as_image(out / maxval, name=str(path))
 
 
 def save_image(image, path, signed: bool = False) -> None:
@@ -148,7 +141,7 @@ def save_image(image, path, signed: bool = False) -> None:
     img = as_image(image)
     c, h, w = img.shape
     if c not in (1, 3):
-        raise ValueError(f"can only write 1- or 3-channel images, got {c}")
+        raise ConfigError(f"can only write 1- or 3-channel images, got {c}")
     if signed:
         lo, hi = float(img.min()), float(img.max())
         x = (img - lo) / (hi - lo) if hi > lo else np.full_like(img, 0.5)
@@ -178,29 +171,30 @@ def save_code(code: SparseCode, path) -> None:
 def load_code(path) -> SparseCode:
     lines = Path(path).read_text().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty code file")
+        raise DataError(f"{path}: empty code file")
     head = lines[0].split()
     if len(head) != 5 or head[0] != CODE_MAGIC:
-        raise ValueError(f"{path}: line 1: bad header {lines[0]!r}")
+        raise DataError(f"{path}: line 1: bad header {lines[0]!r}")
     try:
         channels, height, width, count = (int(t) for t in head[1:])
     except ValueError:
-        raise ValueError(f"{path}: line 1: non-integer header field") from None
+        raise DataError(f"{path}: line 1: non-integer header field") from None
     activations = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+            raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            activations.append(
-                Activation(int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
-            )
+            act = Activation(int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed record {line!r}") from None
+            raise DataError(f"{path}: line {lineno}: malformed record {line!r}") from None
+        if not math.isfinite(act.coefficient):
+            raise DataError(f"{path}: line {lineno}: coefficient {parts[3]} is not finite")
+        activations.append(act)
     if len(activations) != count:
-        raise ValueError(
+        raise DataError(
             f"{path}: header promises {count} records, found {len(activations)}"
         )
     return SparseCode(channels, height, width, activations)
@@ -216,6 +210,13 @@ def _affine_to_unit(filt: np.ndarray) -> np.ndarray:
     return np.full_like(filt, 0.5)
 
 
+def check_cell_scale(cell_scale: int) -> None:
+    """The render-scale check, shared by render_filter_grid and callers that
+    must reject a bad scale before computing anything."""
+    if cell_scale < 1:
+        raise ConfigError(f"cell_scale must be >= 1, got {cell_scale}")
+
+
 def render_filter_grid(bank, path=None, cell_scale: int = 1) -> np.ndarray:
     """Tile the filters into a near-square grid image and optionally save it.
 
@@ -227,8 +228,7 @@ def render_filter_grid(bank, path=None, cell_scale: int = 1) -> np.ndarray:
     """
     bank = as_bank(bank, unit_norm=False)
     k, c, fh, fw = bank.shape
-    if cell_scale < 1:
-        raise ValueError(f"cell_scale must be >= 1, got {cell_scale}")
+    check_cell_scale(cell_scale)
     cols = math.ceil(math.sqrt(k))
     rows = math.ceil(k / cols)
     cell_w = c * fw + (c - 1)

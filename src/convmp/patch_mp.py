@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UNIT_NORM_ATOL
+from .conv_mp import greedy_steps
+from .core import UNIT_NORM_ATOL, ConfigError, DataError
 
 
 @dataclass
@@ -36,11 +37,11 @@ class PatchCode:
 def as_dictionary(arr, name: str = "dictionary") -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 2:
-        raise ValueError(f"{name} must have shape (dim, count), got {a.shape}")
+        raise DataError(f"{name} must have shape (dim, count), got {a.shape}")
     norms = np.sqrt(np.sum(a * a, axis=0))
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_ATOL)
     if bad.size:
-        raise ValueError(f"{name} atom {bad[0]} has norm {norms[bad[0]]:.12g}, expected 1")
+        raise DataError(f"{name} atom {bad[0]} has norm {norms[bad[0]]:.12g}, expected 1")
     return a
 
 
@@ -59,11 +60,11 @@ def mp_encode(dictionary, signal, q: int) -> PatchCode:
     atoms = as_dictionary(dictionary)
     x = np.asarray(signal, dtype=np.float64)
     if x.shape != (atoms.shape[0],):
-        raise ValueError(
+        raise ConfigError(
             f"signal shape {x.shape} does not match dictionary dim {atoms.shape[0]}"
         )
     if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+        raise ConfigError(f"q must be >= 1, got {q}")
 
     residual = x.copy()
     coeffs = np.zeros(atoms.shape[1])
@@ -88,29 +89,31 @@ def mp_encode_gram(dictionary, gram, signal, q: int) -> PatchCode:
     """Pursuit with Gram bookkeeping: one dictionary-signal product total.
 
     Produces the same step sequence as mp_encode but maintains the
-    correlation vector through rows of the Gram matrix instead of
-    re-correlating the dictionary against the residual each step.
+    correlation vector through columns of the Gram matrix instead of
+    re-correlating the dictionary against the residual each step. It is
+    the convolutional loop conv_mp.greedy_steps on (count, 1, 1) maps, so
+    unlike mp_encode it stops early once the largest correlation is
+    exactly zero (a zero signal gives no steps).
     """
     atoms = as_dictionary(dictionary)
     g = np.asarray(gram, dtype=np.float64)
     count = atoms.shape[1]
     if g.shape != (count, count):
-        raise ValueError(f"gram shape {g.shape} does not match atom count {count}")
+        raise ConfigError(f"gram shape {g.shape} does not match atom count {count}")
     x = np.asarray(signal, dtype=np.float64)
     if x.shape != (atoms.shape[0],):
-        raise ValueError(
+        raise ConfigError(
             f"signal shape {x.shape} does not match dictionary dim {atoms.shape[0]}"
         )
     if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+        raise ConfigError(f"q must be >= 1, got {q}")
 
-    corr = _signal_correlations(atoms, x)
+    # table[j, i] = gram[i, j], so step j subtracts a * gram[:, j] as a column
+    maps = _signal_correlations(atoms, x).reshape(count, 1, 1)
+    acts = greedy_steps(maps, g.T[:, :, None, None], q)
     coeffs = np.zeros(count)
     steps: list[tuple[int, float]] = []
-    for _ in range(q):
-        j = int(np.argmax(np.abs(corr)))
-        a = float(corr[j])
-        corr -= a * g[:, j]
-        coeffs[j] += a
-        steps.append((j, a))
+    for act in acts:
+        coeffs[act.filter_index] += act.coefficient
+        steps.append((act.filter_index, act.coefficient))
     return PatchCode(coeffs, steps)

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from .conv_mp import build_shift_gram
-from .core import SparseCode, TrainConfig, as_bank, as_image, check_compatible
+from .core import (
+    ConfigError, DataError, SparseCode, TrainConfig, as_bank, as_image, check_compatible,
+)
 from .dict_learn import TrainStats, encode_all, train
 from .model_io import list_images, load_image, save_bank
 from .preprocess import contrast_normalize, resize, to_grayscale
@@ -36,9 +38,9 @@ class PipelineConfig:
         self.layer1.validate()
         self.layer2.validate()
         if self.pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
+            raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.image_size < 1:
-            raise ValueError(f"image_size must be >= 1, got {self.image_size}")
+            raise ConfigError(f"image_size must be >= 1, got {self.image_size}")
 
 
 @dataclass
@@ -68,7 +70,7 @@ def avg_pool(maps, pool: int) -> np.ndarray:
     the right/bottom edges average over their actual extent."""
     img = as_image(maps)
     if pool < 1:
-        raise ValueError(f"pool must be >= 1, got {pool}")
+        raise ConfigError(f"pool must be >= 1, got {pool}")
     if pool == 1:
         return img.copy()
     c, h, w = img.shape
@@ -81,15 +83,7 @@ def avg_pool(maps, pool: int) -> np.ndarray:
 
 
 def write_stats(stats: PipelineStats, path) -> None:
-    lines = []
-    for layer, ts in ((1, stats.layer1), (2, stats.layer2)):
-        for epoch, energy in enumerate(ts.epoch_energy):
-            counts = ts.activation_counts[epoch]
-            reinits = sum(1 for e, _ in ts.reinit_events if e == epoch)
-            lines.append(
-                f"layer={layer} epoch={epoch} energy={energy:.17g} "
-                f"act_min={min(counts)} act_max={max(counts)} reinits={reinits}"
-            )
+    lines = stats.layer1.lines("layer=1 ") + stats.layer2.lines("layer=2 ")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -117,7 +111,7 @@ def run_two_layer(
 
     paths = list_images(corpus_dir)
     if not paths:
-        raise ValueError(f"no PGM/PPM images found in {corpus_dir}")
+        raise DataError(f"no PGM/PPM images found in {corpus_dir}")
     preprocessed = [
         contrast_normalize(resize(to_grayscale(load_image(p)), cfg.image_size, cfg.image_size))
         for p in paths
@@ -135,7 +129,7 @@ def run_two_layer(
 
     ph, pw = pooled[0].shape[1], pooled[0].shape[2]
     if ph < layer2_cfg.filter_height or pw < layer2_cfg.filter_width:
-        raise ValueError(
+        raise DataError(
             f"pooled maps are {ph}x{pw}, smaller than the layer-2 "
             f"{layer2_cfg.filter_height}x{layer2_cfg.filter_width} filters"
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_image
+from .core import ConfigError, DataError, as_image
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -21,7 +21,7 @@ def to_grayscale(image) -> np.ndarray:
     if c == 1:
         return img.copy()
     if c != 3:
-        raise ValueError(f"expected 1 or 3 channels, got {c}")
+        raise DataError(f"expected 1 or 3 channels, got {c}")
     r, g, b = GRAY_WEIGHTS
     return (r * img[0] + g * img[1] + b * img[2])[None]
 
@@ -34,7 +34,7 @@ def resize(image, out_h: int, out_w: int) -> np.ndarray:
     """
     img = as_image(image)
     if out_h < 1 or out_w < 1:
-        raise ValueError(f"target dims must be positive, got {out_h}x{out_w}")
+        raise ConfigError(f"target dims must be positive, got {out_h}x{out_w}")
     c, h, w = img.shape
     if (out_h, out_w) == (h, w):
         return img.copy()
@@ -71,9 +71,9 @@ def contrast_normalize(image, side: int = 5) -> np.ndarray:
     """
     img = as_image(image)
     if img.shape[0] != 1:
-        raise ValueError(f"contrast normalization expects 1 channel, got {img.shape[0]}")
+        raise DataError(f"contrast normalization expects 1 channel, got {img.shape[0]}")
     if side < 1 or side % 2 == 0:
-        raise ValueError(f"box side must be odd and positive, got {side}")
+        raise ConfigError(f"box side must be odd and positive, got {side}")
     x = img[0]
     h, w = x.shape
     half = side // 2
@@ -94,13 +94,13 @@ def block_average(image, factor: int) -> np.ndarray:
     """Downsample by factor x factor block means, trimming ragged edges."""
     img = as_image(image)
     if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
+        raise ConfigError(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return img.copy()
     c, h, w = img.shape
     h2, w2 = (h // factor) * factor, (w // factor) * factor
     if h2 == 0 or w2 == 0:
-        raise ValueError(f"image {h}x{w} is smaller than one {factor}x{factor} block")
+        raise ConfigError(f"image {h}x{w} is smaller than one {factor}x{factor} block")
     return (
         img[:, :h2, :w2]
         .reshape(c, h2 // factor, factor, w2 // factor, factor)
@@ -121,7 +121,7 @@ def random_subsample_crop(
     img = as_image(image)
     h, w = img.shape[1], img.shape[2]
     if h < out_h or w < out_w:
-        raise ValueError(f"image {h}x{w} is smaller than the {out_h}x{out_w} crop")
+        raise ConfigError(f"image {h}x{w} is smaller than the {out_h}x{out_w} crop")
     feasible = [f for f in (1, 2, 3, 4) if h // f >= out_h and w // f >= out_w]
     factor = feasible[int(rng.integers(len(feasible)))]
     x = block_average(img, factor)

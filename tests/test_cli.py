@@ -1,13 +1,23 @@
+import struct
+
 import numpy as np
 import pytest
 
 from convmp.cli import main, run_bench
-from convmp.core import SparseCode, reconstruct, residual_energy
+from convmp.core import (
+    Activation,
+    SparseCode,
+    normalize_filters,
+    reconstruct,
+    residual_energy,
+)
 from convmp.model_io import (
+    BANK_MAGIC,
     load_bank,
     load_code,
     load_float_image,
     load_image,
+    save_bank,
     save_code,
     save_image,
 )
@@ -220,6 +230,80 @@ class TestPipelineCommand:
         flag_bytes = (out_flag_seed / "layer1.bank").read_bytes()
         assert (out_same_flag / "layer1.bank").read_bytes() == flag_bytes
         assert (out_file_seed / "layer1.bank").read_bytes() != flag_bytes
+
+
+def write_raw_bank(path, bank):
+    """Write bank bytes without save_bank's validation, as a corrupt file would be."""
+    path.write_bytes(BANK_MAGIC + struct.pack("<5I", 1, *bank.shape)
+                     + np.ascontiguousarray(bank, dtype="<f8").tobytes())
+
+
+def _bank_scaled(tmp_path):
+    bank = normalize_filters(np.random.default_rng(0).normal(size=(2, 1, 4, 4)))
+    write_raw_bank(tmp_path / "m.bank", bank * (1 + 1e-8))
+
+
+def _bank_nan(tmp_path):
+    bank = normalize_filters(np.random.default_rng(0).normal(size=(2, 1, 4, 4)))
+    bank[1, 0, 2, 2] = np.nan
+    write_raw_bank(tmp_path / "m.bank", bank)
+
+
+def _bank_empty(tmp_path):
+    write_raw_bank(tmp_path / "m.bank", np.zeros((0, 1, 4, 4)))
+
+
+def _code_nan(tmp_path):
+    save_bank(normalize_filters(np.ones((1, 1, 3, 3))), tmp_path / "m.bank")
+    (tmp_path / "c.code").write_text("CMPC1 1 5 5 1\n0 1 1 nan\n")
+
+
+def _code_two_channels(tmp_path):
+    save_bank(normalize_filters(np.ones((1, 2, 3, 3))), tmp_path / "m.bank")
+    save_code(SparseCode(2, 5, 5, [Activation(0, 1, 1, 1.0)]), tmp_path / "c.code")
+
+
+def _pipeline_inputs(tmp_path):
+    write_pgm_corpus(tmp_path / "raw", 3, 24, seed=3)
+    (tmp_path / "pipe.cfg").write_text(
+        "image_size=24\npool=8\nlayer1.k=2\nlayer1.filter=6x6\nlayer1.q=3\n"
+        "layer1.epochs=1\nlayer2.k=2\nlayer2.filter=2x2\nlayer2.q=2\nlayer2.epochs=1\n"
+    )
+
+
+ENCODE = ["encode", "--model", "{d}/m.bank", "--image", "{d}/img.pgm", "--out", "{d}/c.code"]
+RENDER = ["render-filters", "--model", "{d}/m.bank", "--out", "{d}/f.pgm"]
+RECONSTRUCT = ["reconstruct", "--model", "{d}/m.bank", "--code", "{d}/c.code",
+               "--out", "{d}/r.pgm"]
+PIPELINE = ["pipeline", "--corpus", "{d}/raw", "--config", "{d}/pipe.cfg", "--out", "{d}/run",
+            "--scale", "0", "--threads", "1"]
+
+
+class TestMalformedInputExitCodes:
+    """Inputs the library rejects exit 2 or 3, never as an internal error."""
+
+    @pytest.mark.parametrize(
+        ("prepare", "argv", "expected"),
+        [
+            (_bank_scaled, ENCODE, 3),
+            (_bank_nan, ENCODE, 3),
+            (_bank_nan, RENDER, 3),
+            (_bank_empty, ENCODE, 3),
+            (_bank_empty, RENDER, 3),
+            (_code_nan, RECONSTRUCT, 3),
+            (_code_two_channels, RECONSTRUCT, 2),
+            (_pipeline_inputs, PIPELINE, 2),
+        ],
+        ids=["encode-scaled-bank", "encode-nan-bank", "render-nan-bank", "encode-empty-bank",
+             "render-empty-bank", "reconstruct-nan-coefficient", "reconstruct-two-channels",
+             "pipeline-scale-zero"],
+    )
+    def test_exit_code(self, tmp_path, capsys, prepare, argv, expected):
+        save_image(np.random.default_rng(1).random((1, 12, 12)), tmp_path / "img.pgm")
+        prepare(tmp_path)
+        assert main([a.format(d=tmp_path) for a in argv]) == expected
+        assert "internal error" not in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # pipeline rejects --scale before any output
 
 
 class TestBench:

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import convmp
 from convmp.core import (
     Activation,
     SparseCode,
@@ -182,3 +186,16 @@ class TestTrainConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             TrainConfig(**base).validate()
+
+
+def test_library_raises_only_typed_errors():
+    """A bare ValueError or Exception escapes the CLI's mapping as an internal error."""
+    offenders = []
+    for path in sorted(Path(convmp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "Exception"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -125,6 +125,12 @@ class TestMpEncodeGram:
             )
         assert worst <= 1e-10
 
+    def test_zero_signal_stops_without_steps(self):
+        atoms = unit_columns(np.random.default_rng(18), 4, 6)
+        booked = mp_encode_gram(atoms, gram_matrix(atoms), np.zeros(4), q=3)
+        assert booked.steps == []
+        np.testing.assert_array_equal(booked.coefficients, np.zeros(6))
+
     def test_rejects_mismatched_gram(self):
         atoms = np.eye(3)
         with pytest.raises(ValueError, match="gram"):

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from convmp.core import Activation, SparseCode, TrainConfig, normalize_filters
+from convmp.dict_learn import TrainStats
 from convmp.model_io import load_bank, save_image
 from convmp.pipeline import (
     PipelineConfig,
+    PipelineStats,
     abs_rectify,
     avg_pool,
     code_to_feature_maps,
     run_two_layer,
+    write_stats,
 )
 
 
@@ -170,3 +173,13 @@ class TestRunTwoLayer:
         cfg = small_cfg(layer2=TrainConfig(2, 5, 5, sparsity=2, epochs=1, seed=3))
         with pytest.raises(ValueError, match="pooled"):
             run_two_layer(corpus, cfg)
+
+
+def test_write_stats_prefixes_each_layers_epoch_lines(tmp_path):
+    layer1 = TrainStats([2.5, 0.1], [[3, 1], [0, 4]], [(1, 0)])
+    write_stats(PipelineStats(layer1, TrainStats([7.0], [[2]])), tmp_path / "stats.txt")
+    assert (tmp_path / "stats.txt").read_text() == (
+        "layer=1 epoch=0 energy=2.5 act_min=1 act_max=3 reinits=0\n"
+        "layer=1 epoch=1 energy=0.10000000000000001 act_min=0 act_max=4 reinits=1\n"
+        "layer=2 epoch=0 energy=7 act_min=2 act_max=2 reinits=0\n"
+    )
