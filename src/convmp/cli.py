@@ -16,6 +16,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,12 @@ logger = logging.getLogger("convmp")
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
+
+# layer-1 training defaults: the train command's flags and the pipeline's
+# layer1.* config keys (seed, tolerance and min_activations as in TrainConfig)
+TRAIN_DEFAULTS = TrainConfig(
+    num_filters=8, filter_height=16, filter_width=16, sparsity=40, epochs=10
+)
 
 
 def _parse_dims(text: str, flag: str) -> tuple[int, int]:
@@ -224,38 +231,36 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
     def get_int(key, default):
         return _config_number(values, key, default)
 
-    def layer(prefix, defaults):
+    def layer(prefix, d: TrainConfig):
         fh, fw = _parse_dims(
-            values.get(f"{prefix}.filter", defaults["filter"]), f"{prefix}.filter"
+            values.get(f"{prefix}.filter", f"{d.filter_height}x{d.filter_width}"),
+            f"{prefix}.filter",
         )
         return TrainConfig(
-            num_filters=get_int(f"{prefix}.k", defaults["k"]),
+            num_filters=get_int(f"{prefix}.k", d.num_filters),
             filter_height=fh,
             filter_width=fw,
-            sparsity=get_int(f"{prefix}.q", defaults["q"]),
-            epochs=get_int(f"{prefix}.epochs", defaults["epochs"]),
-            seed=get_int(f"{prefix}.seed", defaults["seed"]),
+            sparsity=get_int(f"{prefix}.q", d.sparsity),
+            epochs=get_int(f"{prefix}.epochs", d.epochs),
+            seed=get_int(f"{prefix}.seed", d.seed),
             residual_tolerance=_config_number(
-                values, f"{prefix}.tolerance", defaults["tolerance"], float
+                values, f"{prefix}.tolerance", d.residual_tolerance, float
             ),
-            min_activations=get_int(f"{prefix}.min_activations", 1),
+            min_activations=get_int(f"{prefix}.min_activations", d.min_activations),
         )
 
-    layer1 = layer(
-        "layer1",
-        {"k": 8, "filter": "16x16", "q": 40, "epochs": 10, "seed": 0, "tolerance": 0.0},
-    )
-    # layer 2 inherits layer 1's pursuit depth and schedule unless overridden
+    layer1 = layer("layer1", TRAIN_DEFAULTS)
+    # layer 2 inherits layer 1's pursuit depth, schedule and tolerance unless overridden
     layer2 = layer(
         "layer2",
-        {
-            "k": 16,
-            "filter": "4x4",
-            "q": layer1.sparsity,
-            "epochs": layer1.epochs,
-            "seed": layer1.seed + 1,
-            "tolerance": layer1.residual_tolerance,
-        },
+        replace(
+            layer1,
+            num_filters=16,
+            filter_height=4,
+            filter_width=4,
+            seed=layer1.seed + 1,
+            min_activations=TRAIN_DEFAULTS.min_activations,
+        ),
     )
     cfg = PipelineConfig(
         layer1=layer1,
@@ -383,13 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn a filter bank from a preprocessed corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--filter", default="16x16")
-    p.add_argument("--q", type=int, default=40)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=0.0)
-    p.add_argument("--min-activations", dest="min_activations", type=int, default=1)
+    d = TRAIN_DEFAULTS
+    p.add_argument("--k", type=int, default=d.num_filters)
+    p.add_argument("--filter", default=f"{d.filter_height}x{d.filter_width}")
+    p.add_argument("--q", type=int, default=d.sparsity)
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--tolerance", type=float, default=d.residual_tolerance)
+    p.add_argument("--min-activations", type=int, default=d.min_activations)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_train)
 

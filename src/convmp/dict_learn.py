@@ -1,15 +1,16 @@
 """Alternating dictionary learning: encode with convolutional pursuit, then
 update each filter as the top principal direction of its activated patches.
 
-One epoch encodes every image with the current bank, then sweeps the
-filters in ascending index order (Gauss-Seidel: each update sees residuals
-reflecting the ones before it). For a filter j, every image location where
-j is active contributes the patch the filter is trying to explain: the
-residual patch plus j's own contribution there, i.e. the data minus all
-other activations. The filter becomes the dominant singular direction of
-those patches, its coefficients are refreshed by projection, and the
-stored residuals are adjusted so they stay equal to image minus
-reconstruction throughout.
+One epoch encodes every image with the current bank, groups each code's
+positions per filter, then sweeps the filters in ascending index order
+(Gauss-Seidel: each update sees residuals reflecting the ones before it).
+For a filter j, every image location where j is active contributes the
+patch the filter is trying to explain: the residual patch plus j's own
+contribution there, i.e. the data minus all other activations. The filter
+becomes the dominant singular direction of those patches, its coefficients
+are re-projected onto it, and the residuals are repaired in place so they
+stay equal to image minus reconstruction. Codes are not rewritten: the
+next epoch encodes afresh.
 
 The alternation is not guaranteed to decrease the energy (the encoding
 subproblem is not convex); TrainStats records per-epoch energy so the
@@ -25,29 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conv_mp import build_shift_gram, conv_mp_encode
-from .core import Activation, DataError, SparseCode, TrainConfig, as_image, reconstruct
+from .core import DataError, SparseCode, TrainConfig, as_image, reconstruct
 
 logger = logging.getLogger(__name__)
 
 _REDRAW_LIMIT = 100
 _SIGN_TIE_ATOL = 1e-12
+# power iteration of pca_top_component: relative residual tolerance,
+# iteration cap, and the seed of its start vector
+_PCA_TOL = 1e-10
+_PCA_MAX_ITER = 10_000
+_PCA_SEED = 0
 
-
-@dataclass
-class PatchEntry:
-    """One activated location of a filter, with the patch it should explain."""
-
-    image_id: int
-    row: int
-    col: int
-    coefficient: float  # accumulated code value at this (filter, position)
-    patch: np.ndarray  # (channels, h_f, w_f)
-
-
-@dataclass
-class ActivatedPatchSet:
-    filter_index: int
-    entries: list[PatchEntry] = field(default_factory=list)
+Positions = dict[tuple[int, int], float]  # (row, col) -> summed coefficient
 
 
 @dataclass
@@ -71,17 +62,12 @@ class TrainStats:
         return out
 
 
-def _random_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.ndarray:
-    idx = int(rng.integers(len(images)))
-    img = images[idx]
-    r = int(rng.integers(img.shape[1] - fh + 1))
-    c = int(rng.integers(img.shape[2] - fw + 1))
-    return img[:, r : r + fh, c : c + fw].copy()
-
-
 def _draw_unit_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.ndarray:
     for _ in range(_REDRAW_LIMIT):
-        patch = _random_patch(images, fh, fw, rng)
+        img = images[int(rng.integers(len(images)))]
+        r = int(rng.integers(img.shape[1] - fh + 1))
+        c = int(rng.integers(img.shape[2] - fw + 1))
+        patch = img[:, r : r + fh, c : c + fw]
         norm = float(np.sqrt(np.sum(patch * patch)))
         if norm > 0.0:
             return patch / norm
@@ -103,25 +89,25 @@ def init_filters(images, cfg: TrainConfig) -> np.ndarray:
     return np.stack([_draw_unit_patch(usable, fh, fw, rng) for _ in range(cfg.num_filters)])
 
 
-def collect_activated_patches(
-    image, residual, code: SparseCode, j: int, bank, image_id: int = 0
-) -> ActivatedPatchSet:
-    """Gather, per distinct position where filter j is active, the patch it
-    should explain: residual patch plus the filter's own contribution there.
-
-    The caller maintains residual = image - reconstruct(code, bank).
-    """
-    _, _, fh, fw = bank.shape
-    accum: dict[tuple[int, int], float] = {}
+def group_by_filter(code: SparseCode, num_filters: int) -> list[Positions]:
+    """Per filter, its distinct positions in first-use order, each mapped to
+    the sum of its coefficients in activation order."""
+    groups: list[Positions] = [{} for _ in range(num_filters)]
     for act in code.activations:
-        if act.filter_index == j:
-            key = (act.row, act.col)
-            accum[key] = accum.get(key, 0.0) + act.coefficient
-    entries = []
-    for (r, c), coeff in accum.items():
-        patch = residual[:, r : r + fh, c : c + fw] + coeff * bank[j]
-        entries.append(PatchEntry(image_id, r, c, coeff, patch))
-    return ActivatedPatchSet(j, entries)
+        positions = groups[act.filter_index]
+        key = (act.row, act.col)
+        positions[key] = positions.get(key, 0.0) + act.coefficient
+    return groups
+
+
+def collect_activated_patches(residual, positions: Positions, filt) -> list[np.ndarray]:
+    """The patch a filter should explain at each of its positions, in order:
+    the residual window plus the filter's own contribution there.
+
+    The caller maintains residual = image - reconstruction.
+    """
+    fh, fw = filt.shape[1], filt.shape[2]
+    return [residual[:, r : r + fh, c : c + fw] + a * filt for (r, c), a in positions.items()]
 
 
 def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
@@ -137,17 +123,12 @@ def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     return v
 
 
-def pca_top_component(
-    patches,
-    prev=None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> np.ndarray:
+def pca_top_component(patches, prev=None) -> np.ndarray:
     """Top left singular direction of the stacked (uncentered) patches.
 
     Computed as the dominant eigenvector of the small scatter matrix via
-    power iteration with a seeded start. The sign is chosen to keep a
+    power iteration with a seeded start; reaching the iteration cap before
+    converging is logged as a warning. The sign is chosen to keep a
     nonnegative inner product with prev when one is given; on a near-zero
     tie (or without prev) the first nonzero component is made positive.
     """
@@ -161,10 +142,10 @@ def pca_top_component(
     scatter = rows.T @ rows
     dim = scatter.shape[0]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PCA_SEED)
     v = rng.normal(size=dim)
     v /= np.sqrt(v @ v)
-    for _ in range(max_iter):
+    for _ in range(_PCA_MAX_ITER):
         y = scatter @ v
         lam = float(v @ y)
         norm = float(np.sqrt(y @ y))
@@ -175,77 +156,51 @@ def pca_top_component(
             continue
         res = float(np.sqrt(np.sum(np.square(y - lam * v))))
         v = y / norm
-        if res <= tol * max(lam, np.finfo(float).tiny):
+        if res <= _PCA_TOL * max(lam, np.finfo(float).tiny):
             break
+    else:
+        logger.warning("power iteration hit its cap of %d iterations unconverged", _PCA_MAX_ITER)
     prev_flat = None if prev is None else np.asarray(prev, dtype=np.float64).ravel()
     v = _fix_sign(v, prev_flat)
     return v.reshape(shape)
 
 
-def _paste_all(target, filt, positions_coeffs, sign: float) -> None:
-    fh, fw = filt.shape[1], filt.shape[2]
-    for (r, c), coeff in positions_coeffs:
-        target[:, r : r + fh, c : c + fw] += sign * coeff * filt
-
-
-def _rewrite_code(code: SparseCode, j: int, new_coeffs: dict[tuple[int, int], float]) -> None:
-    seen: set[tuple[int, int]] = set()
-    rewritten = []
-    for act in code.activations:
-        if act.filter_index != j:
-            rewritten.append(act)
-            continue
-        key = (act.row, act.col)
-        if key in seen:
-            continue  # duplicates were merged into the first occurrence
-        seen.add(key)
-        rewritten.append(Activation(j, act.row, act.col, new_coeffs[key]))
-    code.activations = rewritten
-
-
 def update_filter(
     bank,
     j: int,
-    patch_sets: list[ActivatedPatchSet],
-    codes: list[SparseCode],
+    positions: list[Positions],
     residuals: list[np.ndarray],
     images,
     rng: np.random.Generator,
     min_activations: int = 1,
 ) -> bool:
-    """Replace filter j and refresh its coefficients and the residuals.
+    """Replace filter j and repair the residuals in place.
 
-    patch_sets holds one ActivatedPatchSet per image (possibly empty). With
-    enough activations the new filter is the top principal direction of the
-    collected patches; otherwise the filter is dead and is reinitialized
-    from a random data patch. Either way every activation coefficient of j
-    is re-projected onto the new filter and the stored residuals are
-    restored to image - reconstruct(code, bank) consistency. Returns True
-    when the dead-filter path was taken. bank, codes, and residuals are
-    updated in place.
+    positions holds filter j's positions per image (possibly empty), as
+    grouped by group_by_filter. With enough activated positions the new
+    filter is the top principal direction of their patches; otherwise the
+    filter is dead and is reinitialized from a random data patch. Either
+    way each coefficient of j is re-projected onto the new filter, and each
+    residual gets back all old contributions of j, then loses all new ones,
+    so it stays image - reconstruction. Returns True when the dead-filter
+    path was taken. bank and residuals are updated in place.
     """
     _, _, fh, fw = bank.shape
-    entries = [e for ps in patch_sets for e in ps.entries]
-    dead = len(entries) < min_activations
-    if not dead and not any(np.any(e.patch) for e in entries):
-        dead = True
+    old_w = bank[j].copy()
+    patches = [collect_activated_patches(r, p, old_w) for r, p in zip(residuals, positions)]
+    flat = [patch for image_patches in patches for patch in image_patches]
+    dead = len(flat) < min_activations or not any(np.any(patch) for patch in flat)
     if dead:
         new_w = _draw_unit_patch(images, fh, fw, rng)
     else:
-        new_w = pca_top_component([e.patch for e in entries], prev=bank[j])
+        new_w = pca_top_component(flat, prev=old_w)
 
-    old_w = bank[j].copy()
     new_flat = new_w.ravel()
-    for img_id, ps in enumerate(patch_sets):
-        if not ps.entries:
-            continue
-        old_pc = [((e.row, e.col), e.coefficient) for e in ps.entries]
-        new_coeffs = {
-            (e.row, e.col): float(new_flat @ e.patch.ravel()) for e in ps.entries
-        }
-        _paste_all(residuals[img_id], old_w, old_pc, sign=+1.0)
-        _paste_all(residuals[img_id], new_w, list(new_coeffs.items()), sign=-1.0)
-        _rewrite_code(codes[img_id], j, new_coeffs)
+    for residual, image_positions, image_patches in zip(residuals, positions, patches):
+        for (r, c), a in image_positions.items():
+            residual[:, r : r + fh, c : c + fw] += a * old_w
+        for (r, c), patch in zip(image_positions, image_patches):
+            residual[:, r : r + fh, c : c + fw] -= float(new_flat @ patch.ravel()) * new_w
     bank[j] = new_w
     return dead
 
@@ -304,15 +259,11 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
                 "(all-zero corpus or residual_tolerance too high)"
             )
 
+        groups = [group_by_filter(code, cfg.num_filters) for code in codes]
         reinits = 0
         for j in range(cfg.num_filters):
-            sets = [
-                collect_activated_patches(imgs[i], residuals[i], codes[i], j, bank, image_id=i)
-                for i in range(len(imgs))
-            ]
-            if update_filter(
-                bank, j, sets, codes, residuals, imgs, rng, cfg.min_activations
-            ):
+            positions = [g[j] for g in groups]
+            if update_filter(bank, j, positions, residuals, imgs, rng, cfg.min_activations):
                 stats.reinit_events.append((epoch, j))
                 reinits += 1
 

@@ -34,53 +34,45 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 # filter banks and float images
 
-def save_bank(bank, path) -> None:
-    bank = as_bank(bank)
-    k, c, fh, fw = bank.shape
-    payload = np.ascontiguousarray(bank, dtype="<f8").tobytes()
+def _write_f8(path, magic: bytes, array: np.ndarray) -> None:
+    """magic, u32 version and dims, then the <f8 samples in C order."""
+    header = magic + struct.pack(f"<{1 + array.ndim}I", FORMAT_VERSION, *array.shape)
+    payload = np.ascontiguousarray(array, dtype="<f8").tobytes()
     with open(path, "wb") as f:
-        f.write(BANK_MAGIC)
-        f.write(struct.pack("<5I", FORMAT_VERSION, k, c, fh, fw))
+        f.write(header)
         f.write(payload)
 
 
-def load_bank(path) -> np.ndarray:
+def _read_f8(path, magic: bytes, rank: int, kind: str) -> np.ndarray:
+    """Parse a _write_f8 container of the given rank; the array is not validated."""
     data = Path(path).read_bytes()
-    if len(data) < 25 or data[:5] != BANK_MAGIC:
-        raise DataError(f"{path}: not a bank file (bad magic)")
-    version, k, c, fh, fw = struct.unpack("<5I", data[5:25])
+    head = len(magic) + 4 * (1 + rank)
+    if len(data) < head or data[: len(magic)] != magic:
+        raise DataError(f"{path}: not a {kind} file (bad magic)")
+    version, *dims = struct.unpack(f"<{1 + rank}I", data[len(magic) : head])
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported version {version}")
-    expected = k * c * fh * fw * 8
-    if len(data) - 25 != expected:
-        raise DataError(
-            f"{path}: payload is {len(data) - 25} bytes, expected {expected}"
-        )
-    bank = np.frombuffer(data[25:], dtype="<f8").astype(np.float64).reshape(k, c, fh, fw)
+    expected = math.prod(dims) * 8
+    if len(data) - head != expected:
+        raise DataError(f"{path}: payload is {len(data) - head} bytes, expected {expected}")
+    return np.frombuffer(data[head:], dtype="<f8").astype(np.float64).reshape(dims)
+
+
+def save_bank(bank, path) -> None:
+    _write_f8(path, BANK_MAGIC, as_bank(bank))
+
+
+def load_bank(path) -> np.ndarray:
+    bank = _read_f8(path, BANK_MAGIC, 4, "bank")
     return as_bank(bank, name=f"{path}: corrupt model, bank")
 
 
 def save_float_image(image, path) -> None:
-    img = as_image(image)
-    c, h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(FLOAT_IMAGE_MAGIC)
-        f.write(struct.pack("<4I", FORMAT_VERSION, c, h, w))
-        f.write(np.ascontiguousarray(img, dtype="<f8").tobytes())
+    _write_f8(path, FLOAT_IMAGE_MAGIC, as_image(image))
 
 
 def load_float_image(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 21 or data[:5] != FLOAT_IMAGE_MAGIC:
-        raise DataError(f"{path}: not a float image file (bad magic)")
-    version, c, h, w = struct.unpack("<4I", data[5:21])
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    expected = c * h * w * 8
-    if len(data) - 21 != expected:
-        raise DataError(f"{path}: payload is {len(data) - 21} bytes, expected {expected}")
-    img = np.frombuffer(data[21:], dtype="<f8").astype(np.float64).reshape(c, h, w)
-    return as_image(img, name=str(path))
+    return as_image(_read_f8(path, FLOAT_IMAGE_MAGIC, 3, "float image"), name=str(path))
 
 
 # ---------------------------------------------------------------------------

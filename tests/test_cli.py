@@ -3,7 +3,13 @@ import struct
 import numpy as np
 import pytest
 
-from convmp.cli import main, run_bench
+from convmp.cli import (
+    _pipeline_config,
+    _train_config_from_args,
+    build_parser,
+    main,
+    run_bench,
+)
 from convmp.core import (
     Activation,
     SparseCode,
@@ -107,6 +113,10 @@ class TestTrain:
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert main(["train", "--corpus", str(tmp_path / "none"),
                      "--out", str(tmp_path / "m.bank")]) == 3
+
+    def test_defaults_match_pipeline_layer1_defaults(self):
+        args = build_parser().parse_args(["train", "--corpus", "c", "--out", "m.bank"])
+        assert _train_config_from_args(args) == _pipeline_config({}).layer1
 
 
 class TestEncodeReconstruct:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from convmp import dict_learn
 from convmp.core import Activation, SparseCode, TrainConfig, reconstruct, residual_energy
 from convmp.dict_learn import (
     collect_activated_patches,
+    group_by_filter,
     init_filters,
     pca_top_component,
     train,
@@ -68,29 +70,36 @@ class TestCollectActivatedPatches:
         code = SparseCode(1, 8, 8, [Activation(0, 2, 3, 1.4)])
         image = reconstruct(code, bank)
         residual = image - reconstruct(code, bank)
-        ps = collect_activated_patches(image, residual, code, 0, bank)
-        assert len(ps.entries) == 1
-        entry = ps.entries[0]
-        assert (entry.row, entry.col, entry.coefficient) == (2, 3, 1.4)
-        np.testing.assert_allclose(entry.patch, 1.4 * bank[0], rtol=0, atol=1e-12)
+        positions = group_by_filter(code, 1)[0]
+        assert positions == {(2, 3): 1.4}
+        patches = collect_activated_patches(residual, positions, bank[0])
+        assert len(patches) == 1
+        np.testing.assert_allclose(patches[0], 1.4 * bank[0], rtol=0, atol=1e-12)
 
     def test_unused_filter_gives_empty_set(self):
         bank = np.stack([unit(np.ones((1, 2, 2))), unit(np.eye(2)[None])])
         code = SparseCode(1, 5, 5, [Activation(0, 1, 1, 2.0)])
         image = reconstruct(code, bank)
-        ps = collect_activated_patches(image, image * 0.0, code, 1, bank)
-        assert ps.entries == []
+        positions = group_by_filter(code, 2)[1]
+        assert positions == {}
+        assert collect_activated_patches(image * 0.0, positions, bank[1]) == []
 
     def test_repeated_position_accumulates(self):
         bank = np.stack([unit(np.ones((1, 2, 2)))])
         code = SparseCode(
-            1, 4, 4, [Activation(0, 1, 1, 2.0), Activation(0, 1, 1, -0.5)]
+            1,
+            4,
+            4,
+            [Activation(0, 1, 1, 2.0), Activation(0, 0, 2, 0.7), Activation(0, 1, 1, -0.5)],
         )
         image = reconstruct(code, bank)
         residual = image - reconstruct(code, bank)
-        ps = collect_activated_patches(image, residual, code, 0, bank)
-        assert len(ps.entries) == 1
-        assert ps.entries[0].coefficient == pytest.approx(1.5, abs=1e-15)
+        positions = group_by_filter(code, 1)[0]
+        assert list(positions) == [(1, 1), (0, 2)]  # first-use order
+        assert positions[(1, 1)] == pytest.approx(1.5, abs=1e-15)
+        patches = collect_activated_patches(residual, positions, bank[0])
+        assert len(patches) == 2
+        np.testing.assert_allclose(patches[0], 1.5 * bank[0], rtol=0, atol=1e-12)
 
     def test_overlap_matches_explicit_subtraction_oracle(self):
         rng = np.random.default_rng(43)
@@ -102,11 +111,10 @@ class TestCollectActivatedPatches:
         image = rng.normal(size=(1, 8, 8))
         residual = image - reconstruct(code, bank)
 
-        ps = collect_activated_patches(image, residual, code, 0, bank)
-        entry = ps.entries[0]
+        patches = collect_activated_patches(residual, group_by_filter(code, 2)[0], bank[0])
         others = SparseCode(1, 8, 8, [acts[1]])
         expect = (image - reconstruct(others, bank))[:, 2:5, 2:5]
-        np.testing.assert_allclose(entry.patch, expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(patches[0], expect, rtol=0, atol=1e-12)
 
 
 class TestPcaTopComponent:
@@ -142,15 +150,37 @@ class TestPcaTopComponent:
         with pytest.raises(ValueError, match="dead"):
             pca_top_component([np.zeros((1, 2, 2))])
 
+    def test_warns_when_the_iteration_cap_is_reached(self, caplog, monkeypatch):
+        rng = np.random.default_rng(57)
+        patches = [rng.normal(size=(1, 3, 3)) for _ in range(20)]
+        with caplog.at_level("WARNING", logger="convmp.dict_learn"):
+            pca_top_component(patches)
+        assert caplog.records == []
+        monkeypatch.setattr(dict_learn, "_PCA_MAX_ITER", 1)
+        with caplog.at_level("WARNING", logger="convmp.dict_learn"):
+            pca_top_component(patches)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "cap of 1 iterations unconverged" in messages[0]
+
+
+def _projected_code(code, j, residual, positions, old_w, new_w):
+    """code with filter j's activations replaced by one activation per
+    position, its coefficient the projection of that position's patch
+    (collected before the update) onto the new filter."""
+    patches = collect_activated_patches(residual, positions, old_w)
+    acts = [a for a in code.activations if a.filter_index != j]
+    acts += [
+        Activation(j, r, c, float(new_w.ravel() @ p.ravel()))
+        for (r, c), p in zip(positions, patches)
+    ]
+    return SparseCode(code.channels, code.image_height, code.image_width, acts)
+
 
 class TestUpdateFilter:
     def _state(self, bank, code, image):
         residual = image - reconstruct(code, bank)
-        sets = [
-            collect_activated_patches(image, residual, code, j, bank, image_id=0)
-            for j in range(bank.shape[0])
-        ]
-        return residual, sets
+        return residual, group_by_filter(code, bank.shape[0])
 
     def test_perfect_data_is_a_fixed_point(self):
         rng = np.random.default_rng(46)
@@ -158,19 +188,20 @@ class TestUpdateFilter:
         acts = [Activation(0, 0, 0, 1.5), Activation(0, 4, 4, -2.0)]
         code = SparseCode(1, 8, 8, list(acts))
         image = reconstruct(code, bank)
-        residual, sets = self._state(bank, code, image)
+        residual, groups = self._state(bank, code, image)
+        before = residual.copy()
 
         old = bank[0].copy()
         dead = update_filter(
-            bank, 0, [sets[0]], [code], [residual], [image], np.random.default_rng(0)
+            bank, 0, [groups[0]], [residual], [image], np.random.default_rng(0)
         )
         assert not dead
         np.testing.assert_allclose(bank[0], old, rtol=0, atol=1e-9)
-        got = sorted((a.row, a.col, a.coefficient) for a in code.activations)
-        expect = sorted((a.row, a.col, a.coefficient) for a in acts)
-        for g, e in zip(got, expect):
-            assert g[:2] == e[:2]
-            assert g[2] == pytest.approx(e[2], abs=1e-10)
+        got = _projected_code(code, 0, before, groups[0], old, bank[0]).activations
+        assert [(a.row, a.col) for a in got] == [(a.row, a.col) for a in acts]
+        for g, e in zip(got, acts):
+            assert g.coefficient == pytest.approx(e.coefficient, abs=1e-10)
+        np.testing.assert_allclose(residual, 0.0, rtol=0, atol=1e-9)
 
     def test_dead_filter_reinitialized_from_data(self):
         rng = np.random.default_rng(47)
@@ -179,14 +210,16 @@ class TestUpdateFilter:
         )
         code = SparseCode(1, 8, 8, [Activation(0, 1, 1, 1.0)])
         image = reconstruct(code, bank)
-        residual, sets = self._state(bank, code, image)
+        residual, groups = self._state(bank, code, image)
+        residual_before = residual.copy()
         before = bank[1].copy()
         dead = update_filter(
-            bank, 1, [sets[1]], [code], [residual], [image], np.random.default_rng(5)
+            bank, 1, [groups[1]], [residual], [image], np.random.default_rng(5)
         )
         assert dead
         assert not np.array_equal(bank[1], before)
         assert np.sum(bank[1] * bank[1]) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(residual, residual_before)  # j had no positions
 
     def test_energy_never_increases_for_nonoverlapping_activations(self):
         rng = np.random.default_rng(48)
@@ -201,12 +234,12 @@ class TestUpdateFilter:
         ]
         code = SparseCode(1, 8, 8, list(acts))
         image = rng.normal(size=(1, 8, 8))
-        residual, sets = self._state(bank, code, image)
+        residual, groups = self._state(bank, code, image)
         before = residual_energy(image, code, bank)
         update_filter(
-            bank, 0, [sets[0]], [code], [residual], [image], np.random.default_rng(1)
+            bank, 0, [groups[0]], [residual], [image], np.random.default_rng(1)
         )
-        after = residual_energy(image, code, bank)
+        after = float(np.sum(np.square(residual)))
         assert after <= before + 1e-9
 
     def test_residual_consistency_with_overlapping_same_filter(self):
@@ -222,28 +255,60 @@ class TestUpdateFilter:
         ]
         code = SparseCode(1, 8, 8, list(acts))
         image = rng.normal(size=(1, 8, 8))
-        residual, sets = self._state(bank, code, image)
-
-        expected_coeffs = {
-            (e.row, e.col): float(np.sum(e.patch * e.patch)) for e in sets[0].entries
-        }  # placeholder; recomputed below against the new filter
+        residual, groups = self._state(bank, code, image)
+        before, old = residual.copy(), bank[0].copy()
 
         update_filter(
-            bank, 0, [sets[0]], [code], [residual], [image], np.random.default_rng(2)
+            bank, 0, [groups[0]], [residual], [image], np.random.default_rng(2)
         )
+        # residual = image - reconstruction with j's coefficients replaced by
+        # the closed-form projections onto the new filter
+        expected = _projected_code(code, 0, before, groups[0], old, bank[0])
         np.testing.assert_allclose(
-            residual, image - reconstruct(code, bank), rtol=0, atol=1e-8
+            residual, image - reconstruct(expected, bank), rtol=0, atol=1e-8
         )
-        # refreshed coefficients are the closed-form projections onto the new filter
-        for e in sets[0].entries:
-            expected_coeffs[(e.row, e.col)] = float(
-                bank[0].ravel() @ e.patch.ravel()
+
+    def test_residual_repair_stays_per_image(self):
+        rng = np.random.default_rng(58)
+        bank = np.stack(
+            [unit(rng.normal(size=(1, 3, 3))), unit(rng.normal(size=(1, 3, 3)))]
+        )
+        codes = [
+            SparseCode(
+                1,
+                8,
+                8,
+                [
+                    Activation(0, 1, 1, 0.8),
+                    Activation(0, 2, 3, -1.2),  # overlaps the first
+                    Activation(1, 4, 4, 0.5),
+                    Activation(0, 1, 1, 0.4),  # repeat
+                ],
+            ),
+            SparseCode(
+                1,
+                9,
+                7,
+                [
+                    Activation(0, 5, 2, 1.5),
+                    Activation(0, 5, 2, -0.3),  # repeat
+                    Activation(0, 4, 3, 0.9),  # overlaps it
+                    Activation(1, 0, 0, -0.6),
+                ],
+            ),
+        ]
+        images = [rng.normal(size=(1, 8, 8)), rng.normal(size=(1, 9, 7))]
+        residuals = [im - reconstruct(code, bank) for im, code in zip(images, codes)]
+        before, old = [r.copy() for r in residuals], bank[0].copy()
+        positions = [group_by_filter(code, 2)[0] for code in codes]
+
+        dead = update_filter(bank, 0, positions, residuals, images, np.random.default_rng(3))
+        assert not dead
+        for i, image in enumerate(images):
+            expected = _projected_code(codes[i], 0, before[i], positions[i], old, bank[0])
+            np.testing.assert_allclose(
+                residuals[i], image - reconstruct(expected, bank), rtol=0, atol=1e-8
             )
-        for act in code.activations:
-            if act.filter_index == 0:
-                assert act.coefficient == pytest.approx(
-                    expected_coeffs[(act.row, act.col)], abs=1e-12
-                )
 
 
 class TestTrain:
