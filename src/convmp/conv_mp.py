@@ -6,8 +6,11 @@ matrix only depends on relative shifts, so the greedy loop runs off a
 (k, k, 2*h_f-1, 2*w_f-1) table of filter/filter inner products: after a
 peak is subtracted, only correlation values inside the overlap window
 around it change, and each change is a table lookup. Encoding therefore
-costs one application of the filter bank plus work linear in the number
-of pursuit steps times the map area.
+costs one application of the filter bank plus, per pursuit step, one
+window update and one argmax. On large maps the argmax runs off a cache
+of per-block maxima (blocks of h_f rows), so a step rescans only the band
+of rows its window touched, not the whole map; on small maps a direct
+scan is cheaper.
 """
 
 from __future__ import annotations
@@ -18,6 +21,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import Activation, ConfigError, SparseCode, as_bank, as_image
 
 TOEPLITZ_COLUMN_LIMIT = 100_000
+
+# greedy_steps uses its block-max cache when a step skips more than this many
+# map entries: k * w_v * (h_v - 3 * h_f), the rows outside the at most three
+# blocks a window refresh rescans. Below it the cached path's extra numpy calls
+# per step cost more than the rescan they save; CHANGES.md has the measured
+# crossover.
+CACHE_MIN_SKIPPED = 32_768
 
 
 def correlate(bank, image) -> np.ndarray:
@@ -90,18 +100,39 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Ac
     lookups. Stops after max_steps or when the peak magnitude drops to
     tolerance or below. The caller owns maps; on return they equal the
     correlations of the bank with the implied residual.
+
+    When the cache spares each step more than CACHE_MIN_SKIPPED entries
+    of the full rescan, the peak is found through a (k, blocks) cache of
+    max magnitudes over blocks of h_f rows: the argmax of the cache names
+    a block, the argmax inside that block names the entry, and after the
+    window update only the blocks overlapping the window's rows are
+    refreshed, for every filter. Blocks are contiguous and ordered like
+    the flat maps, so the first block holding the peak holds the
+    flat-first peak and the tie-break is the direct scan's. Both paths
+    pick bit-identical steps. maps is only read and written through
+    slices, so any memory layout is updated in place.
     """
     k, hv, wv = maps.shape
     fh = (table.shape[2] + 1) // 2
     fw = (table.shape[3] + 1) // 2
+    cached = k * wv * (hv - 3 * fh) > CACHE_MIN_SKIPPED
+    if cached:
+        starts = np.arange(0, hv * wv, fh * wv)  # flat offset of each block in one map
+        cache = _block_max(maps, starts)
+        nb = starts.size
     activations: list[Activation] = []
     for _ in range(max_steps):
-        flat = int(np.abs(maps).argmax())
-        j, pr, pc = np.unravel_index(flat, maps.shape)
+        if cached:
+            j, b = divmod(int(cache.argmax()), nb)
+            pr, pc = divmod(int(np.abs(maps[j, b * fh : (b + 1) * fh]).argmax()), wv)
+            pr += b * fh
+        else:
+            j, rest = divmod(int(np.abs(maps).argmax()), hv * wv)
+            pr, pc = divmod(rest, wv)
         a = float(maps[j, pr, pc])
         if abs(a) <= tolerance:
             break
-        activations.append(Activation(int(j), int(pr), int(pc), a))
+        activations.append(Activation(j, pr, pc, a))
         r0, r1 = max(0, pr - fh + 1), min(hv, pr + fh)
         c0, c1 = max(0, pc - fw + 1), min(wv, pc + fw)
         maps[:, r0:r1, c0:c1] -= a * table[
@@ -110,15 +141,26 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Ac
             r0 - pr + fh - 1 : r1 - pr + fh - 1,
             c0 - pc + fw - 1 : c1 - pc + fw - 1,
         ]
+        if cached:
+            b0, b1 = r0 // fh, (r1 - 1) // fh + 1
+            cache[:, b0:b1] = _block_max(maps[:, b0 * fh : b1 * fh], starts[: b1 - b0])
     return activations
+
+
+def _block_max(maps: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Max magnitude of each block of each map; block i of a map starts at
+    flat offset starts[i] and runs to the next start (the last one may be
+    short). np.abs returns a fresh array, so the reshape never aliases maps."""
+    k = maps.shape[0]
+    return np.maximum.reduceat(np.abs(maps).reshape(k, -1), starts, axis=1)
 
 
 def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) -> SparseCode:
     """Greedily encode an image with at most q activations.
 
     table must be build_shift_gram(bank). The image is correlated with the
-    bank once; afterwards the correlation maps are maintained through table
-    lookups only.
+    bank once (correlate is also where the image is validated); afterwards
+    the correlation maps are maintained through table lookups only.
     """
     bank = as_bank(bank)
     if q < 1:
@@ -126,10 +168,9 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     if residual_tolerance < 0:
         raise ConfigError(f"residual_tolerance must be >= 0, got {residual_tolerance}")
     _check_table(bank, table)
-    img = as_image(image)
-    maps = correlate(bank, img)
+    maps = correlate(bank, image)
     activations = greedy_steps(maps, np.asarray(table), q, residual_tolerance)
-    c, h, w = img.shape
+    c, h, w = np.shape(image)
     return SparseCode(c, h, w, activations)
 
 

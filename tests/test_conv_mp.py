@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convmp import conv_mp
 from convmp.conv_mp import (
     build_shift_gram,
     conv_mp_encode,
@@ -8,7 +9,7 @@ from convmp.conv_mp import (
     greedy_steps,
     toeplitz_expand,
 )
-from convmp.core import SparseCode, normalize_filters, reconstruct, residual_energy
+from convmp.core import Activation, SparseCode, normalize_filters, reconstruct, residual_energy
 from convmp.patch_mp import gram_matrix, mp_encode
 
 
@@ -44,6 +45,51 @@ def shifted_inner_product(fi, fj, sr, sc):
                 if 0 <= r2 < fh and 0 <= c2 < fw:
                     total += fi[ch, r, col] * fj[ch, r2, c2]
     return total
+
+
+def oracle_greedy_steps(maps, table, max_steps, tolerance=0.0):
+    """The pursuit loop as a full-map rescan every step: the reference that
+    greedy_steps must match bit for bit on either of its paths."""
+    k, hv, wv = maps.shape
+    fh = (table.shape[2] + 1) // 2
+    fw = (table.shape[3] + 1) // 2
+    activations = []
+    for _ in range(max_steps):
+        flat = int(np.abs(maps).argmax())
+        j, pr, pc = np.unravel_index(flat, maps.shape)
+        a = float(maps[j, pr, pc])
+        if abs(a) <= tolerance:
+            break
+        activations.append(Activation(int(j), int(pr), int(pc), a))
+        r0, r1 = max(0, pr - fh + 1), min(hv, pr + fh)
+        c0, c1 = max(0, pc - fw + 1), min(wv, pc + fw)
+        maps[:, r0:r1, c0:c1] -= a * table[
+            j,
+            :,
+            r0 - pr + fh - 1 : r1 - pr + fh - 1,
+            c0 - pc + fw - 1 : c1 - pc + fw - 1,
+        ]
+    return activations
+
+
+# "auto" lets greedy_steps choose its path from the map shape; the other two
+# force the direct scan or the block-max cache on every shape.
+PATHS = {"auto": None, "direct": float("inf"), "cached": float("-inf")}
+
+
+@pytest.fixture(params=sorted(PATHS))
+def path(request, monkeypatch):
+    if PATHS[request.param] is not None:
+        monkeypatch.setattr(conv_mp, "CACHE_MIN_SKIPPED", PATHS[request.param])
+    return request.param
+
+
+def run_both(maps, table, q, tolerance=0.0):
+    """greedy_steps and the oracle on copies of maps; returns both results."""
+    got_maps, want_maps = maps.copy(), maps.copy()
+    got = greedy_steps(got_maps, table, q, tolerance)
+    want = oracle_greedy_steps(want_maps, table, q, tolerance)
+    return got, got_maps, want, want_maps
 
 
 def place(bank, j, r, c, h, w, coeff=1.0):
@@ -213,6 +259,41 @@ class TestConvMpEncode:
             assert abs(now - (prev - a * a)) <= 1e-8 * e0
             prev = now
 
+    def test_maps_do_not_drift_over_long_pursuits(self, path):
+        # q is over 5x the map area (22 x 22 per filter) in one call
+        rng = np.random.default_rng(38)
+        bank = random_bank(rng, 2, 1, 3, 3)
+        table = build_shift_gram(bank)
+        image = rng.normal(size=(1, 24, 24))
+        maps = correlate(bank, image)
+        q = 5 * 22 * 22 + 80
+        activations = greedy_steps(maps, table, q)
+        assert len(activations) == q
+        resid = image - reconstruct(SparseCode(1, 24, 24, activations), bank)
+        # measured drift is about 2e-15; float64 rounding over q window
+        # updates of O(1) values stays far below 1e-12
+        np.testing.assert_allclose(maps, correlate(bank, resid), rtol=0, atol=1e-12)
+        initial = float(np.sum(image * image))
+        final = float(np.sum(resid * resid))
+        spent = sum(a.coefficient ** 2 for a in activations)
+        assert abs(initial - spent - final) <= 1e-12 * initial
+
+    def test_validates_the_image_once(self, monkeypatch):
+        calls = []
+
+        def counting_as_image(arr, *args, **kwargs):
+            calls.append(1)
+            return real_as_image(arr, *args, **kwargs)
+
+        real_as_image = conv_mp.as_image
+        monkeypatch.setattr(conv_mp, "as_image", counting_as_image)
+        rng = np.random.default_rng(39)
+        bank = random_bank(rng, 2, 1, 3, 3)
+        table = build_shift_gram(bank)
+        calls.clear()
+        conv_mp_encode(bank, table, rng.normal(size=(1, 9, 9)), q=3)
+        assert len(calls) == 1
+
     def test_residual_tolerance_stops_early(self):
         rng = np.random.default_rng(33)
         bank = random_bank(rng, 2, 1, 3, 3)
@@ -227,6 +308,105 @@ class TestConvMpEncode:
         other = build_shift_gram(random_bank(rng, 3, 1, 3, 3))
         with pytest.raises(ValueError, match="table"):
             conv_mp_encode(bank, other, np.zeros((1, 6, 6)), q=1)
+
+
+class TestGreedyStepsMatchesOracle:
+    # (k, channels, h_f, w_f, h, w); the first two skip fewer entries than
+    # CACHE_MIN_SKIPPED per step, the last two more, so "auto" covers both
+    # paths. h_v is not a multiple of h_f in all but the first.
+    SHAPES = [
+        (3, 1, 3, 3, 14, 12),
+        (2, 3, 4, 2, 17, 11),
+        (8, 1, 8, 8, 128, 100),
+        (4, 2, 5, 3, 100, 120),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random_shapes_are_bit_identical(self, path, shape):
+        k, c, fh, fw, h, w = shape
+        rng = np.random.default_rng(sum(shape))
+        bank = random_bank(rng, k, c, fh, fw)
+        maps = correlate(bank, rng.normal(size=(c, h, w)))
+        got, got_maps, want, want_maps = run_both(maps, build_shift_gram(bank), 120)
+        assert len(want) == 120
+        assert got == want
+        assert np.array_equal(got_maps, want_maps)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_selection_follows_the_map_shape(self, monkeypatch, shape):
+        k, c, fh, fw, h, w = shape
+        hv, wv = h - fh + 1, w - fw + 1
+        refreshes = []
+
+        def counting_block_max(*args):
+            refreshes.append(1)
+            return real_block_max(*args)
+
+        real_block_max = conv_mp._block_max
+        monkeypatch.setattr(conv_mp, "_block_max", counting_block_max)
+        rng = np.random.default_rng(44)
+        bank = random_bank(rng, k, c, fh, fw)
+        greedy_steps(correlate(bank, rng.normal(size=(c, h, w))), build_shift_gram(bank), 5)
+        # one step skips k * w_v * (h_v - 3 * h_f) entries of the full rescan
+        cached = k * wv * (hv - 3 * fh) > conv_mp.CACHE_MIN_SKIPPED
+        assert len(refreshes) == (1 + 5 if cached else 0)
+
+    def test_tolerance_stop_is_bit_identical(self, path):
+        rng = np.random.default_rng(40)
+        bank = random_bank(rng, 4, 1, 6, 6)
+        maps = correlate(bank, rng.normal(size=(1, 120, 90)))
+        tolerance = float(np.quantile(np.abs(maps), 0.999))
+        got, got_maps, want, want_maps = run_both(maps, build_shift_gram(bank), 500, tolerance)
+        assert 0 < len(want) < 500
+        assert got == want
+        assert np.array_equal(got_maps, want_maps)
+
+    def test_all_zero_maps_take_no_step(self, path):
+        rng = np.random.default_rng(41)
+        bank = random_bank(rng, 3, 2, 4, 4)
+        maps = np.zeros((3, 90, 70))
+        assert greedy_steps(maps, build_shift_gram(bank), 10) == []
+        assert np.all(maps == 0.0)
+
+    @pytest.mark.parametrize(
+        "plant, first",
+        [
+            # equal magnitude in two filters: the lower filter index wins
+            ({(2, 5, 5): 3.0, (1, 40, 9): -3.0}, (1, 40, 9)),
+            # equal magnitude in two blocks of one filter: the earlier block wins
+            ({(0, 30, 2): 3.0, (0, 3, 20): 3.0}, (0, 3, 20)),
+            # +v and -v inside one block: the row-major first wins
+            ({(1, 9, 8): 3.0, (1, 10, 1): -3.0}, (1, 9, 8)),
+            ({(1, 9, 8): -3.0, (1, 9, 2): 3.0}, (1, 9, 2)),
+        ],
+    )
+    def test_planted_exact_ties_break_like_the_oracle(self, path, plant, first):
+        rng = np.random.default_rng(42)
+        bank = random_bank(rng, 3, 1, 4, 4)
+        maps = rng.uniform(-1.0, 1.0, size=(3, 60, 50))
+        for idx, v in plant.items():
+            maps[idx] = v
+        got, got_maps, want, want_maps = run_both(maps, build_shift_gram(bank), 60)
+        assert (want[0].filter_index, want[0].row, want[0].col) == first
+        assert got == want
+        assert np.array_equal(got_maps, want_maps)
+
+    def test_non_contiguous_maps_are_updated_in_place(self, path):
+        rng = np.random.default_rng(43)
+        bank = random_bank(rng, 8, 1, 8, 8)
+        table = build_shift_gram(bank)
+        maps = correlate(bank, rng.normal(size=(1, 120, 110)))
+        storage = np.zeros((8, 113, 2 * 103))
+        strided = storage[:, :, ::2]
+        strided[...] = maps
+        fortran = np.asfortranarray(maps)
+        want_maps = maps.copy()
+        want = oracle_greedy_steps(want_maps, table, 80)
+        for view in (strided, fortran, maps.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+            assert not view.flags.c_contiguous
+            assert greedy_steps(view, table, 80) == want
+            assert np.array_equal(view, want_maps)
+        assert np.all(storage[:, :, 1::2] == 0.0)
 
 
 class TestToeplitzExpand:
