@@ -38,6 +38,7 @@ from .model_io import (
     save_code,
     save_float_image,
     save_image,
+    write_lines,
 )
 from .pipeline import PipelineConfig, run_two_layer
 from .preprocess import contrast_normalize, random_subsample_crop, resize, to_grayscale
@@ -69,7 +70,7 @@ def _parse_dims(text: str, flag: str) -> tuple[int, int]:
 def _write_manifest(path: Path, entries: dict) -> None:
     lines = [f"tool=convmp {__version__}"]
     lines += [f"{key}={value}" for key, value in entries.items()]
-    path.write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _load_any_image(path: Path):
@@ -173,7 +174,7 @@ def cmd_train(args) -> int:
     images = _load_corpus(Path(args.corpus))
     bank, stats = train(images, cfg, threads=args.threads)
     save_bank(bank, out)
-    Path(str(out) + ".stats.txt").write_text("\n".join(stats.lines()) + "\n")
+    write_lines(Path(str(out) + ".stats.txt"), stats.lines())
     logger.info("wrote %s", out)
     return 0
 

@@ -29,6 +29,10 @@ TOEPLITZ_COLUMN_LIMIT = 100_000
 # crossover.
 CACHE_MIN_SKIPPED = 32_768
 
+# correlate transposes its (h_v*w_v, k) GEMM result in chunks of this many
+# bytes of rows, so each chunk's reads and writes stay in the L1 cache.
+TRANSPOSE_CHUNK_BYTES = 32_768
+
 
 def correlate(bank, image) -> np.ndarray:
     """Valid cross-correlation of each filter with the image, channel-summed.
@@ -48,7 +52,11 @@ def correlate(bank, image) -> np.ndarray:
     windows = sliding_window_view(img, (c, fh, fw))  # (1, hv, wv, c, fh, fw)
     flat = windows.reshape(hv * wv, c * fh * fw)
     maps = flat @ bank.reshape(k, -1).T
-    return np.ascontiguousarray(maps.T).reshape(k, hv, wv)
+    out = np.empty((k, hv * wv))
+    step = max(1, TRANSPOSE_CHUNK_BYTES // (8 * k))
+    for s in range(0, hv * wv, step):
+        out[:, s : s + step] = maps[s : s + step].T
+    return out.reshape(k, hv, wv)
 
 
 def build_shift_gram(bank) -> np.ndarray:
@@ -150,9 +158,13 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Ac
 def _block_max(maps: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Max magnitude of each block of each map; block i of a map starts at
     flat offset starts[i] and runs to the next start (the last one may be
-    short). np.abs returns a fresh array, so the reshape never aliases maps."""
-    k = maps.shape[0]
-    return np.maximum.reduceat(np.abs(maps).reshape(k, -1), starts, axis=1)
+    short). Taken as max(max, -min) per block, which is exact, so no |maps|
+    copy is made. maps is only read: a band of rows of a C-contiguous map
+    reshapes to a view, any other layout to a copy."""
+    flat = maps.reshape(maps.shape[0], -1)
+    top = np.maximum.reduceat(flat, starts, axis=1)
+    low = np.minimum.reduceat(flat, starts, axis=1)
+    return np.maximum(top, np.negative(low, out=low), out=top)
 
 
 def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) -> SparseCode:

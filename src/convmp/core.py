@@ -147,13 +147,18 @@ def reconstruct(code: SparseCode, bank: np.ndarray) -> np.ndarray:
     """Sum of coefficient-scaled filters pasted at their activation positions."""
     bank = as_bank(bank, unit_norm=False)
     check_compatible(code, bank)
-    _, _, fh, fw = bank.shape
-    out = np.zeros((code.channels, code.image_height, code.image_width))
-    for act in code.activations:
-        out[:, act.row : act.row + fh, act.col : act.col + fw] += (
-            act.coefficient * bank[act.filter_index]
-        )
-    return out
+    k, c, fh, fw = bank.shape
+    h, w = code.image_height, code.image_width
+    acts = code.activations
+    # One scatter: bincount adds its weights in index order, so each sample
+    # sums its contributions in activation order, as pasting one by one would.
+    filters = np.array([a.filter_index for a in acts], dtype=np.intp)
+    offsets = np.array([a.row * w + a.col for a in acts], dtype=np.intp)
+    coefs = np.array([a.coefficient for a in acts], dtype=np.float64)
+    patch = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w + np.arange(fw)
+    index = offsets[:, None] + patch.ravel()
+    values = coefs[:, None] * bank.reshape(k, -1)[filters]
+    return np.bincount(index.ravel(), values.ravel(), minlength=c * h * w).reshape(c, h, w)
 
 
 def residual_energy(image, code: SparseCode, bank: np.ndarray) -> float:

@@ -13,11 +13,15 @@ Binary container (little-endian throughout):
 Sparse codes are line-based text: a header "CMPC1 c h w n", then one
 "filter row col coefficient" record per activation in selection order,
 coefficients printed with 17 significant digits (lossless for float64).
+
+Every file is written through write_atomic, so an interrupted write leaves
+the previous file in place rather than a truncated one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -32,15 +36,42 @@ FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
+# crash-safe writes
+
+def write_atomic(path, chunks, text: bool = False) -> None:
+    """Write the chunks (str if text, else bytes) to path all or nothing.
+
+    They go to a fresh temp file in path's directory, which then replaces
+    path with os.replace; if anything raises first, the temp file is removed
+    and path keeps its previous contents. Text is encoded as Path.write_text
+    encodes it. There is no fsync: this protects against a crash of the
+    process, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w" if text else "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(path, lines) -> None:
+    """Write text lines, each ending in a newline, through write_atomic."""
+    write_atomic(path, ["\n".join(lines) + "\n"], text=True)
+
+
+# ---------------------------------------------------------------------------
 # filter banks and float images
 
 def _write_f8(path, magic: bytes, array: np.ndarray) -> None:
     """magic, u32 version and dims, then the <f8 samples in C order."""
     header = magic + struct.pack(f"<{1 + array.ndim}I", FORMAT_VERSION, *array.shape)
-    payload = np.ascontiguousarray(array, dtype="<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+    write_atomic(path, (header, np.ascontiguousarray(array, dtype="<f8").tobytes()))
 
 
 def _read_f8(path, magic: bytes, rank: int, kind: str) -> np.ndarray:
@@ -142,9 +173,8 @@ def save_image(image, path, signed: bool = False) -> None:
     raster = np.rint(x * 255.0).astype(np.uint8)
     magic = b"P5" if c == 1 else b"P6"
     body = raster[0] if c == 1 else raster.transpose(1, 2, 0)
-    with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
-        f.write(np.ascontiguousarray(body).tobytes())
+    header = magic + b"\n%d %d\n255\n" % (w, h)
+    write_atomic(path, (header, np.ascontiguousarray(body).tobytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +187,7 @@ def save_code(code: SparseCode, path) -> None:
     ]
     for act in code.activations:
         lines.append(f"{act.filter_index} {act.row} {act.col} {act.coefficient:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_code(path) -> SparseCode:
@@ -171,6 +201,11 @@ def load_code(path) -> SparseCode:
         channels, height, width, count = (int(t) for t in head[1:])
     except ValueError:
         raise DataError(f"{path}: line 1: non-integer header field") from None
+    if min(channels, height, width) < 1 or count < 0:
+        raise DataError(
+            f"{path}: line 1: header needs positive channels, height and width "
+            f"and a non-negative count, got {lines[0]!r}"
+        )
     activations = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -16,7 +16,7 @@ from .core import (
     ConfigError, DataError, SparseCode, TrainConfig, as_bank, as_image, check_compatible,
 )
 from .dict_learn import TrainStats, encode_all, train
-from .model_io import list_images, load_image, save_bank
+from .model_io import list_images, load_image, save_bank, write_lines
 from .preprocess import contrast_normalize, resize, to_grayscale
 
 
@@ -84,7 +84,7 @@ def avg_pool(maps, pool: int) -> np.ndarray:
 
 def write_stats(stats: PipelineStats, path) -> None:
     lines = stats.layer1.lines("layer=1 ") + stats.layer2.lines("layer=2 ")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def run_two_layer(

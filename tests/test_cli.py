@@ -268,6 +268,13 @@ def _code_nan(tmp_path):
     (tmp_path / "c.code").write_text("CMPC1 1 5 5 1\n0 1 1 nan\n")
 
 
+def _code_header(header):
+    def prepare(tmp_path):
+        save_bank(normalize_filters(np.ones((1, 1, 3, 3))), tmp_path / "m.bank")
+        (tmp_path / "c.code").write_text(header + "\n")
+    return prepare
+
+
 def _code_two_channels(tmp_path):
     save_bank(normalize_filters(np.ones((1, 2, 3, 3))), tmp_path / "m.bank")
     save_code(SparseCode(2, 5, 5, [Activation(0, 1, 1, 1.0)]), tmp_path / "c.code")
@@ -302,11 +309,16 @@ class TestMalformedInputExitCodes:
             (_bank_empty, RENDER, 3),
             (_code_nan, RECONSTRUCT, 3),
             (_code_two_channels, RECONSTRUCT, 2),
+            (_code_header("CMPC1 1 -5 8 0"), RECONSTRUCT, 3),
+            (_code_header("CMPC1 0 8 8 0"), RECONSTRUCT, 3),
+            (_code_header("CMPC1 1 8 0 0"), RECONSTRUCT, 3),
+            (_code_header("CMPC1 1 8 8 -1"), RECONSTRUCT, 3),
             (_pipeline_inputs, PIPELINE, 2),
         ],
         ids=["encode-scaled-bank", "encode-nan-bank", "render-nan-bank", "encode-empty-bank",
              "render-empty-bank", "reconstruct-nan-coefficient", "reconstruct-two-channels",
-             "pipeline-scale-zero"],
+             "reconstruct-negative-height", "reconstruct-zero-channels",
+             "reconstruct-zero-width", "reconstruct-negative-count", "pipeline-scale-zero"],
     )
     def test_exit_code(self, tmp_path, capsys, prepare, argv, expected):
         save_image(np.random.default_rng(1).random((1, 12, 12)), tmp_path / "img.pgm")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from convmp import conv_mp
 from convmp.conv_mp import (
@@ -130,6 +131,21 @@ class TestCorrelate:
         np.testing.assert_allclose(
             correlate(bank, image), naive_correlate(bank, image), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 8 * 3 * 7])
+    def test_chunked_transpose_is_bit_identical_to_one_copy(self, monkeypatch, chunk_bytes):
+        # k=3 makes a 1365-row chunk by default, so the 56*67 = 3752 rows span
+        # three chunks, the last one short; the small setting makes 7-row chunks.
+        if chunk_bytes is not None:
+            monkeypatch.setattr(conv_mp, "TRANSPOSE_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(24)
+        bank = random_bank(rng, 3, 2, 5, 4)
+        image = rng.normal(size=(2, 60, 70))
+        flat = sliding_window_view(image, (2, 5, 4)).reshape(56 * 67, -1)
+        want = np.ascontiguousarray((flat @ bank.reshape(3, -1).T).T).reshape(3, 56, 67)
+        got = correlate(bank, image)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
     def test_rejects_mismatches(self):
         bank = np.ones((1, 2, 2, 2)) * 0.25
@@ -407,6 +423,49 @@ class TestGreedyStepsMatchesOracle:
             assert greedy_steps(view, table, 80) == want
             assert np.array_equal(view, want_maps)
         assert np.all(storage[:, :, 1::2] == 0.0)
+
+
+def abs_block_max_oracle(maps, starts):
+    """The np.abs-based block max that _block_max's max(max, -min) replaced."""
+    return np.maximum.reduceat(np.abs(maps).reshape(maps.shape[0], -1), starts, axis=1)
+
+
+class TestBlockMax:
+    # 3 maps of 14x5 in blocks of 4 rows: the last block has 2 rows
+    STARTS = np.arange(0, 14 * 5, 4 * 5)
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            {(1, 5, 2): 7.0, (1, 6, 0): -7.0},  # +v and -v in one block
+            {(1, 5, 2): 6.0, (1, 6, 0): -7.0},  # the negative one is larger
+            {(0, 13, 4): -9.0},  # in the short last block
+        ],
+    )
+    def test_planted_values_match_the_abs_oracle(self, plant):
+        maps = np.random.default_rng(45).uniform(-1.0, 1.0, size=(3, 14, 5))
+        for idx, v in plant.items():
+            maps[idx] = v
+        got = conv_mp._block_max(maps, self.STARTS)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, abs_block_max_oracle(maps, self.STARTS))
+
+    def test_signed_zeros_match_the_abs_oracle(self):
+        maps = np.zeros((3, 14, 5))
+        maps[0] = -0.0  # a map of negative zeros
+        maps[1, ::2] = -0.0  # mixed signed zeros
+        maps[2, 12:] = -0.0  # the short last block
+        maps[2, 0, 0] = -0.5
+        got = conv_mp._block_max(maps, self.STARTS)
+        assert np.array_equal(got, abs_block_max_oracle(maps, self.STARTS))
+
+    def test_bands_of_any_layout_match_the_abs_oracle(self):
+        maps = np.random.default_rng(46).normal(size=(3, 14, 5))
+        for view in (maps, maps[:, 4:12], np.asfortranarray(maps)[:, 4:12], maps[:, :, ::-1]):
+            starts = self.STARTS[: -(-view.shape[1] // 4)]
+            assert np.array_equal(
+                conv_mp._block_max(view, starts), abs_block_max_oracle(view, starts)
+            )
 
 
 class TestToeplitzExpand:

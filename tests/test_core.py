@@ -29,6 +29,18 @@ def paste_oracle(code, bank):
     return out
 
 
+def slice_paste_oracle(code, bank):
+    """The per-activation slice paste that reconstruct's one scatter replaced:
+    the reference it must match bit for bit."""
+    _, _, fh, fw = bank.shape
+    out = np.zeros((code.channels, code.image_height, code.image_width))
+    for act in code.activations:
+        out[:, act.row : act.row + fh, act.col : act.col + fw] += (
+            act.coefficient * bank[act.filter_index]
+        )
+    return out
+
+
 def random_bank(rng, k, c, fh, fw):
     return normalize_filters(rng.normal(size=(k, c, fh, fw)))
 
@@ -73,6 +85,30 @@ class TestReconstruct:
         np.testing.assert_allclose(
             reconstruct(code, bank), paste_oracle(code, bank), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "case", ["overlap-and-repeat", "dense-multichannel", "empty", "four-borders"]
+    )
+    def test_is_bit_identical_to_the_slice_paste_loop(self, case):
+        rng = np.random.default_rng(3)
+        bank = random_bank(rng, 3, 2, 4, 3)
+        h, w = 11, 9
+        if case == "overlap-and-repeat":
+            placements = [(0, 2, 2, 1.5), (1, 3, 3, -0.75), (0, 2, 2, 0.1),
+                          (2, 4, 1, -0.0), (0, 2, 2, -1.6), (1, 3, 4, 0.0)]
+            code = SparseCode(2, h, w, [Activation(*p) for p in placements])
+        elif case == "dense-multichannel":
+            code = random_code(rng, bank, 2, h, w, 300)
+        elif case == "empty":
+            code = SparseCode(2, h, w)
+        else:
+            corners = [(0, 0), (0, w - 3), (h - 4, 0), (h - 4, w - 3)]
+            acts = [Activation(i % 3, r, c, rng.normal()) for i, (r, c) in enumerate(corners)]
+            code = SparseCode(2, h, w, acts)
+        got, want = reconstruct(code, bank), slice_paste_oracle(code, bank)
+        assert got.shape == want.shape == (2, h, w)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros included
 
     def test_linearity_in_the_code(self):
         rng = np.random.default_rng(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convmp.core import Activation, SparseCode, normalize_filters
+from convmp.core import Activation, DataError, SparseCode, normalize_filters
 from convmp.model_io import (
     list_float_images,
     list_images,
@@ -14,6 +14,8 @@ from convmp.model_io import (
     save_code,
     save_float_image,
     save_image,
+    write_atomic,
+    write_lines,
 )
 
 
@@ -177,6 +179,43 @@ class TestCodeFiles:
         path.write_text("CMPC1 1 4 4 3\n0 1 1 0.5\n")
         with pytest.raises(ValueError, match="promises"):
             load_code(path)
+
+    @pytest.mark.parametrize(
+        "header", ["CMPC1 1 -5 8 0", "CMPC1 0 8 8 0", "CMPC1 1 8 0 0", "CMPC1 1 8 8 -1"]
+    )
+    def test_header_with_bad_dims_or_count_is_data_error(self, tmp_path, header):
+        path = tmp_path / "c.code"
+        path.write_text(header + "\n")
+        with pytest.raises(DataError, match="line 1"):
+            load_code(path)
+
+
+class TestWriteAtomic:
+    def test_a_write_that_raises_midway_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "m.bank"
+        save_bank(random_bank(np.random.default_rng(5), 2, 1, 3, 3), path)
+        before = path.read_bytes()
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_writers_leave_only_their_target(self, tmp_path):
+        rng = np.random.default_rng(6)
+        save_bank(random_bank(rng, 2, 1, 3, 3), tmp_path / "m.bank")
+        save_float_image(rng.normal(size=(1, 4, 5)), tmp_path / "x.f64")
+        save_image(rng.random((3, 4, 5)), tmp_path / "x.ppm")
+        save_code(SparseCode(1, 8, 9), tmp_path / "c.code")
+        write_lines(tmp_path / "s.txt", ["a=1", "b=2"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.code", "m.bank", "s.txt", "x.f64", "x.ppm"
+        ]
+        assert (tmp_path / "s.txt").read_bytes() == b"a=1\nb=2\n"
 
 
 class TestRenderFilterGrid:
