@@ -335,7 +335,7 @@ def run_bench(
             steps = greedy_steps(scratch, table, q)
             times.append(time.perf_counter() - t0)
             if len(steps) != q:
-                raise RuntimeError(f"benchmark pursuit stopped early at {len(steps)} steps")
+                raise ConfigError(f"--q {q} outruns the map: pursuit stopped at {len(steps)}")
         medians.append(statistics.median(times))
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     return {
@@ -355,6 +355,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--q expects a comma-separated list, got {args.q!r}") from None
     if not q_list or min(q_list) < 1:
         raise ConfigError("--q values must be positive")
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
     if fh > h or fw > w:

@@ -6,11 +6,12 @@ matrix only depends on relative shifts, so the greedy loop runs off a
 (k, k, 2*h_f-1, 2*w_f-1) table of filter/filter inner products: after a
 peak is subtracted, only correlation values inside the overlap window
 around it change, and each change is a table lookup. Encoding therefore
-costs one application of the filter bank plus, per pursuit step, one
-window update and one argmax. On large maps the argmax runs off a cache
-of per-block maxima (blocks of h_f rows), so a step rescans only the band
-of rows its window touched, not the whole map; on small maps a direct
-scan is cheaper.
+costs one application of the filter bank (a GEMM per chunk of rows, so
+the working set is one chunk, with the bits of one whole-image GEMM) plus,
+per pursuit step, one window update and one argmax. On large maps the
+argmax runs off a cache of per-block maxima (blocks of h_f rows), so a step
+rescans only the band of rows its window touched, not the whole map; on
+small maps a direct scan is cheaper.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ TOEPLITZ_COLUMN_LIMIT = 100_000
 # crossover.
 CACHE_MIN_SKIPPED = 32_768
 
-# correlate transposes its (h_v*w_v, k) GEMM result in chunks of this many
-# bytes of rows, so each chunk's reads and writes stay in the L1 cache.
-TRANSPOSE_CHUNK_BYTES = 32_768
+# Least multiply-adds per correlate chunk: keeps each chunk's GEMM above
+# OpenBLAS's small-matrix path, whose bits depend on the row count.
+CORRELATE_CHUNK_MACS = 2**21
 
 
 def correlate(bank, image) -> np.ndarray:
@@ -39,6 +40,12 @@ def correlate(bank, image) -> np.ndarray:
 
     Returns maps of shape (k, h - h_f + 1, w - w_f + 1) where
     maps[j, r, c] = <filter j placed at (r, c), image>.
+
+    Windows are unfolded (im2col) and multiplied one chunk of valid rows at
+    a time, so the working set is one chunk. A chunk holds at least two rows
+    and CORRELATE_CHUNK_MACS multiply-adds (a short tail joins the last), so
+    OpenBLAS computes each output row as one whole-image GEMM would. A GEMV
+    splits its rows across BLAS threads, so k == 1 stays one chunk.
     """
     bank = as_bank(bank, unit_norm=False)
     img = as_image(image)
@@ -49,14 +56,15 @@ def correlate(bank, image) -> np.ndarray:
     if fh > h or fw > w:
         raise ConfigError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
     hv, wv = h - fh + 1, w - fw + 1
-    windows = sliding_window_view(img, (c, fh, fw))  # (1, hv, wv, c, fh, fw)
-    flat = windows.reshape(hv * wv, c * fh * fw)
-    maps = flat @ bank.reshape(k, -1).T
-    out = np.empty((k, hv * wv))
-    step = max(1, TRANSPOSE_CHUNK_BYTES // (8 * k))
-    for s in range(0, hv * wv, step):
-        out[:, s : s + step] = maps[s : s + step].T
-    return out.reshape(k, hv, wv)
+    windows = sliding_window_view(img, (c, fh, fw))[0]  # (hv, wv, c, fh, fw)
+    weights = bank.reshape(k, -1).T
+    rows = hv if k == 1 else max(2, -(-CORRELATE_CHUNK_MACS // (wv * c * fh * fw * k)))
+    starts = list(range(0, hv - rows + 1, rows)) or [0]
+    out = np.empty((k, hv, wv))
+    for r0, r1 in zip(starts, starts[1:] + [hv]):
+        prod = windows[r0:r1].reshape((r1 - r0) * wv, -1) @ weights  # unfolded copy is a temporary
+        out[:, r0:r1] = prod.T.reshape(k, r1 - r0, wv)
+    return out
 
 
 def build_shift_gram(bank) -> np.ndarray:

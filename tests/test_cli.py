@@ -288,12 +288,17 @@ def _pipeline_inputs(tmp_path):
     )
 
 
+def _no_files(tmp_path):
+    pass
+
+
 ENCODE = ["encode", "--model", "{d}/m.bank", "--image", "{d}/img.pgm", "--out", "{d}/c.code"]
 RENDER = ["render-filters", "--model", "{d}/m.bank", "--out", "{d}/f.pgm"]
 RECONSTRUCT = ["reconstruct", "--model", "{d}/m.bank", "--code", "{d}/c.code",
                "--out", "{d}/r.pgm"]
 PIPELINE = ["pipeline", "--corpus", "{d}/raw", "--config", "{d}/pipe.cfg", "--out", "{d}/run",
             "--scale", "0", "--threads", "1"]
+BENCH = ["bench", "--image", "12x12", "--filter", "3x3", "--q", "2", "--repeat", "1"]
 
 
 class TestMalformedInputExitCodes:
@@ -314,11 +319,15 @@ class TestMalformedInputExitCodes:
             (_code_header("CMPC1 1 8 0 0"), RECONSTRUCT, 3),
             (_code_header("CMPC1 1 8 8 -1"), RECONSTRUCT, 3),
             (_pipeline_inputs, PIPELINE, 2),
+            (_no_files, BENCH + ["--k", "-1"], 2),
+            (_no_files, BENCH + ["--k", "0"], 2),
+            (_no_files, BENCH + ["--image", "16x16", "--filter", "16x16", "--k", "1"], 2),
         ],
         ids=["encode-scaled-bank", "encode-nan-bank", "render-nan-bank", "encode-empty-bank",
              "render-empty-bank", "reconstruct-nan-coefficient", "reconstruct-two-channels",
              "reconstruct-negative-height", "reconstruct-zero-channels",
-             "reconstruct-zero-width", "reconstruct-negative-count", "pipeline-scale-zero"],
+             "reconstruct-zero-width", "reconstruct-negative-count", "pipeline-scale-zero",
+             "bench-negative-k", "bench-zero-k", "bench-pursuit-outruns-map"],
     )
     def test_exit_code(self, tmp_path, capsys, prepare, argv, expected):
         save_image(np.random.default_rng(1).random((1, 12, 12)), tmp_path / "img.pgm")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -132,20 +134,47 @@ class TestCorrelate:
             correlate(bank, image), naive_correlate(bank, image), rtol=0, atol=1e-12
         )
 
-    @pytest.mark.parametrize("chunk_bytes", [None, 8 * 3 * 7])
-    def test_chunked_transpose_is_bit_identical_to_one_copy(self, monkeypatch, chunk_bytes):
-        # k=3 makes a 1365-row chunk by default, so the 56*67 = 3752 rows span
-        # three chunks, the last one short; the small setting makes 7-row chunks.
-        if chunk_bytes is not None:
-            monkeypatch.setattr(conv_mp, "TRANSPOSE_CHUNK_BYTES", chunk_bytes)
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # (k, c, h_f, w_f, h, w); chunk rows from CORRELATE_CHUNK_MACS = 2**21
+            (3, 2, 5, 4, 60, 70),  # 261-row chunks over 56 rows: one chunk
+            (8, 1, 16, 16, 64, 64),  # 21-row chunks: rows 0-21, then 21-49 with the tail
+            (16, 1, 8, 8, 256, 256),  # 9-row chunks: 27 of them, the last 15 rows long
+            (8, 2, 7, 16, 147, 139),  # 10-row chunks: 14, the 1-row tail joins the last
+            (1, 1, 12, 12, 187, 218),  # k=1 is a GEMV: one chunk
+            (1, 1, 11, 13, 187, 198),  # 4-row-aligned GEMV chunks differ here at 2+ BLAS threads
+            (1024, 8, 16, 16, 24, 16),  # one-column maps: the 2-row floor, 4 chunks
+        ],
+        ids=["one-chunk", "two-chunks-merged-tail", "many-chunks", "multichannel", "k1",
+             "k1-threaded", "two-row-floor"],
+    )
+    def test_chunked_gemm_is_bit_identical_to_one_whole_image_gemm(self, shape):
+        k, c, fh, fw, h, w = shape
         rng = np.random.default_rng(24)
-        bank = random_bank(rng, 3, 2, 5, 4)
-        image = rng.normal(size=(2, 60, 70))
-        flat = sliding_window_view(image, (2, 5, 4)).reshape(56 * 67, -1)
-        want = np.ascontiguousarray((flat @ bank.reshape(3, -1).T).T).reshape(3, 56, 67)
+        bank = rng.normal(size=(k, c, fh, fw))
+        image = rng.normal(size=(c, h, w))
+        hv, wv = h - fh + 1, w - fw + 1
+        flat = sliding_window_view(image, (c, fh, fw)).reshape(hv * wv, -1)
+        want = (flat @ bank.reshape(k, -1).T).T.reshape(k, hv, wv)
         got = correlate(bank, image)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+    def test_working_set_is_one_chunk(self):
+        # A whole-image unfold of 256x256 with 8x8 filters is 31.7 MB; with the
+        # (62001, 16) GEMM result and its transpose that was 37.8 MiB beyond
+        # the 7.6 MiB output.
+        rng = np.random.default_rng(25)
+        bank = rng.normal(size=(16, 1, 8, 8))
+        image = rng.normal(size=(1, 256, 256))
+        tracemalloc.start()
+        try:
+            maps = correlate(bank, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - maps.nbytes < 8 * 2**20
 
     def test_rejects_mismatches(self):
         bank = np.ones((1, 2, 2, 2)) * 0.25

@@ -225,13 +225,14 @@ class TestTrainConfig:
 
 
 def test_library_raises_only_typed_errors():
-    """A bare ValueError or Exception escapes the CLI's mapping as an internal error."""
+    """A bare ValueError, RuntimeError or Exception escapes the CLI's mapping as an
+    internal error."""
     offenders = []
     for path in sorted(Path(convmp.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "Exception"):
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "Exception", "RuntimeError"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
