@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import statistics
 import sys
 import time
@@ -33,6 +32,7 @@ from .model_io import (
     load_code,
     load_float_image,
     load_image,
+    read_text,
     render_filter_grid,
     save_bank,
     save_code,
@@ -54,6 +54,7 @@ EXIT_INTERNAL = 4
 TRAIN_DEFAULTS = TrainConfig(
     num_filters=8, filter_height=16, filter_width=16, sparsity=40, epochs=10
 )
+THREADS_HELP = "accepted and recorded in the manifest; has no effect (encoding is sequential)"
 
 
 def _parse_dims(text: str, flag: str) -> tuple[int, int]:
@@ -172,7 +173,7 @@ def cmd_train(args) -> int:
         },
     )
     images = _load_corpus(Path(args.corpus))
-    bank, stats = train(images, cfg, threads=args.threads)
+    bank, stats = train(images, cfg)
     save_bank(bank, out)
     write_lines(Path(str(out) + ".stats.txt"), stats.lines())
     logger.info("wrote %s", out)
@@ -209,7 +210,7 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise DataError(f"config file {path} does not exist")
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -298,9 +299,7 @@ def cmd_pipeline(args) -> int:
         manifest[f"{prefix}.epochs"] = layer.epochs
         manifest[f"{prefix}.seed"] = layer.seed
     _write_manifest(out / "manifest.txt", manifest)
-    bank1, bank2, _ = run_two_layer(
-        args.corpus, cfg, seed=seed, out_dir=out, threads=args.threads
-    )
+    bank1, bank2, _ = run_two_layer(args.corpus, cfg, seed=seed, out_dir=out)
     render_filter_grid(bank1, out / "layer1_filters.pgm", cell_scale=args.scale)
     render_filter_grid(bank2, out / "layer2_filters.pgm", cell_scale=args.scale)
     logger.info("pipeline outputs in %s", out)
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--tolerance", type=float, default=d.residual_tolerance)
     p.add_argument("--min-activations", type=int, default=d.min_activations)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="sparse-code one image against a model")
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scale", type=int, default=1)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("bench", help="time the post-correlation pursuit loop")

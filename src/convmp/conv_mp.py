@@ -185,7 +185,7 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     bank = as_bank(bank)
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
-    if residual_tolerance < 0:
+    if not residual_tolerance >= 0:  # also rejects NaN
         raise ConfigError(f"residual_tolerance must be >= 0, got {residual_tolerance}")
     _check_table(bank, table)
     maps = correlate(bank, image)

@@ -78,7 +78,7 @@ class TrainConfig:
             raise ConfigError(f"sparsity must be >= 1, got {self.sparsity}")
         if self.min_activations < 1:
             raise ConfigError(f"min_activations must be >= 1, got {self.min_activations}")
-        if self.residual_tolerance < 0:
+        if not self.residual_tolerance >= 0:  # also rejects NaN
             raise ConfigError(
                 f"residual_tolerance must be >= 0, got {self.residual_tolerance}"
             )

@@ -20,7 +20,6 @@ typical decrease is observable.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,13 +204,8 @@ def update_filter(
     return dead
 
 
-def encode_all(bank, table, images, q: int, tolerance: float = 0.0, threads: int = 1):
-    """Encode every image against a fixed bank; order-preserving."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda im: conv_mp_encode(bank, table, im, q, tolerance), images)
-            )
+def encode_all(bank, table, images, q: int, tolerance: float = 0.0):
+    """Encode every image against a fixed bank, in order, on the calling thread."""
     return [conv_mp_encode(bank, table, im, q, tolerance) for im in images]
 
 
@@ -219,7 +213,8 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
     """Run cfg.epochs alternations of encoding and per-filter updates.
 
     Returns the final bank and per-epoch statistics. With epochs == 0 the
-    initial bank is returned untouched.
+    initial bank is returned untouched. threads is ignored (encoding is
+    sequential); it stays because perfbench's tests still pass it.
     """
     cfg.validate()
     imgs = [as_image(im) for im in images]
@@ -243,7 +238,7 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
 
     for epoch in range(cfg.epochs):
         table = build_shift_gram(bank)
-        codes = encode_all(bank, table, imgs, cfg.sparsity, cfg.residual_tolerance, threads)
+        codes = encode_all(bank, table, imgs, cfg.sparsity, cfg.residual_tolerance)
         residuals = [im - reconstruct(code, bank) for im, code in zip(imgs, codes)]
 
         energy = float(sum(np.sum(np.square(r)) for r in residuals))

@@ -60,6 +60,15 @@ def write_atomic(path, chunks, text: bool = False) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """A text input's contents, decoded as write_atomic encodes text; a file
+    that does not decode is a DataError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc})") from None
+
+
 def write_lines(path, lines) -> None:
     """Write text lines, each ending in a newline, through write_atomic."""
     write_atomic(path, ["\n".join(lines) + "\n"], text=True)
@@ -191,7 +200,7 @@ def save_code(code: SparseCode, path) -> None:
 
 
 def load_code(path) -> SparseCode:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty code file")
     head = lines[0].split()

@@ -87,13 +87,7 @@ def write_stats(stats: PipelineStats, path) -> None:
     write_lines(path, lines)
 
 
-def run_two_layer(
-    corpus_dir,
-    cfg: PipelineConfig,
-    seed: int | None = None,
-    out_dir=None,
-    threads: int = 1,
-):
+def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None, out_dir=None):
     """Full experiment driver; returns (layer1 bank, layer2 bank, stats).
 
     Preprocesses the corpus (grayscale, resize, contrast normalization),
@@ -117,10 +111,10 @@ def run_two_layer(
         for p in paths
     ]
 
-    bank1, stats1 = train(preprocessed, layer1_cfg, threads=threads)
+    bank1, stats1 = train(preprocessed, layer1_cfg)
     table1 = build_shift_gram(bank1)
     codes = encode_all(
-        bank1, table1, preprocessed, layer1_cfg.sparsity, layer1_cfg.residual_tolerance, threads
+        bank1, table1, preprocessed, layer1_cfg.sparsity, layer1_cfg.residual_tolerance
     )
     pooled = [
         avg_pool(abs_rectify(code_to_feature_maps(code, bank1)), cfg.pool_size)
@@ -133,7 +127,7 @@ def run_two_layer(
             f"pooled maps are {ph}x{pw}, smaller than the layer-2 "
             f"{layer2_cfg.filter_height}x{layer2_cfg.filter_width} filters"
         )
-    bank2, stats2 = train(pooled, layer2_cfg, threads=threads)
+    bank2, stats2 = train(pooled, layer2_cfg)
 
     stats = PipelineStats(stats1, stats2)
     if out_dir is not None:

@@ -118,6 +118,12 @@ class TestTrain:
         args = build_parser().parse_args(["train", "--corpus", "c", "--out", "m.bank"])
         assert _train_config_from_args(args) == _pipeline_config({}).layer1
 
+    @pytest.mark.parametrize("command", [["train", "--out", "m.bank"],
+                                         ["pipeline", "--config", "p.cfg", "--out", "run"]])
+    def test_threads_defaults_to_one_on_every_machine(self, command):
+        args = build_parser().parse_args(command + ["--corpus", "c"])
+        assert args.threads == 1  # recorded in the manifest, so it must not depend on the host
+
 
 class TestEncodeReconstruct:
     def test_encode_prints_energies_matching_recomputation(self, trained_model, tmp_path, capsys):
@@ -275,6 +281,15 @@ def _code_header(header):
     return prepare
 
 
+def _valid_bank(tmp_path):
+    save_bank(normalize_filters(np.ones((1, 1, 3, 3))), tmp_path / "m.bank")
+
+
+def _code_not_utf8(tmp_path):
+    _valid_bank(tmp_path)
+    (tmp_path / "c.code").write_bytes(b"CMPC1 1 12 12 1\n0 0 0 \xff\xfe\n")
+
+
 def _code_two_channels(tmp_path):
     save_bank(normalize_filters(np.ones((1, 2, 3, 3))), tmp_path / "m.bank")
     save_code(SparseCode(2, 5, 5, [Activation(0, 1, 1, 1.0)]), tmp_path / "c.code")
@@ -288,6 +303,13 @@ def _pipeline_inputs(tmp_path):
     )
 
 
+def _config_file(data):
+    def prepare(tmp_path):
+        write_pgm_corpus(tmp_path / "raw", 3, 24, seed=3)
+        (tmp_path / "pipe.cfg").write_bytes(data)
+    return prepare
+
+
 def _no_files(tmp_path):
     pass
 
@@ -296,8 +318,9 @@ ENCODE = ["encode", "--model", "{d}/m.bank", "--image", "{d}/img.pgm", "--out", 
 RENDER = ["render-filters", "--model", "{d}/m.bank", "--out", "{d}/f.pgm"]
 RECONSTRUCT = ["reconstruct", "--model", "{d}/m.bank", "--code", "{d}/c.code",
                "--out", "{d}/r.pgm"]
-PIPELINE = ["pipeline", "--corpus", "{d}/raw", "--config", "{d}/pipe.cfg", "--out", "{d}/run",
-            "--scale", "0", "--threads", "1"]
+PIPELINE_RUN = ["pipeline", "--corpus", "{d}/raw", "--config", "{d}/pipe.cfg", "--out", "{d}/run"]
+PIPELINE = PIPELINE_RUN + ["--scale", "0", "--threads", "1"]
+TRAIN_NAN = ["train", "--corpus", "{d}", "--out", "{d}/m.bank", "--tolerance", "nan"]
 BENCH = ["bench", "--image", "12x12", "--filter", "3x3", "--q", "2", "--repeat", "1"]
 
 
@@ -318,7 +341,12 @@ class TestMalformedInputExitCodes:
             (_code_header("CMPC1 0 8 8 0"), RECONSTRUCT, 3),
             (_code_header("CMPC1 1 8 0 0"), RECONSTRUCT, 3),
             (_code_header("CMPC1 1 8 8 -1"), RECONSTRUCT, 3),
+            (_code_not_utf8, RECONSTRUCT, 3),
+            (_valid_bank, ENCODE + ["--tolerance", "nan"], 2),
+            (_no_files, TRAIN_NAN, 2),
             (_pipeline_inputs, PIPELINE, 2),
+            (_config_file(b"\xff\xfe=3\n"), PIPELINE_RUN, 3),
+            (_config_file(b"layer1.tolerance=nan\n"), PIPELINE_RUN, 2),
             (_no_files, BENCH + ["--k", "-1"], 2),
             (_no_files, BENCH + ["--k", "0"], 2),
             (_no_files, BENCH + ["--image", "16x16", "--filter", "16x16", "--k", "1"], 2),
@@ -326,7 +354,9 @@ class TestMalformedInputExitCodes:
         ids=["encode-scaled-bank", "encode-nan-bank", "render-nan-bank", "encode-empty-bank",
              "render-empty-bank", "reconstruct-nan-coefficient", "reconstruct-two-channels",
              "reconstruct-negative-height", "reconstruct-zero-channels",
-             "reconstruct-zero-width", "reconstruct-negative-count", "pipeline-scale-zero",
+             "reconstruct-zero-width", "reconstruct-negative-count", "reconstruct-not-utf8",
+             "encode-nan-tolerance", "train-nan-tolerance", "pipeline-scale-zero",
+             "pipeline-config-not-utf8", "pipeline-config-nan-tolerance",
              "bench-negative-k", "bench-zero-k", "bench-pursuit-outruns-map"],
     )
     def test_exit_code(self, tmp_path, capsys, prepare, argv, expected):

@@ -12,7 +12,9 @@ from convmp.conv_mp import (
     greedy_steps,
     toeplitz_expand,
 )
-from convmp.core import Activation, SparseCode, normalize_filters, reconstruct, residual_energy
+from convmp.core import (
+    Activation, ConfigError, SparseCode, normalize_filters, reconstruct, residual_energy,
+)
 from convmp.patch_mp import gram_matrix, mp_encode
 
 
@@ -346,6 +348,15 @@ class TestConvMpEncode:
         image = place(bank, 1, 2, 2, 8, 8, coeff=0.5)
         code = conv_mp_encode(bank, table, image, q=50, residual_tolerance=0.6)
         assert code.activations == []
+
+    def test_infinite_tolerance_stops_at_once_and_nan_is_rejected(self):
+        rng = np.random.default_rng(35)
+        bank = random_bank(rng, 2, 1, 3, 3)
+        table = build_shift_gram(bank)
+        image = rng.normal(size=(1, 8, 8))
+        assert conv_mp_encode(bank, table, image, q=5, residual_tolerance=np.inf).activations == []
+        with pytest.raises(ConfigError, match="residual_tolerance"):
+            conv_mp_encode(bank, table, image, q=5, residual_tolerance=np.nan)
 
     def test_rejects_mismatched_table(self):
         rng = np.random.default_rng(34)

@@ -205,6 +205,9 @@ class TestTrainConfig:
     def test_validate_accepts_defaults(self):
         TrainConfig(4, 8, 8, sparsity=20, epochs=3).validate()
 
+    def test_validate_accepts_infinite_tolerance(self):
+        TrainConfig(4, 8, 8, sparsity=20, epochs=3, residual_tolerance=float("inf")).validate()
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -213,6 +216,7 @@ class TestTrainConfig:
             {"filter_height": 0},
             {"min_activations": 0},
             {"residual_tolerance": -1.0},
+            {"residual_tolerance": float("nan")},
         ],
     )
     def test_validate_rejects_bad_counts(self, kwargs):

@@ -1,0 +1,70 @@
+"""Parser fuzzing: any bytes given as a code file or a pipeline config either
+parse or raise ConfigError/DataError, so the CLI exits 2 or 3, never 4.
+
+Hypothesis runs derandomized with no example database and a fixed example
+count, so the suite stays deterministic. Its storage directory, where it
+caches the constants it reads from local sources even without a database,
+points into the system temp directory, so no .hypothesis directory appears
+in the tree. That has to happen at import: the cache fills during collection.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "convmp-hypothesis")
+
+from convmp.cli import _parse_config_file, _pipeline_config  # noqa: E402
+from convmp.core import ConfigError, DataError, SparseCode  # noqa: E402
+from convmp.model_io import load_code  # noqa: E402
+from convmp.pipeline import PipelineConfig  # noqa: E402
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def prefixed(prefixes):
+    """Arbitrary bytes, half the time behind a well-formed start, so examples
+    also reach the checks past the first line or key."""
+    return st.one_of(
+        st.binary(max_size=96),
+        st.builds(bytes.__add__, st.sampled_from(prefixes), st.binary(max_size=64)),
+    )
+
+
+CODE_PREFIXES = [b"CMPC1 1 4 4 1\n", b"CMPC1 1 4 4 0\n", b"CMPC1 2 9 9 2\n0 1 1 0.5\n"]
+CONFIG_PREFIXES = [b"layer1.k=", b"layer1.filter=", b"layer1.tolerance=", b"layer2.q=",
+                   b"pool=", b"image_size=", b"seed=", b"# comment\n"]
+
+
+@FUZZ
+@given(data=prefixed(CODE_PREFIXES))
+def test_load_code_parses_or_raises_data_error(tmp_path, data):
+    path = tmp_path / "fuzz.code"
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_code(path), SparseCode)
+    except DataError:
+        pass
+
+
+@FUZZ
+@given(data=prefixed(CONFIG_PREFIXES))
+def test_pipeline_config_parses_or_raises_typed_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        assert isinstance(_pipeline_config(_parse_config_file(path)), PipelineConfig)
+    except (ConfigError, DataError):
+        pass

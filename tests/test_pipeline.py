@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
+from convmp import dict_learn
 from convmp.core import Activation, SparseCode, TrainConfig, normalize_filters
-from convmp.dict_learn import TrainStats
+from convmp.dict_learn import TrainStats, train
 from convmp.model_io import load_bank, save_image
 from convmp.pipeline import (
     PipelineConfig,
@@ -160,6 +163,26 @@ class TestRunTwoLayer:
         bank1b, _, _ = run_two_layer(corpus, cfg)
         np.testing.assert_array_equal(bank1a, bank1b)
         assert abs(np.sqrt(np.sum(bank1a**2)) - 1.0) <= 1e-10
+
+    def test_every_encode_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        """Encoding is one sequential loop, whatever train's ignored threads says."""
+        idents = []
+        encode = dict_learn.conv_mp_encode
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(dict_learn, "conv_mp_encode", recording)
+        rng = np.random.default_rng(109)
+        images = [rng.normal(size=(1, 10, 10)) for _ in range(4)]
+        train(images, TrainConfig(2, 3, 3, sparsity=4, epochs=2, seed=7), threads=4)
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, 4, 24, seed=3)
+        run_two_layer(corpus, small_cfg())
+        # 4 images: 2 epochs of train, then layer 1's epoch, its encode_all, layer 2's epoch
+        assert len(idents) == 4 * 2 + 4 * 3
+        assert set(idents) == {threading.get_ident()}
 
     def test_rejects_empty_corpus(self, tmp_path):
         empty = tmp_path / "none"
