@@ -99,14 +99,47 @@ def group_by_filter(code: SparseCode, num_filters: int) -> list[Positions]:
     return groups
 
 
-def collect_activated_patches(residual, positions: Positions, filt) -> list[np.ndarray]:
-    """The patch a filter should explain at each of its positions, in order:
-    the residual window plus the filter's own contribution there.
+def window_index(positions: list[Positions], shapes, fh: int, fw: int):
+    """One filter's positions over all images, for residuals laid back to
+    back in one flat buffer (image i's C-order samples after those of
+    images 0..i-1, shapes[i] its (c, h, w)).
 
-    The caller maintains residual = image - reconstruction.
+    Returns an (n, c*fh*fw) index of the flat samples under each window, in
+    the filter's own C order, and the (n,) summed coefficients; rows follow
+    image order, then each image's first-use order.
     """
-    fh, fw = filt.shape[1], filt.shape[2]
-    return [residual[:, r : r + fh, c : c + fw] + a * filt for (r, c), a in positions.items()]
+    starts: list[int] = []
+    kinds: dict[tuple[int, int, int], list[int]] = {}  # image shape -> its rows
+    coefs: list[float] = []
+    base = 0
+    for image_positions, (c, h, w) in zip(positions, shapes):
+        if image_positions:
+            kinds.setdefault((c, h, w), []).extend(range(len(starts), len(starts) + len(image_positions)))
+            starts.extend([base + r * w + col for r, col in image_positions])
+            coefs.extend(image_positions.values())
+        base += c * h * w
+    index = np.empty((len(starts), shapes[0][0] * fh * fw if shapes else 0), dtype=np.intp)
+    first = np.array(starts, dtype=np.intp)[:, None]
+    for (c, h, w), rows in kinds.items():
+        # flat offsets of a window at (0, 0) of an image of this shape
+        window = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w + np.arange(fw)
+        if len(rows) == len(starts):
+            np.add(first, window.ravel(), out=index)
+        else:
+            index[rows] = first[rows] + window.ravel()
+    return index, np.array(coefs, dtype=np.float64)
+
+
+def collect_activated_patches(residual, index, coefs, filt) -> np.ndarray:
+    """The (n, c*fh*fw) patches a filter should explain at its positions, in
+    index order: each residual window plus the filter's own contribution.
+
+    residual is the flat buffer index points into; the caller maintains it
+    as image - reconstruction.
+    """
+    patches = residual[index]
+    patches += coefs[:, None] * filt.ravel()
+    return patches
 
 
 def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
@@ -167,39 +200,44 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
 def update_filter(
     bank,
     j: int,
-    positions: list[Positions],
-    residuals: list[np.ndarray],
+    index: np.ndarray,
+    coefs: np.ndarray,
+    residual: np.ndarray,
     images,
     rng: np.random.Generator,
     min_activations: int = 1,
 ) -> bool:
-    """Replace filter j and repair the residuals in place.
+    """Replace filter j and repair the flat residual buffer in place.
 
-    positions holds filter j's positions per image (possibly empty), as
-    grouped by group_by_filter. With enough activated positions the new
-    filter is the top principal direction of their patches; otherwise the
-    filter is dead and is reinitialized from a random data patch. Either
-    way each coefficient of j is re-projected onto the new filter, and each
-    residual gets back all old contributions of j, then loses all new ones,
-    so it stays image - reconstruction. Returns True when the dead-filter
-    path was taken. bank and residuals are updated in place.
+    index and coefs are filter j's positions as window_index gives them
+    (possibly none). With enough activated positions the new filter is the
+    top principal direction of their patches; otherwise the filter is dead
+    and is reinitialized from a random data patch. Either way each
+    coefficient of j is re-projected onto the new filter, and the residual
+    gets back all old contributions of j, then loses all new ones, so it
+    stays image - reconstruction. np.add.at applies repeated indices in
+    order, so each sample takes its updates in the order a loop over the
+    positions would. Returns True when the dead-filter path was taken. bank
+    and residual are updated in place.
     """
     _, _, fh, fw = bank.shape
     old_w = bank[j].copy()
-    patches = [collect_activated_patches(r, p, old_w) for r, p in zip(residuals, positions)]
-    flat = [patch for image_patches in patches for patch in image_patches]
-    dead = len(flat) < min_activations or not any(np.any(patch) for patch in flat)
+    patches = collect_activated_patches(residual, index, coefs, old_w)
+    dead = len(patches) < min_activations or not np.any(patches)
     if dead:
         new_w = _draw_unit_patch(images, fh, fw, rng)
     else:
-        new_w = pca_top_component(flat, prev=old_w)
+        new_w = pca_top_component(patches, prev=old_w).reshape(old_w.shape)
 
     new_flat = new_w.ravel()
-    for residual, image_positions, image_patches in zip(residuals, positions, patches):
-        for (r, c), a in image_positions.items():
-            residual[:, r : r + fh, c : c + fw] += a * old_w
-        for (r, c), patch in zip(image_positions, image_patches):
-            residual[:, r : r + fh, c : c + fw] -= float(new_flat @ patch.ravel()) * new_w
+    proj = np.vecdot(patches, new_flat)  # one dot per row: the bits of new_flat @ row
+    # the patches are no longer read; their buffer takes the scatter values.
+    # Raveled, ufunc.at takes numpy's 1-D fast path, in the same order.
+    flat_index, scatter = index.ravel(), patches.ravel()
+    np.multiply(coefs[:, None], old_w.ravel(), out=patches)
+    np.add.at(residual, flat_index, scatter)
+    np.multiply(proj[:, None], new_flat, out=patches)
+    np.subtract.at(residual, flat_index, scatter)
     bank[j] = new_w
     return dead
 
@@ -233,15 +271,21 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
             )
 
     bank = init_filters(imgs, cfg)
+    fh, fw = cfg.filter_height, cfg.filter_width
+    shapes = [im.shape for im in imgs]
+    residual = np.empty(sum(im.size for im in imgs))  # every image's residual, back to back
+    bounds = np.cumsum([0] + [im.size for im in imgs])
+    views = [residual[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
     stats = TrainStats()
     rng = np.random.default_rng([cfg.seed, 1])  # reinit draws, distinct stream
 
     for epoch in range(cfg.epochs):
         table = build_shift_gram(bank)
         codes = encode_all(bank, table, imgs, cfg.sparsity, cfg.residual_tolerance)
-        residuals = [im - reconstruct(code, bank) for im, code in zip(imgs, codes)]
+        for im, code, view in zip(imgs, codes, views):
+            np.subtract(im, reconstruct(code, bank), out=view)
 
-        energy = float(sum(np.sum(np.square(r)) for r in residuals))
+        energy = float(sum(np.sum(np.square(r)) for r in views))
         counts = [0] * cfg.num_filters
         for code in codes:
             for act in code.activations:
@@ -257,8 +301,8 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
         groups = [group_by_filter(code, cfg.num_filters) for code in codes]
         reinits = 0
         for j in range(cfg.num_filters):
-            positions = [g[j] for g in groups]
-            if update_filter(bank, j, positions, residuals, imgs, rng, cfg.min_activations):
+            index, coefs = window_index([g[j] for g in groups], shapes, fh, fw)
+            if update_filter(bank, j, index, coefs, residual, imgs, rng, cfg.min_activations):
                 stats.reinit_events.append((epoch, j))
                 reinits += 1
 

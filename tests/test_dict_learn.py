@@ -10,12 +10,26 @@ from convmp.dict_learn import (
     pca_top_component,
     train,
     update_filter,
+    window_index,
 )
 
 
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.sqrt(np.sum(v * v))
+
+
+def flat_sweep(residuals, positions, filt):
+    """Per-image residuals and one filter's per-image positions in the form
+    the sweep takes them: the residuals copied back to back into one flat
+    buffer, per-image views of that buffer (so they see its repairs), and
+    the filter's window index and summed coefficients over it."""
+    flat = np.concatenate([r.ravel() for r in residuals])
+    bounds = np.cumsum([0] + [r.size for r in residuals])
+    views = [flat[a:b].reshape(r.shape) for a, b, r in zip(bounds, bounds[1:], residuals)]
+    index, coefs = window_index(positions, [r.shape for r in residuals], *filt.shape[1:])
+    patches = list(collect_activated_patches(flat, index, coefs, filt).reshape(-1, *filt.shape))
+    return flat, views, index, coefs, patches
 
 
 def make_cfg(**overrides):
@@ -72,7 +86,7 @@ class TestCollectActivatedPatches:
         residual = image - reconstruct(code, bank)
         positions = group_by_filter(code, 1)[0]
         assert positions == {(2, 3): 1.4}
-        patches = collect_activated_patches(residual, positions, bank[0])
+        patches = flat_sweep([residual], [positions], bank[0])[-1]
         assert len(patches) == 1
         np.testing.assert_allclose(patches[0], 1.4 * bank[0], rtol=0, atol=1e-12)
 
@@ -82,7 +96,7 @@ class TestCollectActivatedPatches:
         image = reconstruct(code, bank)
         positions = group_by_filter(code, 2)[1]
         assert positions == {}
-        assert collect_activated_patches(image * 0.0, positions, bank[1]) == []
+        assert flat_sweep([image * 0.0], [positions], bank[1])[-1] == []
 
     def test_repeated_position_accumulates(self):
         bank = np.stack([unit(np.ones((1, 2, 2)))])
@@ -97,7 +111,7 @@ class TestCollectActivatedPatches:
         positions = group_by_filter(code, 1)[0]
         assert list(positions) == [(1, 1), (0, 2)]  # first-use order
         assert positions[(1, 1)] == pytest.approx(1.5, abs=1e-15)
-        patches = collect_activated_patches(residual, positions, bank[0])
+        patches = flat_sweep([residual], [positions], bank[0])[-1]
         assert len(patches) == 2
         np.testing.assert_allclose(patches[0], 1.5 * bank[0], rtol=0, atol=1e-12)
 
@@ -111,7 +125,7 @@ class TestCollectActivatedPatches:
         image = rng.normal(size=(1, 8, 8))
         residual = image - reconstruct(code, bank)
 
-        patches = collect_activated_patches(residual, group_by_filter(code, 2)[0], bank[0])
+        patches = flat_sweep([residual], [group_by_filter(code, 2)[0]], bank[0])[-1]
         others = SparseCode(1, 8, 8, [acts[1]])
         expect = (image - reconstruct(others, bank))[:, 2:5, 2:5]
         np.testing.assert_allclose(patches[0], expect, rtol=0, atol=1e-12)
@@ -168,7 +182,7 @@ def _projected_code(code, j, residual, positions, old_w, new_w):
     """code with filter j's activations replaced by one activation per
     position, its coefficient the projection of that position's patch
     (collected before the update) onto the new filter."""
-    patches = collect_activated_patches(residual, positions, old_w)
+    patches = flat_sweep([residual], [positions], old_w)[-1]
     acts = [a for a in code.activations if a.filter_index != j]
     acts += [
         Activation(j, r, c, float(new_w.ravel() @ p.ravel()))
@@ -178,9 +192,13 @@ def _projected_code(code, j, residual, positions, old_w, new_w):
 
 
 class TestUpdateFilter:
-    def _state(self, bank, code, image):
+    def _state(self, bank, code, image, j):
+        """The residual (a view of the flat buffer update_filter repairs), the
+        grouped positions, and filter j's sweep inputs: index, coefs, buffer."""
+        groups = group_by_filter(code, bank.shape[0])
         residual = image - reconstruct(code, bank)
-        return residual, group_by_filter(code, bank.shape[0])
+        flat, (residual,), index, coefs, _ = flat_sweep([residual], [groups[j]], bank[j])
+        return residual, groups, (index, coefs, flat)
 
     def test_perfect_data_is_a_fixed_point(self):
         rng = np.random.default_rng(46)
@@ -188,13 +206,11 @@ class TestUpdateFilter:
         acts = [Activation(0, 0, 0, 1.5), Activation(0, 4, 4, -2.0)]
         code = SparseCode(1, 8, 8, list(acts))
         image = reconstruct(code, bank)
-        residual, groups = self._state(bank, code, image)
+        residual, groups, sweep = self._state(bank, code, image, 0)
         before = residual.copy()
 
         old = bank[0].copy()
-        dead = update_filter(
-            bank, 0, [groups[0]], [residual], [image], np.random.default_rng(0)
-        )
+        dead = update_filter(bank, 0, *sweep, [image], np.random.default_rng(0))
         assert not dead
         np.testing.assert_allclose(bank[0], old, rtol=0, atol=1e-9)
         got = _projected_code(code, 0, before, groups[0], old, bank[0]).activations
@@ -210,12 +226,10 @@ class TestUpdateFilter:
         )
         code = SparseCode(1, 8, 8, [Activation(0, 1, 1, 1.0)])
         image = reconstruct(code, bank)
-        residual, groups = self._state(bank, code, image)
+        residual, groups, sweep = self._state(bank, code, image, 1)
         residual_before = residual.copy()
         before = bank[1].copy()
-        dead = update_filter(
-            bank, 1, [groups[1]], [residual], [image], np.random.default_rng(5)
-        )
+        dead = update_filter(bank, 1, *sweep, [image], np.random.default_rng(5))
         assert dead
         assert not np.array_equal(bank[1], before)
         assert np.sum(bank[1] * bank[1]) == pytest.approx(1.0, abs=1e-12)
@@ -234,11 +248,9 @@ class TestUpdateFilter:
         ]
         code = SparseCode(1, 8, 8, list(acts))
         image = rng.normal(size=(1, 8, 8))
-        residual, groups = self._state(bank, code, image)
+        residual, groups, sweep = self._state(bank, code, image, 0)
         before = residual_energy(image, code, bank)
-        update_filter(
-            bank, 0, [groups[0]], [residual], [image], np.random.default_rng(1)
-        )
+        update_filter(bank, 0, *sweep, [image], np.random.default_rng(1))
         after = float(np.sum(np.square(residual)))
         assert after <= before + 1e-9
 
@@ -255,12 +267,10 @@ class TestUpdateFilter:
         ]
         code = SparseCode(1, 8, 8, list(acts))
         image = rng.normal(size=(1, 8, 8))
-        residual, groups = self._state(bank, code, image)
+        residual, groups, sweep = self._state(bank, code, image, 0)
         before, old = residual.copy(), bank[0].copy()
 
-        update_filter(
-            bank, 0, [groups[0]], [residual], [image], np.random.default_rng(2)
-        )
+        update_filter(bank, 0, *sweep, [image], np.random.default_rng(2))
         # residual = image - reconstruction with j's coefficients replaced by
         # the closed-form projections onto the new filter
         expected = _projected_code(code, 0, before, groups[0], old, bank[0])
@@ -301,14 +311,115 @@ class TestUpdateFilter:
         residuals = [im - reconstruct(code, bank) for im, code in zip(images, codes)]
         before, old = [r.copy() for r in residuals], bank[0].copy()
         positions = [group_by_filter(code, 2)[0] for code in codes]
+        flat, residuals, index, coefs, _ = flat_sweep(residuals, positions, bank[0])
 
-        dead = update_filter(bank, 0, positions, residuals, images, np.random.default_rng(3))
+        dead = update_filter(bank, 0, index, coefs, flat, images, np.random.default_rng(3))
         assert not dead
         for i, image in enumerate(images):
             expected = _projected_code(codes[i], 0, before[i], positions[i], old, bank[0])
             np.testing.assert_allclose(
                 residuals[i], image - reconstruct(expected, bank), rtol=0, atol=1e-8
             )
+
+
+def oracle_update_filter(bank, j, positions, residuals, images, rng, min_activations=1):
+    """The sweep step as a sequential loop over per-image residuals and
+    positions: collect each patch, refit with the library's PCA (or redraw a
+    dead filter), then per image add back every old contribution and
+    subtract every projected new one, position by position. The flat
+    update_filter must reproduce it bit for bit."""
+    _, _, fh, fw = bank.shape
+    old_w = bank[j].copy()
+    patches = [
+        [residual[:, r : r + fh, c : c + fw] + a * old_w for (r, c), a in p.items()]
+        for residual, p in zip(residuals, positions)
+    ]
+    flat = [patch for image_patches in patches for patch in image_patches]
+    dead = len(flat) < min_activations or not any(np.any(patch) for patch in flat)
+    if dead:
+        new_w = dict_learn._draw_unit_patch(images, fh, fw, rng)
+    else:
+        new_w = pca_top_component(flat, prev=old_w)
+    new_flat = new_w.ravel()
+    for residual, image_positions, image_patches in zip(residuals, positions, patches):
+        for (r, c), a in image_positions.items():
+            residual[:, r : r + fh, c : c + fw] += a * old_w
+        for (r, c), patch in zip(image_positions, image_patches):
+            residual[:, r : r + fh, c : c + fw] -= float(new_flat @ patch.ravel()) * new_w
+    bank[j] = new_w
+    return dead
+
+
+class TestSweepMatchesOracle:
+    """update_filter on the flat buffer against oracle_update_filter."""
+
+    def _sweep_both(self, seed, min_activations):
+        rng = np.random.default_rng(seed)
+        k, c, fh, fw = 4, 2, 3, 4
+        bank = rng.normal(size=(k, c, fh, fw))
+        bank /= np.sqrt(np.sum(bank * bank, axis=(1, 2, 3)))[:, None, None, None]
+        sizes = [(9, 11), (12, 8), (9, 11)]  # two image sizes
+        images, codes = [], []
+        for i, (h, w) in enumerate(sizes):
+            acts = []
+            for _ in range(14):
+                # filter 3 is never used (empty everywhere); filter 1 not in image 1
+                j = int(rng.choice([0, 1, 2] if i != 1 else [0, 2]))
+                # a 3x3 grid of corners near the middle: overlaps and repeats
+                r, col = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+                acts.append(Activation(j, r, col, float(rng.normal())))
+            codes.append(SparseCode(c, h, w, acts))
+            images.append(rng.normal(size=(c, h, w)))
+        residuals = [im - reconstruct(code, bank) for im, code in zip(images, codes)]
+        groups = [group_by_filter(code, k) for code in codes]
+        assert any(len(g[0]) < sum(a.filter_index == 0 for a in code.activations)
+                   for g, code in zip(groups, codes))  # some position repeats
+
+        oracle_bank, flat_bank = bank.copy(), bank.copy()
+        oracle_rng, flat_rng = np.random.default_rng(9), np.random.default_rng(9)
+        flat, views, _, _, _ = flat_sweep(residuals, [{}] * len(residuals), bank[0])
+        deads = []
+        for j in range(k):
+            positions = [g[j] for g in groups]
+            expect = oracle_update_filter(oracle_bank, j, positions, residuals, images,
+                                          oracle_rng, min_activations)
+            index, coefs = window_index(positions, [im.shape for im in images], fh, fw)
+            got = update_filter(flat_bank, j, index, coefs, flat, images, flat_rng,
+                                min_activations)
+            assert got == expect
+            deads.append(got)
+            assert np.array_equal(flat_bank, oracle_bank)
+            for view, residual in zip(views, residuals):
+                assert np.array_equal(view, residual)
+        return deads
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_the_sequential_loop(self, seed):
+        assert self._sweep_both(seed, min_activations=1) == [False, False, False, True]
+
+    def test_bit_identical_when_live_filters_are_reinitialized(self):
+        # filters with positions but too few of them still repair the residual
+        assert self._sweep_both(6, min_activations=1000) == [True] * 4
+
+    def test_index_follows_image_then_first_use_order(self):
+        positions = [{(1, 2): 0.5, (0, 0): -1.0}, {}, {(2, 1): 2.0}]
+        shapes = [(2, 4, 5), (2, 3, 3), (2, 5, 4)]
+        index, coefs = window_index(positions, shapes, 2, 3)
+        assert index.shape == (3, 2 * 2 * 3)
+        np.testing.assert_array_equal(coefs, [0.5, -1.0, 2.0])
+        # in a buffer holding its own flat positions, each image's window
+        # reads out the index row
+        flat, views, _, _, _ = flat_sweep(
+            [np.zeros(shape) for shape in shapes], [{}] * 3, np.zeros((2, 2, 3))
+        )
+        flat[:] = np.arange(flat.size)
+        windows = [views[0][:, 1:3, 2:5], views[0][:, 0:2, 0:3], views[2][:, 2:4, 1:4]]
+        for row, window in zip(index, windows):
+            np.testing.assert_array_equal(row, window.ravel())
+
+    def test_no_positions_give_an_empty_index(self):
+        index, coefs = window_index([{}, {}], [(3, 6, 6), (3, 5, 7)], 2, 2)
+        assert index.shape == (0, 12) and coefs.shape == (0,)
 
 
 class TestTrain:
