@@ -20,6 +20,7 @@ typical decrease is observable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ _SIGN_TIE_ATOL = 1e-12
 _PCA_TOL = 1e-10
 _PCA_MAX_ITER = 10_000
 _PCA_SEED = 0
+_TINY = np.finfo(np.float64).tiny
 
 Positions = dict[tuple[int, int], float]  # (row, col) -> summed coefficient
 
@@ -158,43 +160,52 @@ def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
 def pca_top_component(patches, prev=None) -> np.ndarray:
     """Top left singular direction of the stacked (uncentered) patches.
 
-    Computed as the dominant eigenvector of the small scatter matrix via
-    power iteration with a seeded start; reaching the iteration cap before
-    converging is logged as a warning. The sign is chosen to keep a
-    nonnegative inner product with prev when one is given; on a near-zero
-    tie (or without prev) the first nonzero component is made positive.
+    patches is an (n, dim) array or a sequence of n equal-shape patches; the
+    result has one patch's shape. Power iteration with a seeded start runs
+    on the smaller of the two Gram matrices, rows^T rows (dim x dim) or
+    rows rows^T (n x n); from the n x n form the direction is mapped back
+    as u^T rows, normalized. Both share their nonzero eigenvalues, so the
+    relative residual test means the same on either. Reaching the iteration
+    cap before converging is logged as a warning. The sign is chosen to
+    keep a nonnegative inner product with prev when one is given; on a
+    near-zero tie (or without prev) the first nonzero component is made
+    positive.
     """
-    mats = [np.asarray(p, dtype=np.float64) for p in patches]
-    if not mats:
+    mats = np.asarray(patches, dtype=np.float64)
+    if len(mats) == 0:
         raise DataError("cannot take the principal direction of an empty patch set")
-    shape = mats[0].shape
-    rows = np.stack([m.ravel() for m in mats])  # (n, dim)
+    rows = mats.reshape(len(mats), -1)  # (n, dim)
     if not np.any(rows):
         raise DataError("all patches are zero; dead filter")
-    scatter = rows.T @ rows
-    dim = scatter.shape[0]
+    n, dim = rows.shape
+    gram = rows @ rows.T if n < dim else rows.T @ rows
+    size = gram.shape[0]
 
     rng = np.random.default_rng(_PCA_SEED)
-    v = rng.normal(size=dim)
-    v /= np.sqrt(v @ v)
+    v = rng.normal(size=size)
+    v /= math.sqrt(v @ v)
     for _ in range(_PCA_MAX_ITER):
-        y = scatter @ v
+        y = gram @ v
         lam = float(v @ y)
-        norm = float(np.sqrt(y @ y))
+        norm = math.sqrt(y @ y)
         if norm == 0.0:
             # started in the nullspace; restart
-            v = rng.normal(size=dim)
-            v /= np.sqrt(v @ v)
+            v = rng.normal(size=size)
+            v /= math.sqrt(v @ v)
             continue
-        res = float(np.sqrt(np.sum(np.square(y - lam * v))))
+        d = y - lam * v
+        res = math.sqrt(d @ d)
         v = y / norm
-        if res <= _PCA_TOL * max(lam, np.finfo(float).tiny):
+        if res <= _PCA_TOL * max(lam, _TINY):
             break
     else:
         logger.warning("power iteration hit its cap of %d iterations unconverged", _PCA_MAX_ITER)
+    if n < dim:
+        v = v @ rows
+        v /= math.sqrt(v @ v)
     prev_flat = None if prev is None else np.asarray(prev, dtype=np.float64).ravel()
     v = _fix_sign(v, prev_flat)
-    return v.reshape(shape)
+    return v.reshape(mats.shape[1:])
 
 
 def update_filter(

@@ -158,6 +158,42 @@ class TestPcaTopComponent:
             top = vecs[:, np.argmax(w)]
             assert abs(float(got @ top)) >= 1 - 1e-8
 
+    @pytest.mark.parametrize("n", [5, 30], ids=["n<dim", "n>=dim"])
+    def test_array_input_gives_the_bits_of_the_list_input(self, n):
+        rng = np.random.default_rng(59)
+        patches = [rng.normal(size=(2, 3, 3)) for _ in range(n)]
+        prev = rng.normal(size=(2, 3, 3))
+        listed = pca_top_component(patches, prev=prev)
+        stacked = pca_top_component(np.stack(patches).reshape(n, -1), prev=prev)
+        assert listed.shape == (2, 3, 3) and stacked.shape == (18,)
+        assert np.array_equal(stacked, listed.ravel())
+
+    @pytest.mark.parametrize("n", [3, 8, 17, 18, 40], ids=lambda n: f"n{n}-dim18")
+    def test_both_gram_forms_match_dense_eigendecomposition(self, n, caplog):
+        # criterion 10's tolerance, on either side of n = dim
+        rng = np.random.default_rng(60 + n)
+        for _ in range(10):
+            rows = rng.normal(size=(n, 18))
+            with caplog.at_level("WARNING", logger="convmp.dict_learn"):
+                got = pca_top_component(rows)
+            w, vecs = np.linalg.eigh(rows.T @ rows)
+            assert abs(float(got @ vecs[:, np.argmax(w)])) >= 1 - 1e-8
+            assert np.sum(got * got) == pytest.approx(1.0, abs=1e-12)
+        assert caplog.records == []
+
+    def test_rank_deficient_short_set_converges(self, caplog):
+        # 6 rows in dim 27 spanning only 2 directions: the 6x6 Gram matrix is
+        # singular, and the direction still comes back from u^T rows
+        rng = np.random.default_rng(61)
+        basis = rng.normal(size=(2, 27))
+        rows = rng.normal(size=(6, 2)) @ basis
+        with caplog.at_level("WARNING", logger="convmp.dict_learn"):
+            got = pca_top_component(rows)
+        assert caplog.records == []
+        w, vecs = np.linalg.eigh(rows.T @ rows)
+        assert abs(float(got @ vecs[:, np.argmax(w)])) >= 1 - 1e-8
+        assert np.sum(got * got) == pytest.approx(1.0, abs=1e-12)
+
     def test_rejects_empty_and_all_zero(self):
         with pytest.raises(ValueError, match="empty"):
             pca_top_component([])
