@@ -106,7 +106,8 @@ def as_bank(arr, name: str = "bank", unit_norm: bool = True) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DataError(f"{name} entries must be finite (found NaN or Inf)")
     if unit_norm:
-        norms = filter_norms(a)
+        with np.errstate(over="ignore"):  # a huge entry gives an inf norm, rejected below
+            norms = filter_norms(a)
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_ATOL)
         if bad.size:
             raise DataError(

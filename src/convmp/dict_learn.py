@@ -116,7 +116,8 @@ def window_index(positions: list[Positions], shapes, fh: int, fw: int):
     base = 0
     for image_positions, (c, h, w) in zip(positions, shapes):
         if image_positions:
-            kinds.setdefault((c, h, w), []).extend(range(len(starts), len(starts) + len(image_positions)))
+            rows = kinds.setdefault((c, h, w), [])
+            rows.extend(range(len(starts), len(starts) + len(image_positions)))
             starts.extend([base + r * w + col for r, col in image_positions])
             coefs.extend(image_positions.values())
         base += c * h * w
@@ -124,11 +125,12 @@ def window_index(positions: list[Positions], shapes, fh: int, fw: int):
     first = np.array(starts, dtype=np.intp)[:, None]
     for (c, h, w), rows in kinds.items():
         # flat offsets of a window at (0, 0) of an image of this shape
-        window = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w + np.arange(fw)
-        if len(rows) == len(starts):
-            np.add(first, window.ravel(), out=index)
+        window = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w
+        window = (window + np.arange(fw)).ravel()
+        if len(rows) == len(starts):  # one image shape, the usual case: no gather
+            np.add(first, window, out=index)
         else:
-            index[rows] = first[rows] + window.ravel()
+            index[rows] = first[rows] + window
     return index, np.array(coefs, dtype=np.float64)
 
 

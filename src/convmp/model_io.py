@@ -92,6 +92,8 @@ def _read_f8(path, magic: bytes, rank: int, kind: str) -> np.ndarray:
     version, *dims = struct.unpack(f"<{1 + rank}I", data[len(magic) : head])
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported version {version}")
+    if min(dims) < 1:  # numpy cannot shape an empty array with a huge other dimension
+        raise DataError(f"{path}: {kind} has an empty dimension: {tuple(dims)}")
     expected = math.prod(dims) * 8
     if len(data) - head != expected:
         raise DataError(f"{path}: payload is {len(data) - head} bytes, expected {expected}")
@@ -140,6 +142,8 @@ def _scan_pnm_header(data: bytes, path) -> tuple[list[int], int]:
             fields.append(int(data[start:i]))
         except ValueError:
             raise DataError(f"{path}: bad header token {data[start:i]!r}") from None
+    if min(fields[:2]) < 1:
+        raise DataError(f"{path}: image size must be positive, got {fields[0]}x{fields[1]}")
     return fields, i + 1  # single whitespace byte separates header and raster
 
 

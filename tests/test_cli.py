@@ -314,6 +314,13 @@ def _no_files(tmp_path):
     pass
 
 
+def _image_file(data):
+    def prepare(tmp_path):
+        _valid_bank(tmp_path)
+        (tmp_path / "img.pgm").write_bytes(data)
+    return prepare
+
+
 ENCODE = ["encode", "--model", "{d}/m.bank", "--image", "{d}/img.pgm", "--out", "{d}/c.code"]
 RENDER = ["render-filters", "--model", "{d}/m.bank", "--out", "{d}/f.pgm"]
 RECONSTRUCT = ["reconstruct", "--model", "{d}/m.bank", "--code", "{d}/c.code",
@@ -350,6 +357,8 @@ class TestMalformedInputExitCodes:
             (_no_files, BENCH + ["--k", "-1"], 2),
             (_no_files, BENCH + ["--k", "0"], 2),
             (_no_files, BENCH + ["--image", "16x16", "--filter", "16x16", "--k", "1"], 2),
+            (_image_file(b"P5\n-2 -2\n255\n\x01\x02\x03\x04"), ENCODE, 3),
+            (_image_file(b"P6\n-1 -1\n255\n\x01\x02\x03"), ENCODE, 3),
         ],
         ids=["encode-scaled-bank", "encode-nan-bank", "render-nan-bank", "encode-empty-bank",
              "render-empty-bank", "reconstruct-nan-coefficient", "reconstruct-two-channels",
@@ -357,7 +366,8 @@ class TestMalformedInputExitCodes:
              "reconstruct-zero-width", "reconstruct-negative-count", "reconstruct-not-utf8",
              "encode-nan-tolerance", "train-nan-tolerance", "pipeline-scale-zero",
              "pipeline-config-not-utf8", "pipeline-config-nan-tolerance",
-             "bench-negative-k", "bench-zero-k", "bench-pursuit-outruns-map"],
+             "bench-negative-k", "bench-zero-k", "bench-pursuit-outruns-map",
+             "encode-pgm-two-negative-sizes", "encode-ppm-two-negative-sizes"],
     )
     def test_exit_code(self, tmp_path, capsys, prepare, argv, expected):
         save_image(np.random.default_rng(1).random((1, 12, 12)), tmp_path / "img.pgm")

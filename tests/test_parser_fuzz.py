@@ -1,5 +1,6 @@
-"""Parser fuzzing: any bytes given as a code file or a pipeline config either
-parse or raise ConfigError/DataError, so the CLI exits 2 or 3, never 4.
+"""Parser fuzzing: any bytes given as a code file, a pipeline config, a PGM/PPM
+image, a bank or a float image either parse or raise ConfigError/DataError,
+so the CLI exits 2 or 3, never 4.
 
 Hypothesis runs derandomized with no example database and a fixed example
 count, so the suite stays deterministic. Its storage directory, where it
@@ -8,12 +9,15 @@ points into the system temp directory, so no .hypothesis directory appears
 in the tree. That has to happen at import: the cache fills during collection.
 """
 
+import math
+import struct
 import tempfile
 from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
+import numpy as np  # noqa: E402
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
@@ -22,7 +26,7 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "convmp-hypothesis")
 
 from convmp.cli import _parse_config_file, _pipeline_config  # noqa: E402
 from convmp.core import ConfigError, DataError, SparseCode  # noqa: E402
-from convmp.model_io import load_code  # noqa: E402
+from convmp.model_io import load_bank, load_code, load_float_image, load_image  # noqa: E402
 from convmp.pipeline import PipelineConfig  # noqa: E402
 
 FUZZ = settings(
@@ -67,4 +71,64 @@ def test_pipeline_config_parses_or_raises_typed_error(tmp_path, data):
     try:
         assert isinstance(_pipeline_config(_parse_config_file(path)), PipelineConfig)
     except (ConfigError, DataError):
+        pass
+
+
+# Header fields are small signed integers, zero and negatives included.
+# Binary headers store them as u32, so a negative one reads back as a huge
+# size. Half the time the payload has exactly the size the header implies
+# (taking absolute values), so examples also get past the length check.
+SMALL = st.integers(-3, 5)
+
+
+@st.composite
+def pnm_files(draw):
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    width, height = draw(SMALL), draw(SMALL)
+    maxval = draw(st.one_of(st.just(255), st.integers(-1, 256)))
+    implied = abs(width * height) * (1 if magic == b"P5" else 3)
+    size = draw(st.one_of(st.just(implied), st.integers(0, 64)))
+    header = magic + b"\n%d %d\n%d\n" % (width, height, maxval)
+    return header + draw(st.binary(min_size=size, max_size=size))
+
+
+@st.composite
+def f8_files(draw, magic, rank):
+    fields = [draw(st.one_of(st.just(1), SMALL))] + [draw(SMALL) for _ in range(rank)]
+    implied = math.prod(abs(f) for f in fields[1:]) * 8
+    size = draw(st.one_of(st.just(implied), st.integers(0, 96)))
+    header = magic + struct.pack(f"<{1 + rank}i", *fields)
+    return header + draw(st.binary(min_size=size, max_size=size))
+
+
+@FUZZ
+@given(data=pnm_files())
+def test_load_image_parses_or_raises_data_error(tmp_path, data):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_image(path), np.ndarray)
+    except DataError:
+        pass
+
+
+@FUZZ
+@given(data=f8_files(b"CMPD1", 4))
+def test_load_bank_parses_or_raises_data_error(tmp_path, data):
+    path = tmp_path / "fuzz.bank"
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_bank(path), np.ndarray)
+    except DataError:
+        pass
+
+
+@FUZZ
+@given(data=f8_files(b"CMPF1", 3))
+def test_load_float_image_parses_or_raises_data_error(tmp_path, data):
+    path = tmp_path / "fuzz.f64"
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_float_image(path), np.ndarray)
+    except DataError:
         pass
