@@ -12,6 +12,15 @@ are re-projected onto it, and the residuals are repaired in place so they
 stay equal to image minus reconstruction. Codes are not rewritten: the
 next epoch encodes afresh.
 
+The residuals of all images live in one flat float64 buffer, images back
+to back. A filter's positions become one (n, c*h_f*w_f) index of flat
+samples (window_index), so collecting its patches is one gather and the
+repair is two ordered scatters, np.add.at then np.subtract.at. Each sample
+takes its updates in the order a loop over the positions would apply
+them, so the repair gives that loop's bits. The principal direction comes
+from power iteration on the smaller of the patch set's two Gram matrices,
+n x n or dim x dim.
+
 The alternation is not guaranteed to decrease the energy (the encoding
 subproblem is not convex); TrainStats records per-epoch energy so the
 typical decrease is observable.
