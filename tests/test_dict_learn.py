@@ -22,8 +22,9 @@ def unit(v):
 def flat_sweep(residuals, positions, filt):
     """Per-image residuals and one filter's per-image positions in the form
     the sweep takes them: the residuals copied back to back into one flat
-    buffer, per-image views of that buffer (so they see its repairs), and
-    the filter's window index and summed coefficients over it."""
+    buffer, per-image views of that buffer (so they see its repairs), the
+    filter's window index and summed coefficients over it, and the patches
+    collect_activated_patches gathers there, each in the filter's shape."""
     flat = np.concatenate([r.ravel() for r in residuals])
     bounds = np.cumsum([0] + [r.size for r in residuals])
     views = [flat[a:b].reshape(r.shape) for a, b, r in zip(bounds, bounds[1:], residuals)]
