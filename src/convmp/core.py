@@ -144,20 +144,35 @@ def check_compatible(code: SparseCode, bank: np.ndarray) -> None:
             raise ConfigError(f"activation {i}: col {act.col} outside valid grid [0, {max_col}]")
 
 
+def activation_arrays(code: SparseCode):
+    """The code's filter indices, rows and cols (intp) and coefficients
+    (float64) in activation order. Run check_compatible first on a code
+    from outside: an index beyond intp raises OverflowError here."""
+    acts = code.activations
+    filters = np.array([a.filter_index for a in acts], dtype=np.intp)
+    rows = np.array([a.row for a in acts], dtype=np.intp)
+    cols = np.array([a.col for a in acts], dtype=np.intp)
+    return filters, rows, cols, np.array([a.coefficient for a in acts], dtype=np.float64)
+
+
+def window_offsets(shape, fh: int, fw: int) -> np.ndarray:
+    """Flat C-order offsets of the samples under an fh x fw window at (0, 0)
+    of a (c, h, w) image, in the window's own C order."""
+    c, h, w = shape
+    window = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w
+    return (window + np.arange(fw)).ravel()
+
+
 def reconstruct(code: SparseCode, bank: np.ndarray) -> np.ndarray:
     """Sum of coefficient-scaled filters pasted at their activation positions."""
     bank = as_bank(bank, unit_norm=False)
     check_compatible(code, bank)
     k, c, fh, fw = bank.shape
     h, w = code.image_height, code.image_width
-    acts = code.activations
     # One scatter: bincount adds its weights in index order, so each sample
     # sums its contributions in activation order, as pasting one by one would.
-    filters = np.array([a.filter_index for a in acts], dtype=np.intp)
-    offsets = np.array([a.row * w + a.col for a in acts], dtype=np.intp)
-    coefs = np.array([a.coefficient for a in acts], dtype=np.float64)
-    patch = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w + np.arange(fw)
-    index = offsets[:, None] + patch.ravel()
+    filters, rows, cols, coefs = activation_arrays(code)
+    index = (rows * w + cols)[:, None] + window_offsets((c, h, w), fh, fw)
     values = coefs[:, None] * bank.reshape(k, -1)[filters]
     return np.bincount(index.ravel(), values.ravel(), minlength=c * h * w).reshape(c, h, w)
 

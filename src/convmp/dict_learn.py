@@ -1,8 +1,8 @@
 """Alternating dictionary learning: encode with convolutional pursuit, then
 update each filter as the top principal direction of its activated patches.
 
-One epoch encodes every image with the current bank, groups each code's
-positions per filter, then sweeps the filters in ascending index order
+One epoch encodes every image with the current bank, then sweeps the
+filters in ascending index order
 (Gauss-Seidel: each update sees residuals reflecting the ones before it).
 For a filter j, every image location where j is active contributes the
 patch the filter is trying to explain: the residual patch plus j's own
@@ -13,13 +13,14 @@ stay equal to image minus reconstruction. Codes are not rewritten: the
 next epoch encodes afresh.
 
 The residuals of all images live in one flat float64 buffer, images back
-to back. A filter's positions become one (n, c*h_f*w_f) index of flat
-samples (window_index), so collecting its patches is one gather and the
-repair is two ordered scatters, np.add.at then np.subtract.at. Each sample
-takes its updates in the order a loop over the positions would apply
-them, so the repair gives that loop's bits. The principal direction comes
-from power iteration on the smaller of the patch set's two Gram matrices,
-n x n or dim x dim.
+to back. filter_windows groups the epoch's activations in one pass and
+gives each filter's distinct windows as one (n, c*h_f*w_f) index of flat
+samples, so collecting its patches is one gather and the repair is two
+ordered scatters, np.add.at then np.subtract.at. Each sample takes its
+updates in the order a loop over the positions would apply them, so the
+repair gives that loop's bits. The principal direction comes from power
+iteration on the smaller of the patch set's two Gram matrices, n x n or
+dim x dim.
 
 The alternation is not guaranteed to decrease the energy (the encoding
 subproblem is not convex); TrainStats records per-epoch energy so the
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conv_mp import build_shift_gram, conv_mp_encode
-from .core import DataError, SparseCode, TrainConfig, as_image, reconstruct
+from .core import DataError, TrainConfig, activation_arrays, as_image, reconstruct, window_offsets
 
 logger = logging.getLogger(__name__)
 
@@ -47,9 +48,6 @@ _PCA_TOL = 1e-10
 _PCA_MAX_ITER = 10_000
 _PCA_SEED = 0
 _TINY = np.finfo(np.float64).tiny
-
-Positions = dict[tuple[int, int], float]  # (row, col) -> summed coefficient
-
 
 @dataclass
 class TrainStats:
@@ -99,48 +97,35 @@ def init_filters(images, cfg: TrainConfig) -> np.ndarray:
     return np.stack([_draw_unit_patch(usable, fh, fw, rng) for _ in range(cfg.num_filters)])
 
 
-def group_by_filter(code: SparseCode, num_filters: int) -> list[Positions]:
-    """Per filter, its distinct positions in first-use order, each mapped to
-    the sum of its coefficients in activation order."""
-    groups: list[Positions] = [{} for _ in range(num_filters)]
-    for act in code.activations:
-        positions = groups[act.filter_index]
-        key = (act.row, act.col)
-        positions[key] = positions.get(key, 0.0) + act.coefficient
-    return groups
+def filter_windows(arrays, shapes, num_filters: int, fh: int, fw: int):
+    """Each filter's distinct windows, for residuals laid back to back in
+    one flat buffer; arrays[i] is image i's activation_arrays and shapes[i]
+    its (c, h, w).
 
-
-def window_index(positions: list[Positions], shapes, fh: int, fw: int):
-    """One filter's positions over all images, for residuals laid back to
-    back in one flat buffer (image i's C-order samples after those of
-    images 0..i-1, shapes[i] its (c, h, w)).
-
-    Returns an (n, c*fh*fw) index of the flat samples under each window, in
-    the filter's own C order, and the (n,) summed coefficients; rows follow
-    image order, then each image's first-use order.
+    Yields, for filters 0..num_filters-1 in turn, the (n, c*fh*fw) index of
+    the flat samples under each window and the (n,) coefficients summed
+    there in activation order. Rows follow image order, then first use.
     """
-    starts: list[int] = []
-    kinds: dict[tuple[int, int, int], list[int]] = {}  # image shape -> its rows
-    coefs: list[float] = []
-    base = 0
-    for image_positions, (c, h, w) in zip(positions, shapes):
-        if image_positions:
-            rows = kinds.setdefault((c, h, w), [])
-            rows.extend(range(len(starts), len(starts) + len(image_positions)))
-            starts.extend([base + r * w + col for r, col in image_positions])
-            coefs.extend(image_positions.values())
-        base += c * h * w
-    index = np.empty((len(starts), shapes[0][0] * fh * fw if shapes else 0), dtype=np.intp)
-    first = np.array(starts, dtype=np.intp)[:, None]
-    for (c, h, w), rows in kinds.items():
-        # flat offsets of a window at (0, 0) of an image of this shape
-        window = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w
-        window = (window + np.arange(fw)).ravel()
-        if len(rows) == len(starts):  # one image shape, the usual case: no gather
-            np.add(first, window, out=index)
-        else:
-            index[rows] = first[rows] + window
-    return index, np.array(coefs, dtype=np.float64)
+    sizes = [math.prod(shape) for shape in shapes]
+    total = sum(sizes)
+    kinds: dict[tuple[int, int, int], int] = {}  # image shape -> its row of the table
+    image_kind = np.array([kinds.setdefault(shape, len(kinds)) for shape in shapes])
+    table = np.stack([window_offsets(shape, fh, fw) for shape in kinds])
+    # every code's activations back to back, each keyed by (filter, window start)
+    filters, rows, cols, coefs = (np.concatenate(column) for column in zip(*arrays))
+    image = np.repeat(np.arange(len(shapes)), [len(f) for f, _, _, _ in arrays])
+    starts = np.cumsum([0] + sizes[:-1])[image] + rows * np.array(shapes)[image, 2] + cols
+    # unique finds each window's first use, and bincount sums its
+    # coefficients in activation order, as a dict would
+    keys, first, inv = np.unique(filters * total + starts, return_index=True, return_inverse=True)
+    sums = np.bincount(inv, coefs).astype(np.float64, copy=False)  # empty: int64
+    order = np.lexsort((first, keys // total))  # by filter, then first use
+    keys, sums, kind = keys[order], sums[order], image_kind[image[first[order]]]
+    bounds = np.searchsorted(keys // total, np.arange(num_filters + 1))
+    for lo, hi in zip(bounds, bounds[1:]):
+        index = table[kind[lo:hi]]
+        index += keys[lo:hi, None] % total
+        yield index, sums[lo:hi]
 
 
 def collect_activated_patches(residual, index, coefs, filt) -> np.ndarray:
@@ -231,7 +216,7 @@ def update_filter(
 ) -> bool:
     """Replace filter j and repair the flat residual buffer in place.
 
-    index and coefs are filter j's positions as window_index gives them
+    index and coefs are filter j's windows as filter_windows yields them
     (possibly none). With enough activated positions the new filter is the
     top principal direction of their patches; otherwise the filter is dead
     and is reinitialized from a random data patch. Either way each
@@ -308,10 +293,9 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
             np.subtract(im, reconstruct(code, bank), out=view)
 
         energy = float(sum(np.sum(np.square(r)) for r in views))
-        counts = [0] * cfg.num_filters
-        for code in codes:
-            for act in code.activations:
-                counts[act.filter_index] += 1
+        arrays = [activation_arrays(code) for code in codes]
+        filters = np.concatenate([f for f, _, _, _ in arrays])
+        counts = np.bincount(filters, minlength=cfg.num_filters).tolist()
         stats.epoch_energy.append(energy)
         stats.activation_counts.append(counts)
         if max(counts) == 0:
@@ -320,10 +304,9 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
                 "(all-zero corpus or residual_tolerance too high)"
             )
 
-        groups = [group_by_filter(code, cfg.num_filters) for code in codes]
         reinits = 0
-        for j in range(cfg.num_filters):
-            index, coefs = window_index([g[j] for g in groups], shapes, fh, fw)
+        windows = filter_windows(arrays, shapes, cfg.num_filters, fh, fw)
+        for j, (index, coefs) in enumerate(windows):
             if update_filter(bank, j, index, coefs, residual, imgs, rng, cfg.min_activations):
                 stats.reinit_events.append((epoch, j))
                 reinits += 1

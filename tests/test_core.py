@@ -8,7 +8,9 @@ import convmp
 from convmp.core import (
     Activation,
     SparseCode,
+    ConfigError,
     TrainConfig,
+    activation_arrays,
     normalize_filters,
     reconstruct,
     residual_energy,
@@ -134,6 +136,28 @@ class TestReconstruct:
         bank = np.ones((1, 2, 2, 2)) * 0.5
         with pytest.raises(ValueError, match="channels"):
             reconstruct(SparseCode(1, 4, 4), bank)
+
+    @pytest.mark.parametrize("filter_index", [1, -1, 10**20], ids=["k", "negative", "beyond-intp"])
+    def test_rejects_a_bad_filter_index_before_converting_it(self, filter_index):
+        code = SparseCode(1, 5, 5, [Activation(filter_index, 0, 0, 1.0)])
+        with pytest.raises(ConfigError, match="filter_index"):
+            reconstruct(code, np.ones((1, 1, 3, 3)) / 3.0)
+
+
+class TestActivationArrays:
+    def test_arrays_follow_activation_order(self):
+        acts = [Activation(2, 0, 4, -0.0), Activation(0, 3, 1, 1.5), Activation(2, 0, 4, 0.25)]
+        filters, rows, cols, coefs = activation_arrays(SparseCode(1, 9, 9, acts))
+        for got, field in zip((filters, rows, cols), ("filter_index", "row", "col")):
+            assert got.dtype == np.intp
+            assert got.tolist() == [getattr(a, field) for a in acts]
+        assert coefs.dtype == np.float64
+        assert coefs.tobytes() == np.array([-0.0, 1.5, 0.25]).tobytes()
+
+    def test_empty_code_gives_empty_typed_arrays(self):
+        arrays = activation_arrays(SparseCode(2, 4, 4))
+        assert [a.dtype for a in arrays] == [np.intp] * 3 + [np.float64]
+        assert all(a.shape == (0,) for a in arrays)
 
 
 class TestResidualEnergy:

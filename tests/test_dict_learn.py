@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from convmp import dict_learn
-from convmp.core import Activation, SparseCode, TrainConfig, reconstruct, residual_energy
+from convmp.core import (
+    Activation,
+    SparseCode,
+    TrainConfig,
+    activation_arrays,
+    reconstruct,
+    residual_energy,
+)
 from convmp.dict_learn import (
     collect_activated_patches,
-    group_by_filter,
+    filter_windows,
     init_filters,
     pca_top_component,
     train,
     update_filter,
-    window_index,
 )
 
 
@@ -19,18 +25,62 @@ def unit(v):
     return v / np.sqrt(np.sum(v * v))
 
 
-def flat_sweep(residuals, positions, filt):
-    """Per-image residuals and one filter's per-image positions in the form
-    the sweep takes them: the residuals copied back to back into one flat
-    buffer, per-image views of that buffer (so they see its repairs), the
-    filter's window index and summed coefficients over it, and the patches
-    collect_activated_patches gathers there, each in the filter's shape."""
+def windows_of(codes, shapes, num_filters, fh, fw):
+    """filter_windows over the codes' activation arrays, as a list."""
+    arrays = [activation_arrays(code) for code in codes]
+    return list(filter_windows(arrays, shapes, num_filters, fh, fw))
+
+
+def flat_buffer(residuals):
+    """The residuals copied back to back into one flat buffer, and per-image
+    views of that buffer (so they see its repairs)."""
     flat = np.concatenate([r.ravel() for r in residuals])
     bounds = np.cumsum([0] + [r.size for r in residuals])
     views = [flat[a:b].reshape(r.shape) for a, b, r in zip(bounds, bounds[1:], residuals)]
-    index, coefs = window_index(positions, [r.shape for r in residuals], *filt.shape[1:])
-    patches = list(collect_activated_patches(flat, index, coefs, filt).reshape(-1, *filt.shape))
-    return flat, views, index, coefs, patches
+    return flat, views
+
+
+def flat_sweep(residuals, codes, j, bank):
+    """Per-image residuals and their codes in the form the sweep takes them
+    for filter j: flat_buffer's buffer and views, j's window index and
+    summed coefficients, and the patches collect_activated_patches gathers
+    there, each in the filter's shape."""
+    k, _, fh, fw = bank.shape
+    flat, views = flat_buffer(residuals)
+    index, coefs = windows_of(codes, [r.shape for r in residuals], k, fh, fw)[j]
+    patches = collect_activated_patches(flat, index, coefs, bank[j])
+    return flat, views, index, coefs, list(patches.reshape(-1, *bank[j].shape))
+
+
+def oracle_group_by_filter(code, num_filters):
+    """Per filter, a dict of its distinct positions in first-use order, each
+    mapped to the sum of its coefficients in activation order."""
+    groups = [{} for _ in range(num_filters)]
+    for act in code.activations:
+        positions = groups[act.filter_index]
+        key = (act.row, act.col)
+        positions[key] = positions.get(key, 0.0) + act.coefficient
+    return groups
+
+
+def oracle_windows(codes, shapes, num_filters, fh, fw):
+    """oracle_group_by_filter's positions in filter_windows's form: per
+    filter, each position's window read out of a flat buffer that holds its
+    own sample numbers, and the summed coefficients, in image order, then
+    each image's first-use order."""
+    flat, views = flat_buffer([np.zeros(shape) for shape in shapes])
+    flat[:] = np.arange(flat.size)
+    groups = [oracle_group_by_filter(code, num_filters) for code in codes]
+    out = []
+    for j in range(num_filters):
+        rows, coefs = [], []
+        for view, group in zip(views, groups):
+            for (r, c), a in group[j].items():
+                rows.append(view[:, r : r + fh, c : c + fw].ravel())
+                coefs.append(a)
+        index = np.array(rows, dtype=np.intp).reshape(len(rows), shapes[0][0] * fh * fw)
+        out.append((index, np.array(coefs, dtype=np.float64)))
+    return out
 
 
 def make_cfg(**overrides):
@@ -85,9 +135,9 @@ class TestCollectActivatedPatches:
         code = SparseCode(1, 8, 8, [Activation(0, 2, 3, 1.4)])
         image = reconstruct(code, bank)
         residual = image - reconstruct(code, bank)
-        positions = group_by_filter(code, 1)[0]
-        assert positions == {(2, 3): 1.4}
-        patches = flat_sweep([residual], [positions], bank[0])[-1]
+        _, _, index, coefs, patches = flat_sweep([residual], [code], 0, bank)
+        np.testing.assert_array_equal(coefs, [1.4])
+        np.testing.assert_array_equal(index[:, 0], [2 * 8 + 3])  # the window's corner
         assert len(patches) == 1
         np.testing.assert_allclose(patches[0], 1.4 * bank[0], rtol=0, atol=1e-12)
 
@@ -95,9 +145,9 @@ class TestCollectActivatedPatches:
         bank = np.stack([unit(np.ones((1, 2, 2))), unit(np.eye(2)[None])])
         code = SparseCode(1, 5, 5, [Activation(0, 1, 1, 2.0)])
         image = reconstruct(code, bank)
-        positions = group_by_filter(code, 2)[1]
-        assert positions == {}
-        assert flat_sweep([image * 0.0], [positions], bank[1])[-1] == []
+        _, _, index, coefs, patches = flat_sweep([image * 0.0], [code], 1, bank)
+        assert index.shape == (0, 4) and coefs.shape == (0,)
+        assert patches == []
 
     def test_repeated_position_accumulates(self):
         bank = np.stack([unit(np.ones((1, 2, 2)))])
@@ -109,10 +159,9 @@ class TestCollectActivatedPatches:
         )
         image = reconstruct(code, bank)
         residual = image - reconstruct(code, bank)
-        positions = group_by_filter(code, 1)[0]
-        assert list(positions) == [(1, 1), (0, 2)]  # first-use order
-        assert positions[(1, 1)] == pytest.approx(1.5, abs=1e-15)
-        patches = flat_sweep([residual], [positions], bank[0])[-1]
+        _, _, index, coefs, patches = flat_sweep([residual], [code], 0, bank)
+        np.testing.assert_array_equal(index[:, 0], [1 * 4 + 1, 0 * 4 + 2])  # first-use order
+        assert coefs[0] == pytest.approx(1.5, abs=1e-15)
         assert len(patches) == 2
         np.testing.assert_allclose(patches[0], 1.5 * bank[0], rtol=0, atol=1e-12)
 
@@ -126,7 +175,7 @@ class TestCollectActivatedPatches:
         image = rng.normal(size=(1, 8, 8))
         residual = image - reconstruct(code, bank)
 
-        patches = flat_sweep([residual], [group_by_filter(code, 2)[0]], bank[0])[-1]
+        patches = flat_sweep([residual], [code], 0, bank)[-1]
         others = SparseCode(1, 8, 8, [acts[1]])
         expect = (image - reconstruct(others, bank))[:, 2:5, 2:5]
         np.testing.assert_allclose(patches[0], expect, rtol=0, atol=1e-12)
@@ -215,11 +264,12 @@ class TestPcaTopComponent:
         assert "cap of 1 iterations unconverged" in messages[0]
 
 
-def _projected_code(code, j, residual, positions, old_w, new_w):
+def _projected_code(code, j, residual, old_bank, new_w):
     """code with filter j's activations replaced by one activation per
     position, its coefficient the projection of that position's patch
-    (collected before the update) onto the new filter."""
-    patches = flat_sweep([residual], [positions], old_w)[-1]
+    (collected with old_bank before the update) onto the new filter."""
+    positions = oracle_group_by_filter(code, len(old_bank))[j]
+    patches = flat_sweep([residual], [code], j, old_bank)[-1]
     acts = [a for a in code.activations if a.filter_index != j]
     acts += [
         Activation(j, r, c, float(new_w.ravel() @ p.ravel()))
@@ -230,12 +280,11 @@ def _projected_code(code, j, residual, positions, old_w, new_w):
 
 class TestUpdateFilter:
     def _state(self, bank, code, image, j):
-        """The residual (a view of the flat buffer update_filter repairs), the
-        grouped positions, and filter j's sweep inputs: index, coefs, buffer."""
-        groups = group_by_filter(code, bank.shape[0])
+        """The residual (a view of the flat buffer update_filter repairs) and
+        filter j's sweep inputs: index, coefs, buffer."""
         residual = image - reconstruct(code, bank)
-        flat, (residual,), index, coefs, _ = flat_sweep([residual], [groups[j]], bank[j])
-        return residual, groups, (index, coefs, flat)
+        flat, (residual,), index, coefs, _ = flat_sweep([residual], [code], j, bank)
+        return residual, (index, coefs, flat)
 
     def test_perfect_data_is_a_fixed_point(self):
         rng = np.random.default_rng(46)
@@ -243,14 +292,14 @@ class TestUpdateFilter:
         acts = [Activation(0, 0, 0, 1.5), Activation(0, 4, 4, -2.0)]
         code = SparseCode(1, 8, 8, list(acts))
         image = reconstruct(code, bank)
-        residual, groups, sweep = self._state(bank, code, image, 0)
+        residual, sweep = self._state(bank, code, image, 0)
         before = residual.copy()
 
-        old = bank[0].copy()
+        old_bank = bank.copy()
         dead = update_filter(bank, 0, *sweep, [image], np.random.default_rng(0))
         assert not dead
-        np.testing.assert_allclose(bank[0], old, rtol=0, atol=1e-9)
-        got = _projected_code(code, 0, before, groups[0], old, bank[0]).activations
+        np.testing.assert_allclose(bank[0], old_bank[0], rtol=0, atol=1e-9)
+        got = _projected_code(code, 0, before, old_bank, bank[0]).activations
         assert [(a.row, a.col) for a in got] == [(a.row, a.col) for a in acts]
         for g, e in zip(got, acts):
             assert g.coefficient == pytest.approx(e.coefficient, abs=1e-10)
@@ -263,7 +312,7 @@ class TestUpdateFilter:
         )
         code = SparseCode(1, 8, 8, [Activation(0, 1, 1, 1.0)])
         image = reconstruct(code, bank)
-        residual, groups, sweep = self._state(bank, code, image, 1)
+        residual, sweep = self._state(bank, code, image, 1)
         residual_before = residual.copy()
         before = bank[1].copy()
         dead = update_filter(bank, 1, *sweep, [image], np.random.default_rng(5))
@@ -285,7 +334,7 @@ class TestUpdateFilter:
         ]
         code = SparseCode(1, 8, 8, list(acts))
         image = rng.normal(size=(1, 8, 8))
-        residual, groups, sweep = self._state(bank, code, image, 0)
+        residual, sweep = self._state(bank, code, image, 0)
         before = residual_energy(image, code, bank)
         update_filter(bank, 0, *sweep, [image], np.random.default_rng(1))
         after = float(np.sum(np.square(residual)))
@@ -304,13 +353,13 @@ class TestUpdateFilter:
         ]
         code = SparseCode(1, 8, 8, list(acts))
         image = rng.normal(size=(1, 8, 8))
-        residual, groups, sweep = self._state(bank, code, image, 0)
-        before, old = residual.copy(), bank[0].copy()
+        residual, sweep = self._state(bank, code, image, 0)
+        before, old_bank = residual.copy(), bank.copy()
 
         update_filter(bank, 0, *sweep, [image], np.random.default_rng(2))
         # residual = image - reconstruction with j's coefficients replaced by
         # the closed-form projections onto the new filter
-        expected = _projected_code(code, 0, before, groups[0], old, bank[0])
+        expected = _projected_code(code, 0, before, old_bank, bank[0])
         np.testing.assert_allclose(
             residual, image - reconstruct(expected, bank), rtol=0, atol=1e-8
         )
@@ -346,14 +395,13 @@ class TestUpdateFilter:
         ]
         images = [rng.normal(size=(1, 8, 8)), rng.normal(size=(1, 9, 7))]
         residuals = [im - reconstruct(code, bank) for im, code in zip(images, codes)]
-        before, old = [r.copy() for r in residuals], bank[0].copy()
-        positions = [group_by_filter(code, 2)[0] for code in codes]
-        flat, residuals, index, coefs, _ = flat_sweep(residuals, positions, bank[0])
+        before, old_bank = [r.copy() for r in residuals], bank.copy()
+        flat, residuals, index, coefs, _ = flat_sweep(residuals, codes, 0, bank)
 
         dead = update_filter(bank, 0, index, coefs, flat, images, np.random.default_rng(3))
         assert not dead
         for i, image in enumerate(images):
-            expected = _projected_code(codes[i], 0, before[i], positions[i], old, bank[0])
+            expected = _projected_code(codes[i], 0, before[i], old_bank, bank[0])
             np.testing.assert_allclose(
                 residuals[i], image - reconstruct(expected, bank), rtol=0, atol=1e-8
             )
@@ -408,19 +456,19 @@ class TestSweepMatchesOracle:
             codes.append(SparseCode(c, h, w, acts))
             images.append(rng.normal(size=(c, h, w)))
         residuals = [im - reconstruct(code, bank) for im, code in zip(images, codes)]
-        groups = [group_by_filter(code, k) for code in codes]
+        groups = [oracle_group_by_filter(code, k) for code in codes]
         assert any(len(g[0]) < sum(a.filter_index == 0 for a in code.activations)
                    for g, code in zip(groups, codes))  # some position repeats
 
         oracle_bank, flat_bank = bank.copy(), bank.copy()
         oracle_rng, flat_rng = np.random.default_rng(9), np.random.default_rng(9)
-        flat, views, _, _, _ = flat_sweep(residuals, [{}] * len(residuals), bank[0])
+        flat, views = flat_buffer(residuals)
+        windows = windows_of(codes, [im.shape for im in images], k, fh, fw)
         deads = []
-        for j in range(k):
+        for j, (index, coefs) in enumerate(windows):
             positions = [g[j] for g in groups]
             expect = oracle_update_filter(oracle_bank, j, positions, residuals, images,
                                           oracle_rng, min_activations)
-            index, coefs = window_index(positions, [im.shape for im in images], fh, fw)
             got = update_filter(flat_bank, j, index, coefs, flat, images, flat_rng,
                                 min_activations)
             assert got == expect
@@ -438,24 +486,84 @@ class TestSweepMatchesOracle:
         # filters with positions but too few of them still repair the residual
         assert self._sweep_both(6, min_activations=1000) == [True] * 4
 
+
+def random_case(rng):
+    """A random filter_windows input: 1-4 codes over one to three image
+    shapes, with repeated positions, signed zeros, cancelling pairs, unused
+    filters and empty codes."""
+    k, c = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    fh, fw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    kinds = [(c, fh + int(rng.integers(0, 4)), fw + int(rng.integers(0, 4)))
+             for _ in range(int(rng.integers(1, 4)))]
+    shapes = [kinds[int(rng.integers(len(kinds)))] for _ in range(int(rng.integers(1, 5)))]
+    used = rng.permutation(k)[: int(rng.integers(1, k + 1))]
+    codes = []
+    for _, h, w in shapes:
+        acts = []
+        for _ in range(int(rng.integers(0, 12))):
+            j = int(rng.choice(used))
+            # corners from at most a 2x2 grid, so positions repeat often
+            r, col = int(rng.integers(min(2, h - fh + 1))), int(rng.integers(min(2, w - fw + 1)))
+            a = float(rng.choice([rng.normal(), -0.0, 0.0, 1.0, -1.0]))
+            acts.append(Activation(j, r, col, a))
+        codes.append(SparseCode(c, h, w, acts))
+    return codes, shapes, k, fh, fw
+
+
+class TestFilterWindows:
+    """filter_windows against oracle_windows, the per-position dicts."""
+
+    def test_matches_the_dict_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(62)
+        seen = {"mixed": 0, "repeat": 0, "negzero": 0, "unused": 0, "empty": 0}
+        for _ in range(1000):
+            codes, shapes, k, fh, fw = random_case(rng)
+            got = windows_of(codes, shapes, k, fh, fw)
+            expect = oracle_windows(codes, shapes, k, fh, fw)
+            assert len(got) == k
+            for (index, coefs), (oracle_index, oracle_coefs) in zip(got, expect):
+                assert index.dtype == np.intp and coefs.dtype == np.float64
+                assert np.array_equal(index, oracle_index)
+                assert index.shape == oracle_index.shape
+                assert coefs.tobytes() == oracle_coefs.tobytes()
+            acts = [a for code in codes for a in code.activations]
+            seen["mixed"] += len(set(shapes)) > 1
+            seen["repeat"] += sum(len(i) for i, _ in got) < len(acts)
+            seen["negzero"] += any(np.signbit(a.coefficient) and a.coefficient == 0
+                                   for a in acts)
+            seen["unused"] += any(len(i) == 0 for i, _ in got)
+            seen["empty"] += any(len(code) == 0 for code in codes)
+        assert min(seen.values()) >= 50, seen
+
     def test_index_follows_image_then_first_use_order(self):
-        positions = [{(1, 2): 0.5, (0, 0): -1.0}, {}, {(2, 1): 2.0}]
         shapes = [(2, 4, 5), (2, 3, 3), (2, 5, 4)]
-        index, coefs = window_index(positions, shapes, 2, 3)
+        codes = [
+            SparseCode(2, 4, 5, [Activation(0, 1, 2, 0.5), Activation(1, 2, 0, 3.0),
+                                 Activation(0, 0, 0, -1.0)]),
+            SparseCode(2, 3, 3, [Activation(1, 1, 0, 4.0)]),
+            SparseCode(2, 5, 4, [Activation(0, 2, 1, 2.0)]),
+        ]
+        index, coefs = windows_of(codes, shapes, 2, 2, 3)[0]
         assert index.shape == (3, 2 * 2 * 3)
         np.testing.assert_array_equal(coefs, [0.5, -1.0, 2.0])
         # in a buffer holding its own flat positions, each image's window
         # reads out the index row
-        flat, views, _, _, _ = flat_sweep(
-            [np.zeros(shape) for shape in shapes], [{}] * 3, np.zeros((2, 2, 3))
-        )
+        flat, views = flat_buffer([np.zeros(shape) for shape in shapes])
         flat[:] = np.arange(flat.size)
         windows = [views[0][:, 1:3, 2:5], views[0][:, 0:2, 0:3], views[2][:, 2:4, 1:4]]
         for row, window in zip(index, windows):
             np.testing.assert_array_equal(row, window.ravel())
 
+    def test_repeats_sum_in_activation_order_at_the_first_use(self):
+        acts = [Activation(0, 1, 1, 0.1), Activation(0, 0, 0, 5.0), Activation(0, 1, 1, 0.2),
+                Activation(0, 1, 1, 0.3)]
+        index, coefs = windows_of([SparseCode(1, 4, 4, acts)], [(1, 4, 4)], 1, 2, 2)[0]
+        np.testing.assert_array_equal(index[:, 0], [5, 0])
+        assert coefs[0] == (0.0 + 0.1 + 0.2) + 0.3 and coefs[1] == 5.0
+
     def test_no_positions_give_an_empty_index(self):
-        index, coefs = window_index([{}, {}], [(3, 6, 6), (3, 5, 7)], 2, 2)
+        empty = [SparseCode(3, 6, 6), SparseCode(3, 5, 7)]
+        [(index, coefs)] = windows_of(empty, [(3, 6, 6), (3, 5, 7)], 1, 2, 2)
         assert index.shape == (0, 12) and coefs.shape == (0,)
 
 

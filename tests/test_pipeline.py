@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convmp import dict_learn
-from convmp.core import Activation, SparseCode, TrainConfig, normalize_filters
+from convmp.core import Activation, ConfigError, SparseCode, TrainConfig, normalize_filters
 from convmp.dict_learn import TrainStats, train
 from convmp.model_io import load_bank, save_image
 from convmp.pipeline import (
@@ -78,6 +78,26 @@ class TestCodeToFeatureMaps:
         for (j, r, c), v in accum.items():
             assert maps[j, r, c] == pytest.approx(v, abs=1e-12)
         assert np.count_nonzero(maps) <= len(accum)
+
+    def test_bit_identical_to_the_in_order_loop(self):
+        rng = np.random.default_rng(106)
+        bank = random_bank(rng, 3, 2, 3, 3)
+        acts = [
+            Activation(int(rng.integers(3)), int(rng.integers(3)), int(rng.integers(3)),
+                       float(rng.choice([rng.normal(), -0.0])))
+            for _ in range(40)
+        ]
+        maps = code_to_feature_maps(SparseCode(2, 5, 5, acts), bank)
+        loop = np.zeros((3, 3, 3))
+        for a in acts:
+            loop[a.filter_index, a.row, a.col] += a.coefficient
+        assert maps.tobytes() == loop.tobytes()
+
+    def test_rejects_a_filter_index_beyond_intp(self):
+        bank = random_bank(np.random.default_rng(107), 2, 1, 3, 3)
+        code = SparseCode(1, 5, 5, [Activation(10**20, 0, 0, 1.0)])
+        with pytest.raises(ConfigError, match="filter_index"):
+            code_to_feature_maps(code, bank)
 
 
 class TestAbsRectify:
