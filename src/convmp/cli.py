@@ -22,7 +22,9 @@ import numpy as np
 
 from . import __version__
 from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
-from .core import ConfigError, DataError, TrainConfig, reconstruct, residual_energy
+from .core import (
+    ConfigError, DataError, TrainConfig, normalize_filters, reconstruct, residual_energy,
+)
 from .dict_learn import train
 from .model_io import (
     check_cell_scale,
@@ -72,6 +74,19 @@ def _write_manifest(path: Path, entries: dict) -> None:
     lines = [f"tool=convmp {__version__}"]
     lines += [f"{key}={value}" for key, value in entries.items()]
     write_lines(path, lines)
+
+
+def _train_entries(cfg: TrainConfig, prefix: str = "") -> dict:
+    """A TrainConfig's manifest entries, named like train's flags or, prefixed, layer keys."""
+    return {
+        f"{prefix}k": cfg.num_filters,
+        f"{prefix}filter": f"{cfg.filter_height}x{cfg.filter_width}",
+        f"{prefix}q": cfg.sparsity,
+        f"{prefix}epochs": cfg.epochs,
+        f"{prefix}seed": cfg.seed,
+        f"{prefix}tolerance": cfg.residual_tolerance,
+        f"{prefix}min_activations": cfg.min_activations,
+    }
 
 
 def _load_any_image(path: Path):
@@ -162,13 +177,7 @@ def cmd_train(args) -> int:
             "command": "train",
             "corpus": args.corpus,
             "out": out,
-            "k": cfg.num_filters,
-            "filter": f"{cfg.filter_height}x{cfg.filter_width}",
-            "q": cfg.sparsity,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-            "tolerance": cfg.residual_tolerance,
-            "min_activations": cfg.min_activations,
+            **_train_entries(cfg),
             "threads": args.threads,
         },
     )
@@ -292,12 +301,8 @@ def cmd_pipeline(args) -> int:
         "seed": seed if seed is not None else "",
         "threads": args.threads,
     }
-    for prefix, layer in (("layer1", cfg.layer1), ("layer2", cfg.layer2)):
-        manifest[f"{prefix}.k"] = layer.num_filters
-        manifest[f"{prefix}.filter"] = f"{layer.filter_height}x{layer.filter_width}"
-        manifest[f"{prefix}.q"] = layer.sparsity
-        manifest[f"{prefix}.epochs"] = layer.epochs
-        manifest[f"{prefix}.seed"] = layer.seed
+    manifest.update(_train_entries(cfg.layer1, "layer1."))
+    manifest.update(_train_entries(cfg.layer2, "layer2."))
     _write_manifest(out / "manifest.txt", manifest)
     bank1, bank2, _ = run_two_layer(args.corpus, cfg, seed=seed, out_dir=out)
     render_filter_grid(bank1, out / "layer1_filters.pgm", cell_scale=args.scale)
@@ -318,8 +323,7 @@ def run_bench(
     h, w = image_dims
     fh, fw = filter_dims
     rng = np.random.default_rng(seed)
-    bank = rng.normal(size=(k, 1, fh, fw))
-    bank /= np.sqrt(np.sum(bank * bank, axis=(1, 2, 3)))[:, None, None, None]
+    bank = normalize_filters(rng.normal(size=(k, 1, fh, fw)))
     image = rng.normal(size=(1, h, w))
     table = build_shift_gram(bank)
     maps = correlate(bank, image)

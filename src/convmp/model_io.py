@@ -178,11 +178,7 @@ def save_image(image, path, signed: bool = False) -> None:
     c, h, w = img.shape
     if c not in (1, 3):
         raise ConfigError(f"can only write 1- or 3-channel images, got {c}")
-    if signed:
-        lo, hi = float(img.min()), float(img.max())
-        x = (img - lo) / (hi - lo) if hi > lo else np.full_like(img, 0.5)
-    else:
-        x = np.clip(img, 0.0, 1.0)
+    x = _affine_to_unit(img) if signed else np.clip(img, 0.0, 1.0)
     raster = np.rint(x * 255.0).astype(np.uint8)
     magic = b"P5" if c == 1 else b"P6"
     body = raster[0] if c == 1 else raster.transpose(1, 2, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convmp.cli import (
+    _parse_config_file,
     _pipeline_config,
     _train_config_from_args,
     build_parser,
@@ -96,6 +97,15 @@ class TestTrain:
         manifest = (model.parent / (model.name + ".manifest.txt")).read_text()
         assert "command=train" in manifest
         assert "seed=4" in manifest
+
+    def test_manifest_records_every_setting_in_flag_order(self, trained_model):
+        corpus, model = trained_model
+        lines = (model.parent / (model.name + ".manifest.txt")).read_text().splitlines()
+        assert lines[0].startswith("tool=convmp ")
+        assert lines[1:] == [
+            "command=train", f"corpus={corpus}", f"out={model}", "k=3", "filter=6x6", "q=8",
+            "epochs=1", "seed=4", "tolerance=0.0", "min_activations=1", "threads=1",
+        ]
 
     def test_epochs_zero_reproduces_init(self, tmp_path, trained_model):
         corpus, _ = trained_model
@@ -221,6 +231,32 @@ class TestPipelineCommand:
         for name in ("layer1_filters.pgm", "layer2_filters.pgm", "stats.txt", "manifest.txt"):
             assert (out / name).exists()
 
+    def test_manifest_records_every_layer_setting(self, tmp_path):
+        write_pgm_corpus(tmp_path / "raw", 4, 24, seed=6)
+        config = tmp_path / "pipe.cfg"
+        config.write_text(
+            "image_size=24\npool=8\n"
+            "layer1.k=2\nlayer1.filter=6x6\nlayer1.q=4\nlayer1.epochs=1\n"
+            "layer1.tolerance=0.01\nlayer1.min_activations=2\n"
+            "layer2.k=2\nlayer2.filter=2x2\nlayer2.q=3\nlayer2.epochs=1\n"
+            "layer2.min_activations=3\n"
+        )
+        base = ["pipeline", "--corpus", str(tmp_path / "raw")]
+        first, again = tmp_path / "o1", tmp_path / "o2"
+        assert main([*base, "--config", str(config), "--out", str(first), "--seed", "5"]) == 0
+        manifest = first / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        for entry in ("layer1.tolerance=0.01", "layer1.min_activations=2",
+                      "layer2.tolerance=0.01", "layer2.min_activations=3"):
+            assert entry in lines
+        # read back as a config file, the manifest gives the run's settings and outputs
+        assert _pipeline_config(_parse_config_file(manifest)) == _pipeline_config(
+            _parse_config_file(config)
+        )
+        assert main([*base, "--config", str(manifest), "--out", str(again)]) == 0
+        for name in ("layer1.bank", "layer2.bank"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
     def test_bad_config_line_is_config_error(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("layer1.k 8\n")
@@ -290,6 +326,13 @@ def _code_not_utf8(tmp_path):
     (tmp_path / "c.code").write_bytes(b"CMPC1 1 12 12 1\n0 0 0 \xff\xfe\n")
 
 
+def _code_record(record):
+    def prepare(tmp_path):
+        _valid_bank(tmp_path)  # one 3x3 filter, so a 5x5 code has cols 0..2
+        (tmp_path / "c.code").write_text(f"CMPC1 1 5 5 1\n{record}\n")
+    return prepare
+
+
 def _code_two_channels(tmp_path):
     save_bank(normalize_filters(np.ones((1, 2, 3, 3))), tmp_path / "m.bank")
     save_code(SparseCode(2, 5, 5, [Activation(0, 1, 1, 1.0)]), tmp_path / "c.code")
@@ -349,6 +392,10 @@ class TestMalformedInputExitCodes:
             (_code_header("CMPC1 1 8 0 0"), RECONSTRUCT, 3),
             (_code_header("CMPC1 1 8 8 -1"), RECONSTRUCT, 3),
             (_code_not_utf8, RECONSTRUCT, 3),
+            (_code_record("1 0 0 1.0"), RECONSTRUCT, 2),
+            (_code_record("-1 0 0 1.0"), RECONSTRUCT, 2),
+            (_code_record("0 1 3 1.0"), RECONSTRUCT, 2),
+            (_code_record("99999999999999999999 0 0 1.0"), RECONSTRUCT, 2),
             (_valid_bank, ENCODE + ["--tolerance", "nan"], 2),
             (_no_files, TRAIN_NAN, 2),
             (_pipeline_inputs, PIPELINE, 2),
@@ -364,6 +411,8 @@ class TestMalformedInputExitCodes:
              "render-empty-bank", "reconstruct-nan-coefficient", "reconstruct-two-channels",
              "reconstruct-negative-height", "reconstruct-zero-channels",
              "reconstruct-zero-width", "reconstruct-negative-count", "reconstruct-not-utf8",
+             "reconstruct-filter-index-k", "reconstruct-negative-filter-index",
+             "reconstruct-col-outside-grid", "reconstruct-filter-index-beyond-intp",
              "encode-nan-tolerance", "train-nan-tolerance", "pipeline-scale-zero",
              "pipeline-config-not-utf8", "pipeline-config-nan-tolerance",
              "bench-negative-k", "bench-zero-k", "bench-pursuit-outruns-map",
