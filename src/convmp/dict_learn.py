@@ -2,15 +2,14 @@
 update each filter as the top principal direction of its activated patches.
 
 One epoch encodes every image with the current bank, then sweeps the
-filters in ascending index order
-(Gauss-Seidel: each update sees residuals reflecting the ones before it).
-For a filter j, every image location where j is active contributes the
-patch the filter is trying to explain: the residual patch plus j's own
-contribution there, i.e. the data minus all other activations. The filter
-becomes the dominant singular direction of those patches, its coefficients
-are re-projected onto it, and the residuals are repaired in place so they
-stay equal to image minus reconstruction. Codes are not rewritten: the
-next epoch encodes afresh.
+filters in ascending index order (Gauss-Seidel: each update sees residuals
+reflecting the ones before it). For a filter j, every image location where
+j is active contributes the patch the filter is trying to explain: the
+residual patch plus j's own contribution there, i.e. the data minus all
+other activations. The filter becomes the dominant singular direction of
+those patches, its coefficients are re-projected onto it, and the
+residuals are repaired in place so they stay equal to image minus
+reconstruction. Codes are not rewritten: the next epoch encodes afresh.
 
 The residuals of all images live in one flat float64 buffer, images back
 to back. filter_windows groups the epoch's activations in one pass and
@@ -114,7 +113,8 @@ def filter_windows(arrays, shapes, num_filters: int, fh: int, fw: int):
     # every code's activations back to back, each keyed by (filter, window start)
     filters, rows, cols, coefs = (np.concatenate(column) for column in zip(*arrays))
     image = np.repeat(np.arange(len(shapes)), [len(f) for f, _, _, _ in arrays])
-    starts = np.cumsum([0] + sizes[:-1])[image] + rows * np.array(shapes)[image, 2] + cols
+    bases, widths = np.cumsum([0] + sizes[:-1]), np.array(shapes)[:, 2]
+    starts = bases[image] + rows * widths[image] + cols
     # unique finds each window's first use, and bincount sums its
     # coefficients in activation order, as a dict would
     keys, first, inv = np.unique(filters * total + starts, return_index=True, return_inverse=True)
