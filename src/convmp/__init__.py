@@ -9,7 +9,7 @@ alternating encoding with per-filter PCA updates over activated patches.
 __version__ = "0.1.0"
 
 from .core import (
-    Activation,
+    ACTIVATION,
     ConfigError,
     DataError,
     SparseCode,
@@ -22,7 +22,7 @@ from .conv_mp import build_shift_gram, conv_mp_encode, correlate
 from .dict_learn import TrainStats, init_filters, train
 
 __all__ = [
-    "Activation",
+    "ACTIVATION",
     "ConfigError",
     "DataError",
     "SparseCode",

@@ -70,6 +70,12 @@ def _parse_dims(text: str, flag: str) -> tuple[int, int]:
     return h, w
 
 
+def _check_seed(seed: int | None) -> None:
+    """The --seed check of preprocess, bench and pipeline (train's is TrainConfig's)."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _write_manifest(path: Path, entries: dict) -> None:
     lines = [f"tool=convmp {__version__}"]
     lines += [f"{key}={value}" for key, value in entries.items()]
@@ -109,6 +115,7 @@ def _load_corpus(directory: Path):
 # commands
 
 def cmd_preprocess(args) -> int:
+    _check_seed(args.seed)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     if not in_dir.is_dir():
         raise DataError(f"input directory {in_dir} does not exist")
@@ -288,8 +295,9 @@ def cmd_pipeline(args) -> int:
     values = _parse_config_file(Path(args.config))
     cfg = _pipeline_config(values)
     seed = args.seed  # flags override file values
-    if seed is None and "seed" in values:
+    if seed is None and values.get("seed"):  # an unseeded run's manifest says seed=
         seed = _config_number(values, "seed", None)
+    _check_seed(seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -362,6 +370,7 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
+    _check_seed(args.seed)
     if fh > h or fw > w:
         raise ConfigError(f"filter {fh}x{fw} does not fit the {h}x{w} image")
     report = run_bench((h, w), args.k, (fh, fw), q_list, args.repeat, args.seed)

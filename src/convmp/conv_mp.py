@@ -11,7 +11,8 @@ the working set is one chunk, with the bits of one whole-image GEMM) plus,
 per pursuit step, one window update and one argmax. On large maps the
 argmax runs off a cache of per-block maxima (blocks of h_f rows), so a step
 rescans only the band of rows its window touched, not the whole map; on
-small maps a direct scan is cheaper.
+small maps a direct scan is cheaper. The steps come out as one
+core.ACTIVATION array, the form a SparseCode holds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Activation, ConfigError, SparseCode, as_bank, as_image
+from .core import ACTIVATION, ConfigError, SparseCode, as_bank, as_image
 
 TOEPLITZ_COLUMN_LIMIT = 100_000
 
@@ -107,14 +108,15 @@ def _check_table(bank: np.ndarray, table: np.ndarray) -> None:
         raise ConfigError("shift table center diagonal is not 1; stale or corrupt table")
 
 
-def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Activation]:
+def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndarray:
     """Run the post-correlation pursuit loop, updating maps in place.
 
     Each step picks the entry of largest magnitude (ties to the lowest
     filter index, then row-major position), records it, and subtracts its
     contribution from every map inside the overlap window via table
     lookups. Stops after max_steps or when the peak magnitude drops to
-    tolerance or below. The caller owns maps; on return they equal the
+    tolerance or below. Returns the steps as a core.ACTIVATION array in
+    selection order. The caller owns maps; on return they equal the
     correlations of the bank with the implied residual.
 
     When the cache spares each step more than CACHE_MIN_SKIPPED entries
@@ -136,7 +138,7 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Ac
         starts = np.arange(0, hv * wv, fh * wv)  # flat offset of each block in one map
         cache = _block_max(maps, starts)
         nb = starts.size
-    activations: list[Activation] = []
+    steps = []
     for _ in range(max_steps):
         if cached:
             j, b = divmod(int(cache.argmax()), nb)
@@ -148,7 +150,7 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Ac
         a = float(maps[j, pr, pc])
         if abs(a) <= tolerance:
             break
-        activations.append(Activation(j, pr, pc, a))
+        steps.append((j, pr, pc, a))
         r0, r1 = max(0, pr - fh + 1), min(hv, pr + fh)
         c0, c1 = max(0, pc - fw + 1), min(wv, pc + fw)
         maps[:, r0:r1, c0:c1] -= a * table[
@@ -160,7 +162,7 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> list[Ac
         if cached:
             b0, b1 = r0 // fh, (r1 - 1) // fh + 1
             cache[:, b0:b1] = _block_max(maps[:, b0 * fh : b1 * fh], starts[: b1 - b0])
-    return activations
+    return np.array(steps, dtype=ACTIVATION)
 
 
 def _block_max(maps: np.ndarray, starts: np.ndarray) -> np.ndarray:

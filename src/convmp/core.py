@@ -9,6 +9,8 @@ Array conventions used throughout the package:
 * positions are "valid" coordinates: a filter placed at (row, col) lies
   fully inside the image, so 0 <= row <= height - filter_height and
   0 <= col <= width - filter_width.
+* a sparse code's activations: one 1-D ACTIVATION structured array in
+  selection order, from the encoder to disk; consumers read whole fields.
 
 All arithmetic is 64-bit floating point. Arrays handed to these functions
 are never mutated; operations are pure.
@@ -31,19 +33,16 @@ class DataError(ValueError):
     """Unreadable, malformed or non-finite input, or a corpus that cannot be used."""
 
 
-@dataclass(frozen=True)
-class Activation:
-    """One selected (filter, position, coefficient) triple of a code."""
-
-    filter_index: int
-    row: int
-    col: int
-    coefficient: float
+# One activation of a code: filter and valid position, then its signed coefficient.
+ACTIVATION = np.dtype(
+    [("filter_index", np.intp), ("row", np.intp), ("col", np.intp), ("coefficient", np.float64)]
+)
 
 
 @dataclass
 class SparseCode:
-    """Ordered activation list produced by greedy encoding of one image.
+    """Activations produced by greedy encoding of one image: a 1-D ACTIVATION
+    array in selection order (any sequence of 4-tuples is converted).
 
     Repeated (filter, position) pairs are allowed; their coefficients sum.
     """
@@ -51,7 +50,10 @@ class SparseCode:
     channels: int
     image_height: int
     image_width: int
-    activations: list[Activation] = field(default_factory=list)
+    activations: np.ndarray = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.activations = np.asarray(self.activations, dtype=ACTIVATION)
 
     def __len__(self) -> int:
         return len(self.activations)
@@ -76,6 +78,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sparsity < 1:
             raise ConfigError(f"sparsity must be >= 1, got {self.sparsity}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.min_activations < 1:
             raise ConfigError(f"min_activations must be >= 1, got {self.min_activations}")
         if not self.residual_tolerance >= 0:  # also rejects NaN
@@ -131,28 +135,14 @@ def check_compatible(code: SparseCode, bank: np.ndarray) -> None:
         )
     if fw > code.image_width:
         raise ConfigError(f"filter_width {fw} exceeds image_width {code.image_width}")
-    max_row = code.image_height - fh
-    max_col = code.image_width - fw
-    for i, act in enumerate(code.activations):
-        if not 0 <= act.filter_index < k:
-            raise ConfigError(
-                f"activation {i}: filter_index {act.filter_index} outside bank of {k}"
-            )
-        if not 0 <= act.row <= max_row:
-            raise ConfigError(f"activation {i}: row {act.row} outside valid grid [0, {max_row}]")
-        if not 0 <= act.col <= max_col:
-            raise ConfigError(f"activation {i}: col {act.col} outside valid grid [0, {max_col}]")
-
-
-def activation_arrays(code: SparseCode):
-    """The code's filter indices, rows and cols (intp) and coefficients
-    (float64) in activation order. Run check_compatible first on a code
-    from outside: an index beyond intp raises OverflowError here."""
     acts = code.activations
-    filters = np.array([a.filter_index for a in acts], dtype=np.intp)
-    rows = np.array([a.row for a in acts], dtype=np.intp)
-    cols = np.array([a.col for a in acts], dtype=np.intp)
-    return filters, rows, cols, np.array([a.coefficient for a in acts], dtype=np.float64)
+    limits = {"filter_index": k - 1, "row": code.image_height - fh, "col": code.image_width - fw}
+    bad = np.array([(acts[name] < 0) | (acts[name] > top) for name, top in limits.items()])
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())  # the first bad activation, then its first bad field
+        name, top = list(limits.items())[int(bad[:, i].argmax())]
+        where = f"bank of {k}" if name == "filter_index" else f"valid grid [0, {top}]"
+        raise ConfigError(f"activation {i}: {name} {acts[name][i]} outside {where}")
 
 
 def window_offsets(shape, fh: int, fw: int) -> np.ndarray:
@@ -171,9 +161,9 @@ def reconstruct(code: SparseCode, bank: np.ndarray) -> np.ndarray:
     h, w = code.image_height, code.image_width
     # One scatter: bincount adds its weights in index order, so each sample
     # sums its contributions in activation order, as pasting one by one would.
-    filters, rows, cols, coefs = activation_arrays(code)
-    index = (rows * w + cols)[:, None] + window_offsets((c, h, w), fh, fw)
-    values = coefs[:, None] * bank.reshape(k, -1)[filters]
+    acts = code.activations
+    index = (acts["row"] * w + acts["col"])[:, None] + window_offsets((c, h, w), fh, fw)
+    values = acts["coefficient"][:, None] * bank.reshape(k, -1)[acts["filter_index"]]
     return np.bincount(index.ravel(), values.ravel(), minlength=c * h * w).reshape(c, h, w)
 
 

@@ -12,14 +12,14 @@ residuals are repaired in place so they stay equal to image minus
 reconstruction. Codes are not rewritten: the next epoch encodes afresh.
 
 The residuals of all images live in one flat float64 buffer, images back
-to back. filter_windows groups the epoch's activations in one pass and
-gives each filter's distinct windows as one (n, c*h_f*w_f) index of flat
-samples, so collecting its patches is one gather and the repair is two
-ordered scatters, np.add.at then np.subtract.at. Each sample takes its
-updates in the order a loop over the positions would apply them, so the
-repair gives that loop's bits. The principal direction comes from power
-iteration on the smaller of the patch set's two Gram matrices, n x n or
-dim x dim.
+to back. filter_windows reads the fields of the codes' ACTIVATION arrays,
+groups the epoch's activations in one pass and gives each filter's
+distinct windows as one (n, c*h_f*w_f) index of flat samples, so
+collecting its patches is one gather and the repair is two ordered
+scatters, np.add.at then np.subtract.at. Each sample takes its updates in
+the order a loop over the positions would apply them, so the repair gives
+that loop's bits. The principal direction comes from power iteration on
+the smaller of the patch set's two Gram matrices, n x n or dim x dim.
 
 The alternation is not guaranteed to decrease the energy (the encoding
 subproblem is not convex); TrainStats records per-epoch energy so the
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conv_mp import build_shift_gram, conv_mp_encode
-from .core import DataError, TrainConfig, activation_arrays, as_image, reconstruct, window_offsets
+from .core import DataError, TrainConfig, as_image, reconstruct, window_offsets
 
 logger = logging.getLogger(__name__)
 
@@ -96,29 +96,29 @@ def init_filters(images, cfg: TrainConfig) -> np.ndarray:
     return np.stack([_draw_unit_patch(usable, fh, fw, rng) for _ in range(cfg.num_filters)])
 
 
-def filter_windows(arrays, shapes, num_filters: int, fh: int, fw: int):
-    """Each filter's distinct windows, for residuals laid back to back in
-    one flat buffer; arrays[i] is image i's activation_arrays and shapes[i]
-    its (c, h, w).
+def filter_windows(codes, num_filters: int, fh: int, fw: int):
+    """Each filter's distinct windows, for the codes' residuals laid back to
+    back in one flat buffer, in code order.
 
     Yields, for filters 0..num_filters-1 in turn, the (n, c*fh*fw) index of
     the flat samples under each window and the (n,) coefficients summed
-    there in activation order. Rows follow image order, then first use.
+    there in activation order. Rows follow code order, then first use.
     """
+    shapes = [(code.channels, code.image_height, code.image_width) for code in codes]
     sizes = [math.prod(shape) for shape in shapes]
     total = sum(sizes)
     kinds: dict[tuple[int, int, int], int] = {}  # image shape -> its row of the table
     image_kind = np.array([kinds.setdefault(shape, len(kinds)) for shape in shapes])
     table = np.stack([window_offsets(shape, fh, fw) for shape in kinds])
     # every code's activations back to back, each keyed by (filter, window start)
-    filters, rows, cols, coefs = (np.concatenate(column) for column in zip(*arrays))
-    image = np.repeat(np.arange(len(shapes)), [len(f) for f, _, _, _ in arrays])
+    acts = np.concatenate([code.activations for code in codes])
+    image = np.repeat(np.arange(len(codes)), [len(code) for code in codes])
     bases, widths = np.cumsum([0] + sizes[:-1]), np.array(shapes)[:, 2]
-    starts = bases[image] + rows * widths[image] + cols
+    keys = acts["filter_index"] * total + bases[image] + acts["row"] * widths[image] + acts["col"]
     # unique finds each window's first use, and bincount sums its
     # coefficients in activation order, as a dict would
-    keys, first, inv = np.unique(filters * total + starts, return_index=True, return_inverse=True)
-    sums = np.bincount(inv, coefs).astype(np.float64, copy=False)  # empty: int64
+    keys, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.bincount(inv, acts["coefficient"]).astype(np.float64, copy=False)  # empty: int64
     order = np.lexsort((first, keys // total))  # by filter, then first use
     keys, sums, kind = keys[order], sums[order], image_kind[image[first[order]]]
     bounds = np.searchsorted(keys // total, np.arange(num_filters + 1))
@@ -279,10 +279,9 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
 
     bank = init_filters(imgs, cfg)
     fh, fw = cfg.filter_height, cfg.filter_width
-    shapes = [im.shape for im in imgs]
     residual = np.empty(sum(im.size for im in imgs))  # every image's residual, back to back
     bounds = np.cumsum([0] + [im.size for im in imgs])
-    views = [residual[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+    views = [residual[a:b].reshape(im.shape) for a, b, im in zip(bounds, bounds[1:], imgs)]
     stats = TrainStats()
     rng = np.random.default_rng([cfg.seed, 1])  # reinit draws, distinct stream
 
@@ -293,8 +292,7 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
             np.subtract(im, reconstruct(code, bank), out=view)
 
         energy = float(sum(np.sum(np.square(r)) for r in views))
-        arrays = [activation_arrays(code) for code in codes]
-        filters = np.concatenate([f for f, _, _, _ in arrays])
+        filters = np.concatenate([code.activations["filter_index"] for code in codes])
         counts = np.bincount(filters, minlength=cfg.num_filters).tolist()
         stats.epoch_energy.append(energy)
         stats.activation_counts.append(counts)
@@ -305,7 +303,7 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
             )
 
         reinits = 0
-        windows = filter_windows(arrays, shapes, cfg.num_filters, fh, fw)
+        windows = filter_windows(codes, cfg.num_filters, fh, fw)
         for j, (index, coefs) in enumerate(windows):
             if update_filter(bank, j, index, coefs, residual, imgs, rng, cfg.min_activations):
                 stats.reinit_events.append((epoch, j))

@@ -23,16 +23,18 @@ from __future__ import annotations
 import math
 import os
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import Activation, ConfigError, DataError, SparseCode, as_bank, as_image
+from .core import ConfigError, DataError, SparseCode, as_bank, as_image
 
 BANK_MAGIC = b"CMPD1"
 FLOAT_IMAGE_MAGIC = b"CMPF1"
 CODE_MAGIC = "CMPC1"
 FORMAT_VERSION = 1
+INTP_MAX = np.iinfo(np.intp).max
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +192,15 @@ def save_image(image, path, signed: bool = False) -> None:
 # sparse codes
 
 def save_code(code: SparseCode, path) -> None:
-    lines = [
-        f"{CODE_MAGIC} {code.channels} {code.image_height} {code.image_width} "
-        f"{len(code.activations)}"
-    ]
-    for act in code.activations:
-        lines.append(f"{act.filter_index} {act.row} {act.col} {act.coefficient:.17g}")
-    write_lines(path, lines)
+    acts = code.activations
+    header = f"{CODE_MAGIC} {code.channels} {code.image_height} {code.image_width} {len(acts)}\n"
+    # one "%d %d %d %.17g" slot per activation, filled from its fields in order
+    records = ("%d %d %d %.17g\n" * len(acts)) % tuple(chain.from_iterable(acts.tolist()))
+    write_atomic(path, [header + records], text=True)
 
 
 def load_code(path) -> SparseCode:
+    """Parse a code file; every index it holds fits intp, or it is a DataError."""
     lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty code file")
@@ -215,7 +216,9 @@ def load_code(path) -> SparseCode:
             f"{path}: line 1: header needs positive channels, height and width "
             f"and a non-negative count, got {lines[0]!r}"
         )
-    activations = []
+    if channels * height * width > INTP_MAX:
+        raise DataError(f"{path}: line 1: {channels}x{height}x{width} samples overflow intp")
+    records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -223,17 +226,17 @@ def load_code(path) -> SparseCode:
         if len(parts) != 4:
             raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            act = Activation(int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
+            record = (int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
         except ValueError:
             raise DataError(f"{path}: line {lineno}: malformed record {line!r}") from None
-        if not math.isfinite(act.coefficient):
+        if max(map(abs, record[:3])) > INTP_MAX:
+            raise DataError(f"{path}: line {lineno}: index overflows intp in {line!r}")
+        if not math.isfinite(record[3]):
             raise DataError(f"{path}: line {lineno}: coefficient {parts[3]} is not finite")
-        activations.append(act)
-    if len(activations) != count:
-        raise DataError(
-            f"{path}: header promises {count} records, found {len(activations)}"
-        )
-    return SparseCode(channels, height, width, activations)
+        records.append(record)
+    if len(records) != count:
+        raise DataError(f"{path}: header promises {count} records, found {len(records)}")
+    return SparseCode(channels, height, width, records)
 
 
 # ---------------------------------------------------------------------------

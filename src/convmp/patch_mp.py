@@ -112,8 +112,5 @@ def mp_encode_gram(dictionary, gram, signal, q: int) -> PatchCode:
     maps = _signal_correlations(atoms, x).reshape(count, 1, 1)
     acts = greedy_steps(maps, g.T[:, :, None, None], q)
     coeffs = np.zeros(count)
-    steps: list[tuple[int, float]] = []
-    for act in acts:
-        coeffs[act.filter_index] += act.coefficient
-        steps.append((act.filter_index, act.coefficient))
-    return PatchCode(coeffs, steps)
+    np.add.at(coeffs, acts["filter_index"], acts["coefficient"])  # adds in step order
+    return PatchCode(coeffs, acts[["filter_index", "coefficient"]].tolist())

@@ -13,8 +13,7 @@ import numpy as np
 
 from .conv_mp import build_shift_gram
 from .core import (
-    ConfigError, DataError, SparseCode, TrainConfig, activation_arrays, as_bank, as_image,
-    check_compatible,
+    ConfigError, DataError, SparseCode, TrainConfig, as_bank, as_image, check_compatible,
 )
 from .dict_learn import TrainStats, encode_all, train
 from .model_io import list_images, load_image, save_bank, write_lines
@@ -57,8 +56,8 @@ def code_to_feature_maps(code: SparseCode, bank) -> np.ndarray:
     check_compatible(code, bank)
     k, _, fh, fw = bank.shape
     maps = np.zeros((k, code.image_height - fh + 1, code.image_width - fw + 1))
-    filters, rows, cols, coefs = activation_arrays(code)
-    np.add.at(maps, (filters, rows, cols), coefs)  # repeats add in activation order
+    acts = code.activations  # np.add.at adds repeats in activation order
+    np.add.at(maps, (acts["filter_index"], acts["row"], acts["col"]), acts["coefficient"])
     return maps
 
 

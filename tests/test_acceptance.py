@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from codes import records
 from convmp import patch_mp
 from convmp.cli import main
 from convmp.conv_mp import (
@@ -51,13 +52,13 @@ def test_criterion_1_toeplitz_oracle_equivalence():
         flat = mp_encode(toeplitz_expand(bank, (h, w)), image.ravel(), q)
         hv, wv = h - fh + 1, w - fw + 1
         expect = [(j // (hv * wv), (j % (hv * wv)) // wv, j % wv) for j, _ in flat.steps]
-        got = [(a.filter_index, a.row, a.col) for a in code.activations]
+        got = [(a.filter_index, a.row, a.col) for a in records(code)]
         assert got == expect, "activation sequences differ"
         worst = max(
             worst,
             max(
                 abs(a.coefficient - s[1])
-                for a, s in zip(code.activations, flat.steps)
+                for a, s in zip(records(code), flat.steps)
             ),
         )
     elapsed = time.perf_counter() - start
@@ -91,8 +92,9 @@ def test_criterion_2_greedy_step_energy_identity():
         code = conv_mp_encode(bank, build_shift_gram(bank), image, q=8)
         e0 = float(np.sum(image * image))
         prev = e0
-        for n, act in enumerate(code.activations, start=1):
-            now = residual_energy(image, SparseCode(1, 12, 12, code.activations[:n]), bank)
+        acts = records(code)
+        for n, act in enumerate(acts, start=1):
+            now = residual_energy(image, SparseCode(1, 12, 12, acts[:n]), bank)
             worst = max(worst, abs(now - (prev - act.coefficient**2)) / e0)
             prev = now
     check(
@@ -112,7 +114,7 @@ def test_criterion_3_incremental_map_exactness():
     residual = image.copy()
     worst = 0.0
     for _ in range(200):
-        (act,) = greedy_steps(maps, table, max_steps=1)
+        (act,) = records(greedy_steps(maps, table, max_steps=1))
         residual[
             :, act.row : act.row + 16, act.col : act.col + 16
         ] -= act.coefficient * bank[act.filter_index]

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from codes import Activation, records
 from convmp.cli import (
     _parse_config_file,
     _pipeline_config,
@@ -12,7 +13,6 @@ from convmp.cli import (
     run_bench,
 )
 from convmp.core import (
-    Activation,
     SparseCode,
     normalize_filters,
     reconstruct,
@@ -162,7 +162,7 @@ class TestEncodeReconstruct:
                      "--out", str(code_path)]) == 0
         out = capsys.readouterr().out
         assert "final_energy=0 " in out
-        assert load_code(code_path).activations == []
+        assert records(load_code(code_path)) == []
 
     def test_encode_dim_mismatch_is_config_error(self, trained_model, tmp_path):
         _, model = trained_model
@@ -231,7 +231,8 @@ class TestPipelineCommand:
         for name in ("layer1_filters.pgm", "layer2_filters.pgm", "stats.txt", "manifest.txt"):
             assert (out / name).exists()
 
-    def test_manifest_records_every_layer_setting(self, tmp_path):
+    @pytest.mark.parametrize("seed", [["--seed", "5"], []], ids=["seeded", "unseeded"])
+    def test_manifest_records_every_layer_setting(self, tmp_path, seed):
         write_pgm_corpus(tmp_path / "raw", 4, 24, seed=6)
         config = tmp_path / "pipe.cfg"
         config.write_text(
@@ -243,7 +244,7 @@ class TestPipelineCommand:
         )
         base = ["pipeline", "--corpus", str(tmp_path / "raw")]
         first, again = tmp_path / "o1", tmp_path / "o2"
-        assert main([*base, "--config", str(config), "--out", str(first), "--seed", "5"]) == 0
+        assert main([*base, "--config", str(config), "--out", str(first), *seed]) == 0
         manifest = first / "manifest.txt"
         lines = manifest.read_text().splitlines()
         for entry in ("layer1.tolerance=0.01", "layer1.min_activations=2",
@@ -338,12 +339,13 @@ def _code_two_channels(tmp_path):
     save_code(SparseCode(2, 5, 5, [Activation(0, 1, 1, 1.0)]), tmp_path / "c.code")
 
 
+PIPE_CFG = (b"image_size=24\npool=8\nlayer1.k=2\nlayer1.filter=6x6\nlayer1.q=3\n"
+            b"layer1.epochs=1\nlayer2.k=2\nlayer2.filter=2x2\nlayer2.q=2\nlayer2.epochs=1\n")
+
+
 def _pipeline_inputs(tmp_path):
     write_pgm_corpus(tmp_path / "raw", 3, 24, seed=3)
-    (tmp_path / "pipe.cfg").write_text(
-        "image_size=24\npool=8\nlayer1.k=2\nlayer1.filter=6x6\nlayer1.q=3\n"
-        "layer1.epochs=1\nlayer2.k=2\nlayer2.filter=2x2\nlayer2.q=2\nlayer2.epochs=1\n"
-    )
+    (tmp_path / "pipe.cfg").write_bytes(PIPE_CFG)
 
 
 def _config_file(data):
@@ -371,6 +373,9 @@ RECONSTRUCT = ["reconstruct", "--model", "{d}/m.bank", "--code", "{d}/c.code",
 PIPELINE_RUN = ["pipeline", "--corpus", "{d}/raw", "--config", "{d}/pipe.cfg", "--out", "{d}/run"]
 PIPELINE = PIPELINE_RUN + ["--scale", "0", "--threads", "1"]
 TRAIN_NAN = ["train", "--corpus", "{d}", "--out", "{d}/m.bank", "--tolerance", "nan"]
+TRAIN_SMALL = ["train", "--corpus", "{d}", "--out", "{d}/m.bank", "--k", "2", "--filter", "3x3",
+               "--q", "2", "--epochs", "1"]
+PREPROCESS = ["preprocess", "--in", "{d}", "--out", "{d}/pre", "--size", "8"]
 BENCH = ["bench", "--image", "12x12", "--filter", "3x3", "--q", "2", "--repeat", "1"]
 
 
@@ -395,12 +400,21 @@ class TestMalformedInputExitCodes:
             (_code_record("1 0 0 1.0"), RECONSTRUCT, 2),
             (_code_record("-1 0 0 1.0"), RECONSTRUCT, 2),
             (_code_record("0 1 3 1.0"), RECONSTRUCT, 2),
-            (_code_record("99999999999999999999 0 0 1.0"), RECONSTRUCT, 2),
+            (_code_record("99999999999999999999 0 0 1.0"), RECONSTRUCT, 3),
+            (_code_header("CMPC1 1 99999999999999999999 5 0"), RECONSTRUCT, 3),
+            (_code_header("CMPC1 1 5 99999999999999999999 1\n0 0 0 1.0"), RECONSTRUCT, 3),
             (_valid_bank, ENCODE + ["--tolerance", "nan"], 2),
             (_no_files, TRAIN_NAN, 2),
             (_pipeline_inputs, PIPELINE, 2),
             (_config_file(b"\xff\xfe=3\n"), PIPELINE_RUN, 3),
             (_config_file(b"layer1.tolerance=nan\n"), PIPELINE_RUN, 2),
+            (_no_files, TRAIN_SMALL + ["--seed", "-1"], 2),
+            (_no_files, PREPROCESS + ["--seed", "-1"], 2),
+            (_no_files, PREPROCESS + ["--seed", "-1", "--pascal-crop"], 2),
+            (_no_files, BENCH + ["--seed", "-1"], 2),
+            (_pipeline_inputs, PIPELINE_RUN + ["--seed", "-1"], 2),
+            (_config_file(PIPE_CFG + b"seed=-1\n"), PIPELINE_RUN, 2),
+            (_config_file(PIPE_CFG + b"layer1.seed=-1\n"), PIPELINE_RUN, 2),
             (_no_files, BENCH + ["--k", "-1"], 2),
             (_no_files, BENCH + ["--k", "0"], 2),
             (_no_files, BENCH + ["--image", "16x16", "--filter", "16x16", "--k", "1"], 2),
@@ -413,8 +427,12 @@ class TestMalformedInputExitCodes:
              "reconstruct-zero-width", "reconstruct-negative-count", "reconstruct-not-utf8",
              "reconstruct-filter-index-k", "reconstruct-negative-filter-index",
              "reconstruct-col-outside-grid", "reconstruct-filter-index-beyond-intp",
+             "reconstruct-height-beyond-intp", "reconstruct-width-beyond-intp",
              "encode-nan-tolerance", "train-nan-tolerance", "pipeline-scale-zero",
              "pipeline-config-not-utf8", "pipeline-config-nan-tolerance",
+             "train-negative-seed", "preprocess-negative-seed", "preprocess-crop-negative-seed",
+             "bench-negative-seed", "pipeline-negative-seed", "pipeline-config-negative-seed",
+             "pipeline-config-negative-layer-seed",
              "bench-negative-k", "bench-zero-k", "bench-pursuit-outruns-map",
              "encode-pgm-two-negative-sizes", "encode-ppm-two-negative-sizes"],
     )

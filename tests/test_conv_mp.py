@@ -12,8 +12,9 @@ from convmp.conv_mp import (
     greedy_steps,
     toeplitz_expand,
 )
+from codes import Activation, records
 from convmp.core import (
-    Activation, ConfigError, SparseCode, normalize_filters, reconstruct, residual_energy,
+    ConfigError, SparseCode, normalize_filters, reconstruct, residual_energy,
 )
 from convmp.patch_mp import gram_matrix, mp_encode
 
@@ -92,7 +93,7 @@ def path(request, monkeypatch):
 def run_both(maps, table, q, tolerance=0.0):
     """greedy_steps and the oracle on copies of maps; returns both results."""
     got_maps, want_maps = maps.copy(), maps.copy()
-    got = greedy_steps(got_maps, table, q, tolerance)
+    got = records(greedy_steps(got_maps, table, q, tolerance))
     want = oracle_greedy_steps(want_maps, table, q, tolerance)
     return got, got_maps, want, want_maps
 
@@ -240,7 +241,7 @@ class TestConvMpEncode:
         table = build_shift_gram(bank)
         image = place(bank, 2, 4, 6, 16, 16, coeff=1.7)
         code = conv_mp_encode(bank, table, image, q=1)
-        (act,) = code.activations
+        (act,) = records(code)
         assert (act.filter_index, act.row, act.col) == (2, 4, 6)
         assert act.coefficient == pytest.approx(1.7, abs=1e-12)
         assert residual_energy(image, code, bank) <= 1e-10
@@ -251,13 +252,13 @@ class TestConvMpEncode:
         table = build_shift_gram(bank)
         image = place(bank, 0, 1, 2, 8, 8, coeff=-1.0)
         code = conv_mp_encode(bank, table, image, q=1)
-        assert code.activations[0].coefficient == pytest.approx(-1.0, abs=1e-12)
+        assert records(code)[0].coefficient == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_image_gives_empty_code(self):
         rng = np.random.default_rng(29)
         bank = random_bank(rng, 2, 1, 3, 3)
         code = conv_mp_encode(bank, build_shift_gram(bank), np.zeros((1, 6, 6)), q=5)
-        assert code.activations == []
+        assert records(code) == []
 
     def test_matches_toeplitz_oracle(self):
         rng = np.random.default_rng(30)
@@ -270,7 +271,7 @@ class TestConvMpEncode:
         flat = mp_encode(dictionary, image.ravel(), q=10)
         wv = 16 - 5 + 1
         expect = [(j // (wv * wv), (j % (wv * wv)) // wv, j % wv, a) for j, a in flat.steps]
-        got = [(a.filter_index, a.row, a.col, a.coefficient) for a in code.activations]
+        got = records(code)
         assert [g[:3] for g in got] == [e[:3] for e in expect]
         np.testing.assert_allclose(
             [g[3] for g in got], [e[3] for e in expect], rtol=0, atol=1e-9
@@ -284,7 +285,7 @@ class TestConvMpEncode:
         maps = correlate(bank, image)
         taken = []
         for _ in range(30):
-            step = greedy_steps(maps, table, max_steps=1)
+            step = records(greedy_steps(maps, table, max_steps=1))
             if not step:
                 break
             taken.extend(step)
@@ -299,10 +300,11 @@ class TestConvMpEncode:
         code = conv_mp_encode(bank, table, image, q=15)
         e0 = float(np.sum(image * image))
         prev = e0
-        for n in range(1, len(code.activations) + 1):
-            prefix = SparseCode(2, 12, 12, code.activations[:n])
+        acts = records(code)
+        for n in range(1, len(acts) + 1):
+            prefix = SparseCode(2, 12, 12, acts[:n])
             now = residual_energy(image, prefix, bank)
-            a = code.activations[n - 1].coefficient
+            a = acts[n - 1].coefficient
             assert abs(now - (prev - a * a)) <= 1e-8 * e0
             prev = now
 
@@ -314,7 +316,7 @@ class TestConvMpEncode:
         image = rng.normal(size=(1, 24, 24))
         maps = correlate(bank, image)
         q = 5 * 22 * 22 + 80
-        activations = greedy_steps(maps, table, q)
+        activations = records(greedy_steps(maps, table, q))
         assert len(activations) == q
         resid = image - reconstruct(SparseCode(1, 24, 24, activations), bank)
         # measured drift is about 2e-15; float64 rounding over q window
@@ -347,14 +349,14 @@ class TestConvMpEncode:
         table = build_shift_gram(bank)
         image = place(bank, 1, 2, 2, 8, 8, coeff=0.5)
         code = conv_mp_encode(bank, table, image, q=50, residual_tolerance=0.6)
-        assert code.activations == []
+        assert records(code) == []
 
     def test_infinite_tolerance_stops_at_once_and_nan_is_rejected(self):
         rng = np.random.default_rng(35)
         bank = random_bank(rng, 2, 1, 3, 3)
         table = build_shift_gram(bank)
         image = rng.normal(size=(1, 8, 8))
-        assert conv_mp_encode(bank, table, image, q=5, residual_tolerance=np.inf).activations == []
+        assert records(conv_mp_encode(bank, table, image, q=5, residual_tolerance=np.inf)) == []
         with pytest.raises(ConfigError, match="residual_tolerance"):
             conv_mp_encode(bank, table, image, q=5, residual_tolerance=np.nan)
 
@@ -421,7 +423,7 @@ class TestGreedyStepsMatchesOracle:
         rng = np.random.default_rng(41)
         bank = random_bank(rng, 3, 2, 4, 4)
         maps = np.zeros((3, 90, 70))
-        assert greedy_steps(maps, build_shift_gram(bank), 10) == []
+        assert records(greedy_steps(maps, build_shift_gram(bank), 10)) == []
         assert np.all(maps == 0.0)
 
     @pytest.mark.parametrize(
@@ -460,7 +462,7 @@ class TestGreedyStepsMatchesOracle:
         want = oracle_greedy_steps(want_maps, table, 80)
         for view in (strided, fortran, maps.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
             assert not view.flags.c_contiguous
-            assert greedy_steps(view, table, 80) == want
+            assert records(greedy_steps(view, table, 80)) == want
             assert np.array_equal(view, want_maps)
         assert np.all(storage[:, :, 1::2] == 0.0)
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import convmp
+from codes import Activation, records
 from convmp.core import (
-    Activation,
+    ACTIVATION,
     SparseCode,
     ConfigError,
     TrainConfig,
-    activation_arrays,
     normalize_filters,
     reconstruct,
     residual_energy,
@@ -21,7 +21,7 @@ def paste_oracle(code, bank):
     """Independent reconstruction: paste every patch one sample at a time."""
     k, c, fh, fw = bank.shape
     out = np.zeros((code.channels, code.image_height, code.image_width))
-    for act in code.activations:
+    for act in records(code):
         for ch in range(c):
             for r in range(fh):
                 for cc in range(fw):
@@ -36,7 +36,7 @@ def slice_paste_oracle(code, bank):
     the reference it must match bit for bit."""
     _, _, fh, fw = bank.shape
     out = np.zeros((code.channels, code.image_height, code.image_width))
-    for act in code.activations:
+    for act in records(code):
         out[:, act.row : act.row + fh, act.col : act.col + fw] += (
             act.coefficient * bank[act.filter_index]
         )
@@ -118,7 +118,7 @@ class TestReconstruct:
         for _ in range(10):
             a = random_code(rng, bank, 2, 10, 9, 5)
             b = random_code(rng, bank, 2, 10, 9, 7)
-            joint = SparseCode(2, 10, 9, a.activations + b.activations)
+            joint = SparseCode(2, 10, 9, records(a) + records(b))
             np.testing.assert_allclose(
                 reconstruct(joint, bank),
                 reconstruct(a, bank) + reconstruct(b, bank),
@@ -137,27 +137,37 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="channels"):
             reconstruct(SparseCode(1, 4, 4), bank)
 
-    @pytest.mark.parametrize("filter_index", [1, -1, 10**20], ids=["k", "negative", "beyond-intp"])
-    def test_rejects_a_bad_filter_index_before_converting_it(self, filter_index):
+    @pytest.mark.parametrize("filter_index", [1, -1], ids=["k", "negative"])
+    def test_rejects_a_bad_filter_index(self, filter_index):
         code = SparseCode(1, 5, 5, [Activation(filter_index, 0, 0, 1.0)])
         with pytest.raises(ConfigError, match="filter_index"):
             reconstruct(code, np.ones((1, 1, 3, 3)) / 3.0)
 
 
-class TestActivationArrays:
-    def test_arrays_follow_activation_order(self):
+class TestSparseCode:
+    def test_tuples_become_one_activation_array_in_order(self):
         acts = [Activation(2, 0, 4, -0.0), Activation(0, 3, 1, 1.5), Activation(2, 0, 4, 0.25)]
-        filters, rows, cols, coefs = activation_arrays(SparseCode(1, 9, 9, acts))
-        for got, field in zip((filters, rows, cols), ("filter_index", "row", "col")):
-            assert got.dtype == np.intp
-            assert got.tolist() == [getattr(a, field) for a in acts]
-        assert coefs.dtype == np.float64
-        assert coefs.tobytes() == np.array([-0.0, 1.5, 0.25]).tobytes()
+        got = SparseCode(1, 9, 9, acts).activations
+        assert got.dtype == ACTIVATION and got.shape == (3,)
+        for name in ("filter_index", "row", "col"):
+            assert got[name].dtype == np.intp
+            assert got[name].tolist() == [getattr(a, name) for a in acts]
+        assert got["coefficient"].dtype == np.float64
+        assert got["coefficient"].tobytes() == np.array([-0.0, 1.5, 0.25]).tobytes()
 
-    def test_empty_code_gives_empty_typed_arrays(self):
-        arrays = activation_arrays(SparseCode(2, 4, 4))
-        assert [a.dtype for a in arrays] == [np.intp] * 3 + [np.float64]
-        assert all(a.shape == (0,) for a in arrays)
+    def test_empty_code_gives_an_empty_activation_array(self):
+        acts = SparseCode(2, 4, 4).activations
+        assert acts.dtype == ACTIVATION and acts.shape == (0,)
+
+    def test_check_compatible_names_the_first_bad_activation_and_field(self):
+        code = SparseCode(1, 5, 5, [(0, 0, 0, 1.0), (0, 0, 3, 1.0), (1, 3, 0, 1.0)])
+        bank = np.ones((1, 1, 3, 3)) / 3.0
+        with pytest.raises(ConfigError) as err:
+            reconstruct(code, bank)
+        assert str(err.value) == "activation 1: col 3 outside valid grid [0, 2]"
+        with pytest.raises(ConfigError) as err:
+            reconstruct(SparseCode(1, 5, 5, [(1, 3, 0, 1.0)]), bank)
+        assert str(err.value) == "activation 0: filter_index 1 outside bank of 1"
 
 
 class TestResidualEnergy:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from codes import Activation, records
 from convmp import dict_learn
 from convmp.core import (
-    Activation,
     SparseCode,
     TrainConfig,
-    activation_arrays,
     reconstruct,
     residual_energy,
 )
@@ -25,10 +24,9 @@ def unit(v):
     return v / np.sqrt(np.sum(v * v))
 
 
-def windows_of(codes, shapes, num_filters, fh, fw):
-    """filter_windows over the codes' activation arrays, as a list."""
-    arrays = [activation_arrays(code) for code in codes]
-    return list(filter_windows(arrays, shapes, num_filters, fh, fw))
+def windows_of(codes, num_filters, fh, fw):
+    """filter_windows over the codes, as a list."""
+    return list(filter_windows(codes, num_filters, fh, fw))
 
 
 def flat_buffer(residuals):
@@ -47,7 +45,7 @@ def flat_sweep(residuals, codes, j, bank):
     there, each in the filter's shape."""
     k, _, fh, fw = bank.shape
     flat, views = flat_buffer(residuals)
-    index, coefs = windows_of(codes, [r.shape for r in residuals], k, fh, fw)[j]
+    index, coefs = windows_of(codes, k, fh, fw)[j]
     patches = collect_activated_patches(flat, index, coefs, bank[j])
     return flat, views, index, coefs, list(patches.reshape(-1, *bank[j].shape))
 
@@ -56,7 +54,7 @@ def oracle_group_by_filter(code, num_filters):
     """Per filter, a dict of its distinct positions in first-use order, each
     mapped to the sum of its coefficients in activation order."""
     groups = [{} for _ in range(num_filters)]
-    for act in code.activations:
+    for act in records(code):
         positions = groups[act.filter_index]
         key = (act.row, act.col)
         positions[key] = positions.get(key, 0.0) + act.coefficient
@@ -270,7 +268,7 @@ def _projected_code(code, j, residual, old_bank, new_w):
     (collected with old_bank before the update) onto the new filter."""
     positions = oracle_group_by_filter(code, len(old_bank))[j]
     patches = flat_sweep([residual], [code], j, old_bank)[-1]
-    acts = [a for a in code.activations if a.filter_index != j]
+    acts = [a for a in records(code) if a.filter_index != j]
     acts += [
         Activation(j, r, c, float(new_w.ravel() @ p.ravel()))
         for (r, c), p in zip(positions, patches)
@@ -299,7 +297,7 @@ class TestUpdateFilter:
         dead = update_filter(bank, 0, *sweep, [image], np.random.default_rng(0))
         assert not dead
         np.testing.assert_allclose(bank[0], old_bank[0], rtol=0, atol=1e-9)
-        got = _projected_code(code, 0, before, old_bank, bank[0]).activations
+        got = records(_projected_code(code, 0, before, old_bank, bank[0]))
         assert [(a.row, a.col) for a in got] == [(a.row, a.col) for a in acts]
         for g, e in zip(got, acts):
             assert g.coefficient == pytest.approx(e.coefficient, abs=1e-10)
@@ -457,13 +455,13 @@ class TestSweepMatchesOracle:
             images.append(rng.normal(size=(c, h, w)))
         residuals = [im - reconstruct(code, bank) for im, code in zip(images, codes)]
         groups = [oracle_group_by_filter(code, k) for code in codes]
-        assert any(len(g[0]) < sum(a.filter_index == 0 for a in code.activations)
+        assert any(len(g[0]) < sum(a.filter_index == 0 for a in records(code))
                    for g, code in zip(groups, codes))  # some position repeats
 
         oracle_bank, flat_bank = bank.copy(), bank.copy()
         oracle_rng, flat_rng = np.random.default_rng(9), np.random.default_rng(9)
         flat, views = flat_buffer(residuals)
-        windows = windows_of(codes, [im.shape for im in images], k, fh, fw)
+        windows = windows_of(codes, k, fh, fw)
         deads = []
         for j, (index, coefs) in enumerate(windows):
             positions = [g[j] for g in groups]
@@ -518,7 +516,7 @@ class TestFilterWindows:
         seen = {"mixed": 0, "repeat": 0, "negzero": 0, "unused": 0, "empty": 0}
         for _ in range(1000):
             codes, shapes, k, fh, fw = random_case(rng)
-            got = windows_of(codes, shapes, k, fh, fw)
+            got = windows_of(codes, k, fh, fw)
             expect = oracle_windows(codes, shapes, k, fh, fw)
             assert len(got) == k
             for (index, coefs), (oracle_index, oracle_coefs) in zip(got, expect):
@@ -526,7 +524,7 @@ class TestFilterWindows:
                 assert np.array_equal(index, oracle_index)
                 assert index.shape == oracle_index.shape
                 assert coefs.tobytes() == oracle_coefs.tobytes()
-            acts = [a for code in codes for a in code.activations]
+            acts = [a for code in codes for a in records(code)]
             seen["mixed"] += len(set(shapes)) > 1
             seen["repeat"] += sum(len(i) for i, _ in got) < len(acts)
             seen["negzero"] += any(np.signbit(a.coefficient) and a.coefficient == 0
@@ -543,7 +541,7 @@ class TestFilterWindows:
             SparseCode(2, 3, 3, [Activation(1, 1, 0, 4.0)]),
             SparseCode(2, 5, 4, [Activation(0, 2, 1, 2.0)]),
         ]
-        index, coefs = windows_of(codes, shapes, 2, 2, 3)[0]
+        index, coefs = windows_of(codes, 2, 2, 3)[0]
         assert index.shape == (3, 2 * 2 * 3)
         np.testing.assert_array_equal(coefs, [0.5, -1.0, 2.0])
         # in a buffer holding its own flat positions, each image's window
@@ -557,13 +555,13 @@ class TestFilterWindows:
     def test_repeats_sum_in_activation_order_at_the_first_use(self):
         acts = [Activation(0, 1, 1, 0.1), Activation(0, 0, 0, 5.0), Activation(0, 1, 1, 0.2),
                 Activation(0, 1, 1, 0.3)]
-        index, coefs = windows_of([SparseCode(1, 4, 4, acts)], [(1, 4, 4)], 1, 2, 2)[0]
+        index, coefs = windows_of([SparseCode(1, 4, 4, acts)], 1, 2, 2)[0]
         np.testing.assert_array_equal(index[:, 0], [5, 0])
         assert coefs[0] == (0.0 + 0.1 + 0.2) + 0.3 and coefs[1] == 5.0
 
     def test_no_positions_give_an_empty_index(self):
         empty = [SparseCode(3, 6, 6), SparseCode(3, 5, 7)]
-        [(index, coefs)] = windows_of(empty, [(3, 6, 6), (3, 5, 7)], 1, 2, 2)
+        [(index, coefs)] = windows_of(empty, 1, 2, 2)
         assert index.shape == (0, 12) and coefs.shape == (0,)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from convmp.core import Activation, DataError, SparseCode, normalize_filters
+from codes import Activation, records
+from convmp.core import DataError, SparseCode, normalize_filters
 from convmp.model_io import (
+    INTP_MAX,
     list_float_images,
     list_images,
     load_bank,
@@ -153,7 +155,7 @@ class TestCodeFiles:
         assert path.read_text() == "CMPC1 1 8 9 0\n"
         code = load_code(path)
         assert (code.channels, code.image_height, code.image_width) == (1, 8, 9)
-        assert code.activations == []
+        assert records(code) == []
 
     def test_round_trip_preserves_order_and_values(self, tmp_path):
         rng = np.random.default_rng(88)
@@ -166,7 +168,7 @@ class TestCodeFiles:
         path = tmp_path / "c.code"
         save_code(code, path)
         loaded = load_code(path)
-        assert loaded.activations == acts
+        assert records(loaded) == acts
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "c.code"
@@ -188,6 +190,33 @@ class TestCodeFiles:
         path.write_text(header + "\n")
         with pytest.raises(DataError, match="line 1"):
             load_code(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [f"{INTP_MAX + 1} 0 0 1.0", f"0 {-INTP_MAX - 2} 0 1.0", "0 0 99999999999999999999 1.0"],
+        ids=["filter-index", "row", "col"],
+    )
+    def test_a_record_index_beyond_intp_is_data_error(self, tmp_path, record):
+        path = tmp_path / "c.code"
+        path.write_text(f"CMPC1 1 5 5 1\n{record}\n")
+        with pytest.raises(DataError, match="line 2: index overflows intp"):
+            load_code(path)
+
+    @pytest.mark.parametrize(
+        "header", ["CMPC1 1 99999999999999999999 5 0", f"CMPC1 2 1 {INTP_MAX // 2 + 1} 0"]
+    )
+    def test_a_header_beyond_intp_is_data_error(self, tmp_path, header):
+        path = tmp_path / "c.code"
+        path.write_text(header + "\n")
+        with pytest.raises(DataError, match="line 1: .* samples overflow intp"):
+            load_code(path)
+
+    def test_indices_and_sizes_at_the_intp_limit_load(self, tmp_path):
+        path = tmp_path / "c.code"
+        path.write_text(f"CMPC1 1 1 {INTP_MAX} 1\n{INTP_MAX} {-INTP_MAX} 0 1.0\n")
+        code = load_code(path)
+        assert code.image_width == INTP_MAX
+        assert records(code) == [(INTP_MAX, -INTP_MAX, 0, 1.0)]
 
 
 class TestWriteAtomic:

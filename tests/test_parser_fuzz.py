@@ -1,6 +1,7 @@
 """Parser fuzzing: any bytes given as a code file, a pipeline config, a PGM/PPM
 image, a bank or a float image either parse or raise ConfigError/DataError,
-so the CLI exits 2 or 3, never 4.
+so the CLI exits 2 or 3, never 4. Any code saved and loaded back is the
+same code, bit for bit, and saves to the same bytes.
 
 Hypothesis runs derandomized with no example database and a fixed example
 count, so the suite stays deterministic. Its storage directory, where it
@@ -26,7 +27,9 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "convmp-hypothesis")
 
 from convmp.cli import _parse_config_file, _pipeline_config  # noqa: E402
 from convmp.core import ConfigError, DataError, SparseCode  # noqa: E402
-from convmp.model_io import load_bank, load_code, load_float_image, load_image  # noqa: E402
+from convmp.model_io import (  # noqa: E402
+    INTP_MAX, load_bank, load_code, load_float_image, load_image, save_code,
+)
 from convmp.pipeline import PipelineConfig  # noqa: E402
 
 FUZZ = settings(
@@ -132,3 +135,34 @@ def test_load_float_image_parses_or_raises_data_error(tmp_path, data):
         assert isinstance(load_float_image(path), np.ndarray)
     except DataError:
         pass
+
+
+# Any index intp holds, and finite coefficients with the edge cases forced in.
+INDICES = st.integers(-INTP_MAX, INTP_MAX)
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def codes(draw):
+    """Up to 50 records over at most 8 distinct positions, so repeats are common."""
+    positions = draw(st.lists(st.tuples(INDICES, INDICES, INDICES), min_size=1, max_size=8))
+    acts = draw(st.lists(st.tuples(st.sampled_from(positions), COEFFICIENTS), max_size=50))
+    dims = draw(st.tuples(*[st.integers(1, 1000)] * 3))
+    return SparseCode(*dims, [(*position, a) for position, a in acts])
+
+
+@FUZZ
+@given(code=codes())
+def test_code_files_round_trip_bit_for_bit(tmp_path, code):
+    first, second = tmp_path / "first.code", tmp_path / "second.code"
+    save_code(code, first)
+    loaded = load_code(first)
+    save_code(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    dims = (loaded.channels, loaded.image_height, loaded.image_width)
+    assert dims == (code.channels, code.image_height, code.image_width)
+    assert loaded.activations.dtype == code.activations.dtype
+    assert loaded.activations.tobytes() == code.activations.tobytes()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from convmp import dict_learn
-from convmp.core import Activation, ConfigError, SparseCode, TrainConfig, normalize_filters
+from codes import Activation
+from convmp.core import SparseCode, TrainConfig, normalize_filters
 from convmp.dict_learn import TrainStats, train
 from convmp.model_io import load_bank, save_image
 from convmp.pipeline import (
@@ -92,12 +93,6 @@ class TestCodeToFeatureMaps:
         for a in acts:
             loop[a.filter_index, a.row, a.col] += a.coefficient
         assert maps.tobytes() == loop.tobytes()
-
-    def test_rejects_a_filter_index_beyond_intp(self):
-        bank = random_bank(np.random.default_rng(107), 2, 1, 3, 3)
-        code = SparseCode(1, 5, 5, [Activation(10**20, 0, 0, 1.0)])
-        with pytest.raises(ConfigError, match="filter_index"):
-            code_to_feature_maps(code, bank)
 
 
 class TestAbsRectify:
