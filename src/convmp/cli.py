@@ -2,10 +2,12 @@
 filter rendering, the two-layer pipeline, and the pursuit-loop benchmark.
 
 Exit codes: 0 success, 2 configuration error (core.ConfigError), 3 data
-error (core.DataError or OSError), 4 internal error. The library raises
-the typed errors; main only maps them. Batch commands write a key=value
-manifest into their output location before computing; re-running with the
-same inputs and manifest reproduces the outputs bit for bit.
+error (core.DataError, OSError, or MemoryError from an input too large to
+hold), 4 internal error. The library raises the typed errors; main only
+maps them. Batch commands write a key=value manifest into their output
+location before computing; re-running with the same inputs and manifest
+reproduces the outputs bit for bit: a pipeline manifest passed as
+--config, or a train manifest's entries passed as train's flags.
 """
 
 from __future__ import annotations
@@ -56,6 +58,23 @@ EXIT_INTERNAL = 4
 TRAIN_DEFAULTS = TrainConfig(
     num_filters=8, filter_height=16, filter_width=16, sparsity=40, epochs=10
 )
+# TrainConfig's outside names in manifest order, each with its field(s): a train
+# flag (with - for _), a pipeline layerN.* key and a manifest entry. filter is HxW.
+TRAIN_NAMES = {
+    "k": ("num_filters",),
+    "filter": ("filter_height", "filter_width"),
+    "q": ("sparsity",),
+    "epochs": ("epochs",),
+    "seed": ("seed",),
+    "tolerance": ("residual_tolerance",),
+    "min_activations": ("min_activations",),
+}
+# a pipeline config's keys; a manifest's tool, command, corpus, out and threads
+# are accepted and ignored, so that a manifest replays
+PIPELINE_KEYS = {
+    "image_size", "pool", "seed", "tool", "command", "corpus", "out", "threads",
+    *(f"layer{n}.{name}" for n in (1, 2) for name in TRAIN_NAMES),
+}
 THREADS_HELP = "accepted and recorded in the manifest; has no effect (encoding is sequential)"
 
 
@@ -84,15 +103,26 @@ def _write_manifest(path: Path, entries: dict) -> None:
 
 def _train_entries(cfg: TrainConfig, prefix: str = "") -> dict:
     """A TrainConfig's manifest entries, named like train's flags or, prefixed, layer keys."""
-    return {
-        f"{prefix}k": cfg.num_filters,
-        f"{prefix}filter": f"{cfg.filter_height}x{cfg.filter_width}",
-        f"{prefix}q": cfg.sparsity,
-        f"{prefix}epochs": cfg.epochs,
-        f"{prefix}seed": cfg.seed,
-        f"{prefix}tolerance": cfg.residual_tolerance,
-        f"{prefix}min_activations": cfg.min_activations,
-    }
+    entries = {}
+    for name, fields in TRAIN_NAMES.items():
+        values = [getattr(cfg, field) for field in fields]
+        entries[prefix + name] = values[0] if len(values) == 1 else "x".join(map(str, values))
+    return entries
+
+
+def _train_config(values: dict, prefix: str = "", defaults=TRAIN_DEFAULTS) -> TrainConfig:
+    """A validated TrainConfig from train's flags, config keys under prefix, or a
+    manifest; a name that is absent keeps its default, and its type is the default's."""
+    settings = {}
+    for name, default in _train_entries(defaults).items():
+        key, fields = prefix + name, TRAIN_NAMES[name]
+        if len(fields) == 1:
+            settings[fields[0]] = _config_number(values, key, default, type(default))
+        else:
+            settings.update(zip(fields, _parse_dims(values.get(key, default), key)))
+    cfg = TrainConfig(**settings)
+    cfg.validate()
+    return cfg
 
 
 def _load_any_image(path: Path):
@@ -157,24 +187,8 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _train_config_from_args(args) -> TrainConfig:
-    fh, fw = _parse_dims(args.filter, "--filter")
-    cfg = TrainConfig(
-        num_filters=args.k,
-        filter_height=fh,
-        filter_width=fw,
-        sparsity=args.q,
-        epochs=args.epochs,
-        seed=args.seed,
-        residual_tolerance=args.tolerance,
-        min_activations=args.min_activations,
-    )
-    cfg.validate()
-    return cfg
-
-
 def cmd_train(args) -> int:
-    cfg = _train_config_from_args(args)
+    cfg = _train_config(vars(args))
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -246,31 +260,14 @@ def _config_number(values: dict[str, str], key: str, default, kind=int):
 
 
 def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
-    def get_int(key, default):
-        return _config_number(values, key, default)
-
-    def layer(prefix, d: TrainConfig):
-        fh, fw = _parse_dims(
-            values.get(f"{prefix}.filter", f"{d.filter_height}x{d.filter_width}"),
-            f"{prefix}.filter",
-        )
-        return TrainConfig(
-            num_filters=get_int(f"{prefix}.k", d.num_filters),
-            filter_height=fh,
-            filter_width=fw,
-            sparsity=get_int(f"{prefix}.q", d.sparsity),
-            epochs=get_int(f"{prefix}.epochs", d.epochs),
-            seed=get_int(f"{prefix}.seed", d.seed),
-            residual_tolerance=_config_number(
-                values, f"{prefix}.tolerance", d.residual_tolerance, float
-            ),
-            min_activations=get_int(f"{prefix}.min_activations", d.min_activations),
-        )
-
-    layer1 = layer("layer1", TRAIN_DEFAULTS)
+    unknown = [key for key in values if key not in PIPELINE_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]}")
+    layer1 = _train_config(values, "layer1.")
     # layer 2 inherits layer 1's pursuit depth, schedule and tolerance unless overridden
-    layer2 = layer(
-        "layer2",
+    layer2 = _train_config(
+        values,
+        "layer2.",
         replace(
             layer1,
             num_filters=16,
@@ -283,8 +280,8 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
     cfg = PipelineConfig(
         layer1=layer1,
         layer2=layer2,
-        pool_size=get_int("pool", 8),
-        image_size=get_int("image_size", 64),
+        pool_size=_config_number(values, "pool", 8),
+        image_size=_config_number(values, "image_size", 64),
     )
     cfg.validate()
     return cfg
@@ -403,14 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn a filter bank from a preprocessed corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    d = TRAIN_DEFAULTS
-    p.add_argument("--k", type=int, default=d.num_filters)
-    p.add_argument("--filter", default=f"{d.filter_height}x{d.filter_width}")
-    p.add_argument("--q", type=int, default=d.sparsity)
-    p.add_argument("--epochs", type=int, default=d.epochs)
-    p.add_argument("--seed", type=int, default=d.seed)
-    p.add_argument("--tolerance", type=float, default=d.residual_tolerance)
-    p.add_argument("--min-activations", type=int, default=d.min_activations)
+    for name, default in _train_entries(TRAIN_DEFAULTS).items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_train)
 
@@ -464,7 +455,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # anything unexpected maps to the internal code

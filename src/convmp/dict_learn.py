@@ -56,17 +56,18 @@ class TrainStats:
     activation_counts: list[list[int]] = field(default_factory=list)
     reinit_events: list[tuple[int, int]] = field(default_factory=list)  # (epoch, filter)
 
+    def line(self, epoch: int, prefix: str = "") -> str:
+        """One epoch's stats line: energy, activation-count range, reinits."""
+        counts = self.activation_counts[epoch]
+        reinits = sum(1 for e, _ in self.reinit_events if e == epoch)
+        return (
+            f"{prefix}epoch={epoch} energy={self.epoch_energy[epoch]:.17g} "
+            f"act_min={min(counts)} act_max={max(counts)} reinits={reinits}"
+        )
+
     def lines(self, prefix: str = "") -> list[str]:
-        """One stats-file line per epoch: energy, activation-count range, reinits."""
-        out = []
-        for epoch, energy in enumerate(self.epoch_energy):
-            counts = self.activation_counts[epoch]
-            reinits = sum(1 for e, _ in self.reinit_events if e == epoch)
-            out.append(
-                f"{prefix}epoch={epoch} energy={energy:.17g} act_min={min(counts)} "
-                f"act_max={max(counts)} reinits={reinits}"
-            )
-        return out
+        """The stats file: one line per epoch."""
+        return [self.line(epoch, prefix) for epoch in range(len(self.epoch_energy))]
 
 
 def _draw_unit_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.ndarray:
@@ -302,20 +303,10 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
                 "(all-zero corpus or residual_tolerance too high)"
             )
 
-        reinits = 0
         windows = filter_windows(codes, cfg.num_filters, fh, fw)
         for j, (index, coefs) in enumerate(windows):
             if update_filter(bank, j, index, coefs, residual, imgs, rng, cfg.min_activations):
                 stats.reinit_events.append((epoch, j))
-                reinits += 1
-
-        logger.info(
-            "epoch=%d energy=%.10g act_min=%d act_max=%d reinits=%d",
-            epoch,
-            energy,
-            min(counts),
-            max(counts),
-            reinits,
-        )
+        logger.info("%s", stats.line(epoch))
 
     return bank, stats

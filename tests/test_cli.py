@@ -1,19 +1,31 @@
+import argparse
+import dataclasses
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convmp
 from codes import Activation, records
 from convmp.cli import (
+    TRAIN_DEFAULTS,
+    TRAIN_NAMES,
     _parse_config_file,
     _pipeline_config,
-    _train_config_from_args,
+    _train_config,
+    _train_entries,
     build_parser,
     main,
     run_bench,
 )
 from convmp.core import (
+    ConfigError,
     SparseCode,
+    TrainConfig,
     normalize_filters,
     reconstruct,
     residual_energy,
@@ -126,7 +138,35 @@ class TestTrain:
 
     def test_defaults_match_pipeline_layer1_defaults(self):
         args = build_parser().parse_args(["train", "--corpus", "c", "--out", "m.bank"])
-        assert _train_config_from_args(args) == _pipeline_config({}).layer1
+        assert _train_config(vars(args)) == _pipeline_config({}).layer1
+
+    def test_train_config_fields_are_the_name_tables(self):
+        table = [field for fields in TRAIN_NAMES.values() for field in fields]
+        assert [field.name for field in dataclasses.fields(TrainConfig)] == table
+
+    def test_train_flags_are_the_manifest_entries_of_the_defaults(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [a for a in sub.choices["train"]._actions
+                 if a.dest not in ("help", "corpus", "out", "threads")]
+        assert [(a.dest, a.default) for a in flags] == list(_train_entries(TRAIN_DEFAULTS).items())
+        for a in flags:
+            assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+
+    def test_manifest_reads_back_and_its_flags_reproduce_the_bank(self, tmp_path, trained_model):
+        corpus, _ = trained_model
+        first, again = tmp_path / "a.bank", tmp_path / "b.bank"
+        assert main(["train", "--corpus", str(corpus), "--out", str(first), "--k", "2",
+                     "--filter", "5x4", "--q", "6", "--epochs", "2", "--seed", "9",
+                     "--tolerance", "0.01", "--min-activations", "2"]) == 0
+        values = _parse_config_file(tmp_path / "a.bank.manifest.txt")
+        assert _train_config(values) == TrainConfig(
+            num_filters=2, filter_height=5, filter_width=4, sparsity=6, epochs=2, seed=9,
+            residual_tolerance=0.01, min_activations=2,
+        )
+        flags = [arg for name in TRAIN_NAMES for arg in ("--" + name.replace("_", "-"), values[name])]
+        assert main(["train", "--corpus", values["corpus"], "--out", str(again), *flags,
+                     "--threads", values["threads"]]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("command", [["train", "--out", "m.bank"],
                                          ["pipeline", "--config", "p.cfg", "--out", "run"]])
@@ -263,6 +303,10 @@ class TestPipelineCommand:
         config.write_text("layer1.k 8\n")
         assert main(["pipeline", "--corpus", str(tmp_path), "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_unknown_config_key_is_named(self):
+        with pytest.raises(ConfigError, match=r"unknown config key layer1\.epoch$"):
+            _pipeline_config({"layer1.epoch": "3"})
 
     def test_seed_flag_overrides_config_file_seed(self, tmp_path):
         write_pgm_corpus(tmp_path / "raw", 4, 24, seed=4)
@@ -408,6 +452,7 @@ class TestMalformedInputExitCodes:
             (_pipeline_inputs, PIPELINE, 2),
             (_config_file(b"\xff\xfe=3\n"), PIPELINE_RUN, 3),
             (_config_file(b"layer1.tolerance=nan\n"), PIPELINE_RUN, 2),
+            (_config_file(PIPE_CFG + b"layer1.epoch=3\n"), PIPELINE_RUN, 2),
             (_no_files, TRAIN_SMALL + ["--seed", "-1"], 2),
             (_no_files, PREPROCESS + ["--seed", "-1"], 2),
             (_no_files, PREPROCESS + ["--seed", "-1", "--pascal-crop"], 2),
@@ -430,6 +475,7 @@ class TestMalformedInputExitCodes:
              "reconstruct-height-beyond-intp", "reconstruct-width-beyond-intp",
              "encode-nan-tolerance", "train-nan-tolerance", "pipeline-scale-zero",
              "pipeline-config-not-utf8", "pipeline-config-nan-tolerance",
+             "pipeline-config-unknown-key",
              "train-negative-seed", "preprocess-negative-seed", "preprocess-crop-negative-seed",
              "bench-negative-seed", "pipeline-negative-seed", "pipeline-config-negative-seed",
              "pipeline-config-negative-layer-seed",
@@ -442,6 +488,31 @@ class TestMalformedInputExitCodes:
         assert main([a.format(d=tmp_path) for a in argv]) == expected
         assert "internal error" not in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # pipeline rejects --scale before any output
+
+
+def test_a_code_too_large_to_hold_is_data_error(tmp_path):
+    pytest.importorskip("resource")
+    _valid_bank(tmp_path)
+    (tmp_path / "c.code").write_text("CMPC1 1 100000 100000 0\n")  # 74.5 GiB to reconstruct
+    # the child caps its own address space before it imports numpy, so the
+    # reconstruction fails to allocate instead of being attempted
+    script = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from convmp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(convmp.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [a.format(d=tmp_path) for a in RECONSTRUCT]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "data error: Unable to allocate" in proc.stderr
+    assert not (tmp_path / "r.pgm").exists()
 
 
 class TestBench:

@@ -621,9 +621,10 @@ class TestTrain:
         rng = np.random.default_rng(56)
         images = [rng.normal(size=(1, 10, 10)) for _ in range(2)]
         with caplog.at_level("INFO", logger="convmp.dict_learn"):
-            train(images, make_cfg(epochs=2))
+            _, stats = train(images, make_cfg(epochs=2))
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 2
+        assert lines == stats.lines()  # one formatter for the log and the stats file
         assert lines[0].startswith("epoch=0 energy=")
         for field in ("act_min=", "act_max=", "reinits="):
             assert field in lines[0]
