@@ -6,13 +6,13 @@ matrix only depends on relative shifts, so the greedy loop runs off a
 (k, k, 2*h_f-1, 2*w_f-1) table of filter/filter inner products: after a
 peak is subtracted, only correlation values inside the overlap window
 around it change, and each change is a table lookup. Encoding therefore
-costs one application of the filter bank (a GEMM per chunk of rows, so
-the working set is one chunk, with the bits of one whole-image GEMM) plus,
-per pursuit step, one window update and one argmax. On large maps the
-argmax runs off a cache of per-block maxima (blocks of h_f rows), so a step
-rescans only the band of rows its window touched, not the whole map; on
-small maps a direct scan is cheaper. The steps come out as one
-core.ACTIVATION array, the form a SparseCode holds.
+costs one application of the filter bank (one GEMM per cache-sized tile
+of windows, so the working set is one tile, with the same bits at 1 and 2
+BLAS threads) plus, per pursuit step, one window update and one argmax.
+On large maps the argmax runs off a cache of per-block maxima (blocks of
+h_f rows), so a step rescans only the band of rows its window touched,
+not the whole map; on small maps a direct scan is cheaper. The steps come
+out as one core.ACTIVATION array, the form a SparseCode holds.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ TOEPLITZ_COLUMN_LIMIT = 100_000
 # crossover.
 CACHE_MIN_SKIPPED = 32_768
 
-# Least multiply-adds per correlate chunk: keeps each chunk's GEMM above
-# OpenBLAS's small-matrix path, whose bits depend on the row count.
-CORRELATE_CHUNK_MACS = 2**21
+# Most multiply-adds per correlate tile, unless one window alone holds more.
+# Keeps each tile's unfolded windows cache-sized, and with the bundled OpenBLAS
+# GEMMs this small give the same bits at 1 and 2 threads, which a test checks
+# on 300 shapes (larger whole-row chunks did not).
+CORRELATE_CHUNK_MACS = 2**18
 
 
 def correlate(bank, image) -> np.ndarray:
@@ -42,11 +44,9 @@ def correlate(bank, image) -> np.ndarray:
     Returns maps of shape (k, h - h_f + 1, w - w_f + 1) where
     maps[j, r, c] = <filter j placed at (r, c), image>.
 
-    Windows are unfolded (im2col) and multiplied one chunk of valid rows at
-    a time, so the working set is one chunk. A chunk holds at least two rows
-    and CORRELATE_CHUNK_MACS multiply-adds (a short tail joins the last), so
-    OpenBLAS computes each output row as one whole-image GEMM would. A GEMV
-    splits its rows across BLAS threads, so k == 1 stays one chunk.
+    Windows are unfolded (im2col) and multiplied one tile at a time (see
+    _tiles), so the working set is one tile of at most
+    CORRELATE_CHUNK_MACS multiply-adds.
     """
     bank = as_bank(bank, unit_norm=False)
     img = as_image(image)
@@ -59,13 +59,25 @@ def correlate(bank, image) -> np.ndarray:
     hv, wv = h - fh + 1, w - fw + 1
     windows = sliding_window_view(img, (c, fh, fw))[0]  # (hv, wv, c, fh, fw)
     weights = bank.reshape(k, -1).T
-    rows = hv if k == 1 else max(2, -(-CORRELATE_CHUNK_MACS // (wv * c * fh * fw * k)))
-    starts = list(range(0, hv - rows + 1, rows)) or [0]
     out = np.empty((k, hv, wv))
-    for r0, r1 in zip(starts, starts[1:] + [hv]):
-        prod = windows[r0:r1].reshape((r1 - r0) * wv, -1) @ weights  # unfolded copy is a temporary
-        out[:, r0:r1] = prod.T.reshape(k, r1 - r0, wv)
+    for rows, cols in _tiles(hv, wv, c * fh * fw * k):
+        tile = windows[rows, cols]
+        prod = tile.reshape(-1, c * fh * fw) @ weights  # unfolded copy is a temporary
+        out[:, rows, cols] = prod.T.reshape(k, *tile.shape[:2])
     return out
+
+
+def _tiles(hv: int, wv: int, window_macs: int):
+    """Row and column slices of correlate's tiles over an (hv, wv) map, in
+    row-major order. A tile is as many whole rows as fit in
+    CORRELATE_CHUNK_MACS multiply-adds; when one row does not fit, it is a
+    segment of one row holding as many windows as fit. Either way it holds
+    at least one row or window."""
+    rows = max(1, CORRELATE_CHUNK_MACS // (wv * window_macs))
+    cols = min(wv, max(1, CORRELATE_CHUNK_MACS // window_macs))
+    for r0 in range(0, hv, rows):
+        for c0 in range(0, wv, cols):
+            yield slice(r0, min(r0 + rows, hv)), slice(c0, min(c0 + cols, wv))
 
 
 def build_shift_gram(bank) -> np.ndarray:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,31 +142,44 @@ class TestCorrelate:
         )
 
     @pytest.mark.parametrize(
-        "shape",
+        "shape, n_tiles",
         [
-            # (k, c, h_f, w_f, h, w); chunk rows from CORRELATE_CHUNK_MACS = 2**21
-            (3, 2, 5, 4, 60, 70),  # 261-row chunks over 56 rows: one chunk
-            (8, 1, 16, 16, 64, 64),  # 21-row chunks: rows 0-21, then 21-49 with the tail
-            (16, 1, 8, 8, 256, 256),  # 9-row chunks: 27 of them, the last 15 rows long
-            (8, 2, 7, 16, 147, 139),  # 10-row chunks: 14, the 1-row tail joins the last
-            (1, 1, 12, 12, 187, 218),  # k=1 is a GEMV: one chunk
-            (1, 1, 11, 13, 187, 198),  # 4-row-aligned GEMV chunks differ here at 2+ BLAS threads
-            (1024, 8, 16, 16, 24, 16),  # one-column maps: the 2-row floor, 4 chunks
+            # (k, c, h_f, w_f, h, w); tiles from CORRELATE_CHUNK_MACS = 2**18
+            ((3, 2, 5, 4, 60, 70), 2),  # 32-row tiles over 56 rows: a 24-row tail
+            ((8, 1, 16, 16, 64, 64), 25),  # 2-row tiles over 49 rows: a 1-row tail
+            ((16, 1, 8, 8, 256, 256), 249),  # one row per tile
+            ((8, 2, 7, 16, 147, 139), 141),  # one row per tile
+            ((1, 1, 12, 12, 187, 218), 22),  # k=1 is a GEMV: 8-row tiles
+            ((1, 1, 11, 13, 187, 198), 20),  # 4-row-aligned GEMV chunks differ here at 2+ BLAS threads
+            ((1024, 8, 16, 16, 24, 16), 9),  # one-column maps, one window over budget: 1-window tiles
+            ((16, 3, 19, 19, 32, 80), 70),  # a row over budget: 15-window row segments, 5 per row
         ],
-        ids=["one-chunk", "two-chunks-merged-tail", "many-chunks", "multichannel", "k1",
-             "k1-threaded", "two-row-floor"],
+        ids=["short-tail", "one-row-tail", "many-tiles", "multichannel", "k1", "k1-threaded",
+             "window-over-budget", "row-over-budget"],
     )
-    def test_chunked_gemm_is_bit_identical_to_one_whole_image_gemm(self, shape):
+    def test_each_tile_is_its_own_gemm(self, shape, n_tiles):
         k, c, fh, fw, h, w = shape
         rng = np.random.default_rng(24)
         bank = rng.normal(size=(k, c, fh, fw))
         image = rng.normal(size=(c, h, w))
         hv, wv = h - fh + 1, w - fw + 1
-        flat = sliding_window_view(image, (c, fh, fw)).reshape(hv * wv, -1)
-        want = (flat @ bank.reshape(k, -1).T).T.reshape(k, hv, wv)
+        windows = sliding_window_view(image, (c, fh, fw))[0]
+        weights = bank.reshape(k, -1).T
+        window_macs = c * fh * fw * k
         got = correlate(bank, image)
         assert got.flags.c_contiguous
-        assert np.array_equal(got, want)
+        tiles = list(conv_mp._tiles(hv, wv, window_macs))
+        assert len(tiles) == n_tiles
+        cover = np.zeros((hv, wv), dtype=int)
+        for rows, cols in tiles:
+            cover[rows, cols] += 1
+            tile = windows[rows, cols]
+            n = tile.shape[0] * tile.shape[1]
+            assert tile.shape[1] == wv or tile.shape[0] == 1  # whole rows or one row's segment
+            assert n * window_macs <= conv_mp.CORRELATE_CHUNK_MACS or n == 1
+            want = tile.reshape(n, -1) @ weights
+            assert np.array_equal(got[:, rows, cols], want.T.reshape(k, *tile.shape[:2]))
+        assert np.all(cover == 1)
 
     def test_working_set_is_one_chunk(self):
         # A whole-image unfold of 256x256 with 8x8 filters is 31.7 MB; with the
@@ -178,6 +195,58 @@ class TestCorrelate:
         finally:
             tracemalloc.stop()
         assert peak - maps.nbytes < 8 * 2**20
+
+    def test_working_set_at_train_shape_is_under_1_mib(self):
+        # train's default shape (k8, 16x16 filters, 64x64 images): a 2-row tile
+        # unfolds 98 windows, 0.2 MB. Chunks of at least 2**21 multiply-adds
+        # unfolded 21 rows, 2.1 MB.
+        rng = np.random.default_rng(26)
+        bank = rng.normal(size=(8, 1, 16, 16))
+        image = rng.normal(size=(1, 64, 64))
+        tracemalloc.start()
+        try:
+            maps = correlate(bank, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - maps.nbytes < 2**20
+
+    def test_maps_have_the_same_bits_at_1_and_2_blas_threads(self):
+        # Each child hashes the maps of the same seeded shapes; only the BLAS
+        # thread count differs. The fixed shapes differed at 1 and 2 threads
+        # when chunks held at least 2**21 multiply-adds (k=1 GEMVs and some
+        # k >= 2 GEMMs); the last two put a row, then a window, over budget.
+        script = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from convmp.conv_mp import correlate\n"
+            "shapes = [(1, 1, 8, 8, 256, 256), (1, 3, 3, 9, 287, 297), (8, 1, 20, 20, 64, 64),\n"
+            "          (8, 3, 12, 12, 64, 64), (16, 3, 19, 19, 32, 80), (1024, 8, 16, 16, 24, 16)]\n"
+            "rng = np.random.default_rng(27)\n"
+            "while len(shapes) < 300:\n"
+            "    k, c, fh, fw = (int(v) for v in rng.integers(1, (33, 9, 21, 21)))\n"
+            "    shapes.append((k, c, fh, fw, int(rng.integers(fh, 129)), int(rng.integers(fw, 129))))\n"
+            "for i, (k, c, fh, fw, h, w) in enumerate(shapes):\n"
+            "    data = np.random.default_rng([27, i])\n"
+            "    maps = correlate(data.normal(size=(k, c, fh, fw)), data.normal(size=(c, h, w)))\n"
+            "    print(k, c, fh, fw, h, w, hashlib.sha256(maps.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(conv_mp.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n, "PYTHONPATH": path},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for n in ("1", "2")
+        ]
+        outs = [child.communicate(timeout=120) for child in children]
+        for child, (_, err) in zip(children, outs):
+            assert child.returncode == 0, err
+        one, two = (out.splitlines() for out, _ in outs)
+        assert len(one) == len(two) == 300
+        assert [a for a, b in zip(one, two) if a != b] == []
 
     def test_rejects_mismatches(self):
         bank = np.ones((1, 2, 2, 2)) * 0.25
