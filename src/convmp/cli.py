@@ -146,6 +146,8 @@ def _load_corpus(directory: Path):
 
 def cmd_preprocess(args) -> int:
     _check_seed(args.seed)
+    if args.size < 1:  # before any output, so no manifest is left behind
+        raise ConfigError(f"--size must be >= 1, got {args.size}")
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     if not in_dir.is_dir():
         raise DataError(f"input directory {in_dir} does not exist")

@@ -22,8 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ACTIVATION, ConfigError, SparseCode, as_bank, as_image
 
-TOEPLITZ_COLUMN_LIMIT = 100_000
-
 # greedy_steps uses its block-max cache when a step skips more than this many
 # map entries: k * w_v * (h_v - 3 * h_f), the rows outside the at most three
 # blocks a window refresh rescans. Below it the cached path's extra numpy calls
@@ -206,35 +204,3 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     activations = greedy_steps(maps, np.asarray(table), q, residual_tolerance)
     c, h, w = np.shape(image)
     return SparseCode(c, h, w, activations)
-
-
-def toeplitz_expand(bank, image_dims) -> np.ndarray:
-    """Explicit dictionary of all zero-padded filter placements.
-
-    Column (j, r, c) holds filter j pasted at valid position (r, c) of an
-    image of the given (height, width), flattened in canonical layout;
-    columns are ordered filter-major, then row-major by position. Intended
-    for small oracle instances only, so the column count is capped.
-    """
-    bank = as_bank(bank, unit_norm=False)
-    k, c, fh, fw = bank.shape
-    h, w = image_dims
-    if fh > h or fw > w:
-        raise ConfigError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
-    hv, wv = h - fh + 1, w - fw + 1
-    ncols = k * hv * wv
-    if ncols > TOEPLITZ_COLUMN_LIMIT:
-        raise ConfigError(
-            f"Toeplitz expansion needs {ncols} columns, over the {TOEPLITZ_COLUMN_LIMIT} guard"
-        )
-    out = np.zeros((c * h * w, ncols))
-    canvas = np.zeros((c, h, w))
-    col = 0
-    for j in range(k):
-        for r in range(hv):
-            for cc in range(wv):
-                canvas[:] = 0.0
-                canvas[:, r : r + fh, cc : cc + fw] = bank[j]
-                out[:, col] = canvas.ravel()
-                col += 1
-    return out

@@ -1,11 +1,12 @@
-"""Matching pursuit over an explicit dictionary matrix.
+"""Matching pursuit over an explicit dictionary matrix: the tests' oracles.
 
 The dictionary is a (dim, count) float64 array whose columns are unit-norm
 atoms. Besides the plain greedy loop, a bookkeeping variant is provided
 that correlates the dictionary with the signal only once and afterwards
 updates the correlation vector through Gram-matrix rows. The plain variant
 doubles as the oracle backend for the convolutional encoder's equivalence
-tests (see conv_mp.toeplitz_expand).
+tests (see toeplitz_expand). No user path runs this module, so it lives
+with the tests, not in the convmp package.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conv_mp import greedy_steps
-from .core import UNIT_NORM_ATOL, ConfigError, DataError
+from convmp.conv_mp import greedy_steps
+from convmp.core import UNIT_NORM_ATOL, ConfigError, DataError, as_bank
+
+TOEPLITZ_COLUMN_LIMIT = 100_000
 
 
 @dataclass
@@ -114,3 +117,35 @@ def mp_encode_gram(dictionary, gram, signal, q: int) -> PatchCode:
     coeffs = np.zeros(count)
     np.add.at(coeffs, acts["filter_index"], acts["coefficient"])  # adds in step order
     return PatchCode(coeffs, acts[["filter_index", "coefficient"]].tolist())
+
+
+def toeplitz_expand(bank, image_dims) -> np.ndarray:
+    """Explicit dictionary of all zero-padded filter placements.
+
+    Column (j, r, c) holds filter j pasted at valid position (r, c) of an
+    image of the given (height, width), flattened in canonical layout;
+    columns are ordered filter-major, then row-major by position. Intended
+    for small oracle instances only, so the column count is capped.
+    """
+    bank = as_bank(bank, unit_norm=False)
+    k, c, fh, fw = bank.shape
+    h, w = image_dims
+    if fh > h or fw > w:
+        raise ConfigError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
+    hv, wv = h - fh + 1, w - fw + 1
+    ncols = k * hv * wv
+    if ncols > TOEPLITZ_COLUMN_LIMIT:
+        raise ConfigError(
+            f"Toeplitz expansion needs {ncols} columns, over the {TOEPLITZ_COLUMN_LIMIT} guard"
+        )
+    out = np.zeros((c * h * w, ncols))
+    canvas = np.zeros((c, h, w))
+    col = 0
+    for j in range(k):
+        for r in range(hv):
+            for cc in range(wv):
+                canvas[:] = 0.0
+                canvas[:, r : r + fh, cc : cc + fw] = bank[j]
+                out[:, col] = canvas.ravel()
+                col += 1
+    return out

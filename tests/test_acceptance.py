@@ -8,21 +8,15 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from codes import records
-from convmp import patch_mp
 from convmp.cli import main
-from convmp.conv_mp import (
-    build_shift_gram,
-    conv_mp_encode,
-    correlate,
-    greedy_steps,
-    toeplitz_expand,
-)
+from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
 from convmp.core import SparseCode, TrainConfig, normalize_filters, reconstruct, residual_energy
 from convmp.dict_learn import pca_top_component, train
 from convmp.model_io import load_bank, save_image
-from convmp.patch_mp import gram_matrix, mp_encode, mp_encode_gram
 from convmp.preprocess import contrast_normalize
+from oracles import gram_matrix, mp_encode, mp_encode_gram, toeplitz_expand
 
 
 def check(num, desc, ok):
@@ -208,14 +202,14 @@ def test_criterion_5_pursuit_cost_scales_linearly(capsys):
 
 def test_criterion_6_gram_bookkeeping_equivalence(monkeypatch):
     calls = 0
-    real = patch_mp._signal_correlations
+    real = oracles._signal_correlations
 
     def counting(atoms, signal):
         nonlocal calls
         calls += 1
         return real(atoms, signal)
 
-    monkeypatch.setattr(patch_mp, "_signal_correlations", counting)
+    monkeypatch.setattr(oracles, "_signal_correlations", counting)
     rng = np.random.default_rng(206)
     worst = 0.0
     single_product = True

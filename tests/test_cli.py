@@ -456,6 +456,10 @@ class TestMalformedInputExitCodes:
             (_no_files, TRAIN_SMALL + ["--seed", "-1"], 2),
             (_no_files, PREPROCESS + ["--seed", "-1"], 2),
             (_no_files, PREPROCESS + ["--seed", "-1", "--pascal-crop"], 2),
+            (_no_files, PREPROCESS + ["--size", "0"], 2),
+            (_no_files, PREPROCESS + ["--size", "-3"], 2),
+            (_no_files, PREPROCESS + ["--pascal-crop", "--size", "0"], 2),
+            (_no_files, PREPROCESS + ["--pascal-crop", "--size", "100"], 3),
             (_no_files, BENCH + ["--seed", "-1"], 2),
             (_pipeline_inputs, PIPELINE_RUN + ["--seed", "-1"], 2),
             (_config_file(PIPE_CFG + b"seed=-1\n"), PIPELINE_RUN, 2),
@@ -477,6 +481,8 @@ class TestMalformedInputExitCodes:
              "pipeline-config-not-utf8", "pipeline-config-nan-tolerance",
              "pipeline-config-unknown-key",
              "train-negative-seed", "preprocess-negative-seed", "preprocess-crop-negative-seed",
+             "preprocess-zero-size", "preprocess-negative-size", "preprocess-crop-zero-size",
+             "preprocess-crop-larger-than-every-image",
              "bench-negative-seed", "pipeline-negative-seed", "pipeline-config-negative-seed",
              "pipeline-config-negative-layer-seed",
              "bench-negative-k", "bench-zero-k", "bench-pursuit-outruns-map",
@@ -488,6 +494,8 @@ class TestMalformedInputExitCodes:
         assert main([a.format(d=tmp_path) for a in argv]) == expected
         assert "internal error" not in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # pipeline rejects --scale before any output
+        if expected == 2:  # preprocess rejects its flags before the manifest
+            assert not (tmp_path / "pre").exists()
 
 
 def test_a_code_too_large_to_hold_is_data_error(tmp_path):
@@ -513,6 +521,27 @@ def test_a_code_too_large_to_hold_is_data_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "data error: Unable to allocate" in proc.stderr
     assert not (tmp_path / "r.pgm").exists()
+
+
+def test_importing_the_cli_loads_every_package_module():
+    # A module no user path imports is test-only code and belongs in tests/.
+    # The child imports this checkout's src, whatever is installed.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "import convmp.cli\n"
+        "print(convmp.__file__)\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'convmp'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    location, loaded = proc.stdout.splitlines()
+    assert Path(location).parent == src / "convmp"
+    modules = {"convmp"} | {f"convmp.{p.stem}" for p in (src / "convmp").glob("*.py")}
+    modules.discard("convmp.__init__")
+    assert set(loaded.split()) == modules
 
 
 class TestBench:

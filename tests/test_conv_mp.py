@@ -9,18 +9,12 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from convmp import conv_mp
-from convmp.conv_mp import (
-    build_shift_gram,
-    conv_mp_encode,
-    correlate,
-    greedy_steps,
-    toeplitz_expand,
-)
+from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
 from codes import Activation, records
 from convmp.core import (
     ConfigError, SparseCode, normalize_filters, reconstruct, residual_energy,
 )
-from convmp.patch_mp import gram_matrix, mp_encode
+from oracles import gram_matrix, mp_encode, toeplitz_expand
 
 
 def random_bank(rng, k, c, fh, fw):

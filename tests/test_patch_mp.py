@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from convmp import patch_mp
-from convmp.patch_mp import gram_matrix, mp_encode, mp_encode_gram
+import oracles
+from oracles import gram_matrix, mp_encode, mp_encode_gram
 
 
 def unit_columns(rng, d, k):
@@ -163,14 +163,14 @@ class TestPursuitInvariants:
 
     def test_gram_variant_correlates_signal_once(self, monkeypatch):
         calls = 0
-        real = patch_mp._signal_correlations
+        real = oracles._signal_correlations
 
         def counting(atoms, signal):
             nonlocal calls
             calls += 1
             return real(atoms, signal)
 
-        monkeypatch.setattr(patch_mp, "_signal_correlations", counting)
+        monkeypatch.setattr(oracles, "_signal_correlations", counting)
         rng = np.random.default_rng(17)
         atoms = unit_columns(rng, 6, 9)
         mp_encode_gram(atoms, gram_matrix(atoms), rng.normal(size=6), q=5)
