@@ -6,9 +6,11 @@ matrix only depends on relative shifts, so the greedy loop runs off a
 (k, k, 2*h_f-1, 2*w_f-1) table of filter/filter inner products: after a
 peak is subtracted, only correlation values inside the overlap window
 around it change, and each change is a table lookup. Encoding therefore
-costs one application of the filter bank (one GEMM per cache-sized tile
-of windows, so the working set is one tile, with the same bits at 1 and 2
-BLAS threads) plus, per pursuit step, one window update and one argmax.
+costs one application of the filter bank plus, per pursuit step, one
+window update and one argmax. The bank is applied to a taps-major view of
+the image, one cache-sized tile of map positions at a time: one
+bank @ taps GEMM per tile, written straight into the maps, so the working
+set is one tile and the maps have the same bits at 1 and 2 BLAS threads.
 On large maps the argmax runs off a cache of per-block maxima (blocks of
 h_f rows), so a step rescans only the band of rows its window touched,
 not the whole map; on small maps a direct scan is cheaper. The steps come
@@ -18,7 +20,7 @@ out as one core.ACTIVATION array, the form a SparseCode holds.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ACTIVATION, ConfigError, SparseCode, as_bank, as_image
 
@@ -42,9 +44,12 @@ def correlate(bank, image) -> np.ndarray:
     Returns maps of shape (k, h - h_f + 1, w - w_f + 1) where
     maps[j, r, c] = <filter j placed at (r, c), image>.
 
-    Windows are unfolded (im2col) and multiplied one tile at a time (see
-    _tiles), so the working set is one tile of at most
-    CORRELATE_CHUNK_MACS multiply-adds.
+    The image is viewed taps-major, as (c, h_f, w_f, h_v, w_v) with no
+    copy, and multiplied one tile of map positions at a time (see _tiles):
+    each tile's (c*h_f*w_f, positions) slab is copied in runs of whole map
+    rows, and bank @ slab is written straight into the tile's span of the
+    flat maps. The working set is one tile of at most CORRELATE_CHUNK_MACS
+    multiply-adds.
     """
     bank = as_bank(bank, unit_norm=False)
     img = as_image(image)
@@ -55,13 +60,18 @@ def correlate(bank, image) -> np.ndarray:
     if fh > h or fw > w:
         raise ConfigError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
     hv, wv = h - fh + 1, w - fw + 1
-    windows = sliding_window_view(img, (c, fh, fw))[0]  # (hv, wv, c, fh, fw)
-    weights = bank.reshape(k, -1).T
+    sc, sh, sw = img.strides
+    taps = as_strided(img, (c, fh, fw, hv, wv), (sc, sh, sw, sh, sw), writeable=False)
+    weights = bank.reshape(k, -1)
     out = np.empty((k, hv, wv))
+    flat = out.reshape(k, -1)
     for rows, cols in _tiles(hv, wv, c * fh * fw * k):
-        tile = windows[rows, cols]
-        prod = tile.reshape(-1, c * fh * fw) @ weights  # unfolded copy is a temporary
-        out[:, rows, cols] = prod.T.reshape(k, *tile.shape[:2])
+        # whole rows or one row's segment: one contiguous span of each flat map
+        start, stop = rows.start * wv + cols.start, (rows.stop - 1) * wv + cols.stop
+        # the slab copy is a temporary, freed before the next tile's is made
+        slab = taps[..., rows, cols].reshape(-1, stop - start)
+        np.matmul(weights, slab, out=flat[:, start:stop])
+        del slab
     return out
 
 

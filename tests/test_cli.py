@@ -466,7 +466,7 @@ class TestMalformedInputExitCodes:
             (_config_file(PIPE_CFG + b"layer1.seed=-1\n"), PIPELINE_RUN, 2),
             (_no_files, BENCH + ["--k", "-1"], 2),
             (_no_files, BENCH + ["--k", "0"], 2),
-            (_no_files, BENCH + ["--image", "16x16", "--filter", "16x16", "--k", "1"], 2),
+            (_no_files, BENCH + ["--image", "1x1", "--filter", "1x1", "--k", "1"], 2),
             (_image_file(b"P5\n-2 -2\n255\n\x01\x02\x03\x04"), ENCODE, 3),
             (_image_file(b"P6\n-1 -1\n255\n\x01\x02\x03"), ENCODE, 3),
         ],

@@ -157,8 +157,8 @@ class TestCorrelate:
         bank = rng.normal(size=(k, c, fh, fw))
         image = rng.normal(size=(c, h, w))
         hv, wv = h - fh + 1, w - fw + 1
-        windows = sliding_window_view(image, (c, fh, fw))[0]
-        weights = bank.reshape(k, -1).T
+        # taps-major windows: taps[:, :, :, r, c] is the window at (r, c)
+        taps = sliding_window_view(image, (fh, fw), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
         window_macs = c * fh * fw * k
         got = correlate(bank, image)
         assert got.flags.c_contiguous
@@ -167,12 +167,15 @@ class TestCorrelate:
         cover = np.zeros((hv, wv), dtype=int)
         for rows, cols in tiles:
             cover[rows, cols] += 1
-            tile = windows[rows, cols]
-            n = tile.shape[0] * tile.shape[1]
-            assert tile.shape[1] == wv or tile.shape[0] == 1  # whole rows or one row's segment
+            slab = taps[..., rows, cols]
+            n_rows, n_cols = slab.shape[-2:]
+            n = n_rows * n_cols
+            assert n_cols == wv or n_rows == 1  # whole rows or one row's segment
             assert n * window_macs <= conv_mp.CORRELATE_CHUNK_MACS or n == 1
-            want = tile.reshape(n, -1) @ weights
-            assert np.array_equal(got[:, rows, cols], want.T.reshape(k, *tile.shape[:2]))
+            start = rows.start * wv + cols.start
+            span = slice(start, start + n)  # the tile's outputs in each flat map
+            want = bank.reshape(k, -1) @ slab.reshape(c * fh * fw, n)
+            assert np.array_equal(got.reshape(k, -1)[:, span], want)
         assert np.all(cover == 1)
 
     def test_working_set_is_one_chunk(self):
@@ -205,19 +208,39 @@ class TestCorrelate:
             tracemalloc.stop()
         assert peak - maps.nbytes < 2**20
 
+    def test_one_tile_copy_is_alive_at_a_time(self):
+        # train's shape: a 2-row tile copies a (256, 98) slab of taps, 196 KiB.
+        # Copying the next tile's slab while the previous one is still held
+        # made the working set 395 KiB.
+        rng = np.random.default_rng(26)
+        bank = rng.normal(size=(8, 1, 16, 16))
+        image = rng.normal(size=(1, 64, 64))
+        tracemalloc.start()
+        try:
+            maps = correlate(bank, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - maps.nbytes < 1.5 * 256 * 98 * 8
+
     def test_maps_have_the_same_bits_at_1_and_2_blas_threads(self):
         # Each child hashes the maps of the same seeded shapes; only the BLAS
         # thread count differs. The fixed shapes differed at 1 and 2 threads
         # when chunks held at least 2**21 multiply-adds (k=1 GEMVs and some
-        # k >= 2 GEMMs); the last two put a row, then a window, over budget.
+        # k >= 2 GEMMs); the fifth and sixth put a row, then a window, over
+        # budget. The next five are the benchmark's shapes: encode256, train64,
+        # train64's shift-table canvas, and pipeline2's layer 2 (its pooled maps
+        # and its shift-table canvas).
         script = (
             "import hashlib, sys\n"
             "import numpy as np\n"
             "from convmp.conv_mp import correlate\n"
             "shapes = [(1, 1, 8, 8, 256, 256), (1, 3, 3, 9, 287, 297), (8, 1, 20, 20, 64, 64),\n"
-            "          (8, 3, 12, 12, 64, 64), (16, 3, 19, 19, 32, 80), (1024, 8, 16, 16, 24, 16)]\n"
+            "          (8, 3, 12, 12, 64, 64), (16, 3, 19, 19, 32, 80), (1024, 8, 16, 16, 24, 16),\n"
+            "          (16, 1, 8, 8, 256, 256), (8, 1, 16, 16, 64, 64), (8, 1, 16, 16, 46, 46),\n"
+            "          (16, 8, 4, 4, 7, 7), (16, 8, 4, 4, 10, 10)]\n"
             "rng = np.random.default_rng(27)\n"
-            "while len(shapes) < 300:\n"
+            "while len(shapes) < 305:\n"
             "    k, c, fh, fw = (int(v) for v in rng.integers(1, (33, 9, 21, 21)))\n"
             "    shapes.append((k, c, fh, fw, int(rng.integers(fh, 129)), int(rng.integers(fw, 129))))\n"
             "for i, (k, c, fh, fw, h, w) in enumerate(shapes):\n"
@@ -239,7 +262,7 @@ class TestCorrelate:
         for child, (_, err) in zip(children, outs):
             assert child.returncode == 0, err
         one, two = (out.splitlines() for out, _ in outs)
-        assert len(one) == len(two) == 300
+        assert len(one) == len(two) == 305
         assert [a for a, b in zip(one, two) if a != b] == []
 
     def test_rejects_mismatches(self):
