@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
 from .core import (
-    ConfigError, DataError, TrainConfig, normalize_filters, reconstruct, residual_energy,
+    ConfigError, DataError, TrainConfig, check_seed, normalize_filters, reconstruct,
+    residual_energy,
 )
 from .dict_learn import train
 from .model_io import (
@@ -89,12 +90,6 @@ def _parse_dims(text: str, flag: str) -> tuple[int, int]:
     return h, w
 
 
-def _check_seed(seed: int | None) -> None:
-    """The --seed check of preprocess, bench and pipeline (train's is TrainConfig's)."""
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
 def _write_manifest(path: Path, entries: dict) -> None:
     lines = [f"tool=convmp {__version__}"]
     lines += [f"{key}={value}" for key, value in entries.items()]
@@ -111,7 +106,7 @@ def _train_entries(cfg: TrainConfig, prefix: str = "") -> dict:
 
 
 def _train_config(values: dict, prefix: str = "", defaults=TRAIN_DEFAULTS) -> TrainConfig:
-    """A validated TrainConfig from train's flags, config keys under prefix, or a
+    """A TrainConfig from train's flags, config keys under prefix, or a
     manifest; a name that is absent keeps its default, and its type is the default's."""
     settings = {}
     for name, default in _train_entries(defaults).items():
@@ -120,9 +115,7 @@ def _train_config(values: dict, prefix: str = "", defaults=TRAIN_DEFAULTS) -> Tr
             settings[fields[0]] = _config_number(values, key, default, type(default))
         else:
             settings.update(zip(fields, _parse_dims(values.get(key, default), key)))
-    cfg = TrainConfig(**settings)
-    cfg.validate()
-    return cfg
+    return TrainConfig(**settings)
 
 
 def _load_any_image(path: Path):
@@ -145,7 +138,7 @@ def _load_corpus(directory: Path):
 # commands
 
 def cmd_preprocess(args) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)
     if args.size < 1:  # before any output, so no manifest is left behind
         raise ConfigError(f"--size must be >= 1, got {args.size}")
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
@@ -279,14 +272,12 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
             min_activations=TRAIN_DEFAULTS.min_activations,
         ),
     )
-    cfg = PipelineConfig(
+    return PipelineConfig(
         layer1=layer1,
         layer2=layer2,
         pool_size=_config_number(values, "pool", 8),
         image_size=_config_number(values, "image_size", 64),
     )
-    cfg.validate()
-    return cfg
 
 
 def cmd_pipeline(args) -> int:
@@ -296,7 +287,7 @@ def cmd_pipeline(args) -> int:
     seed = args.seed  # flags override file values
     if seed is None and values.get("seed"):  # an unseeded run's manifest says seed=
         seed = _config_number(values, "seed", None)
-    _check_seed(seed)
+    check_seed(seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -369,7 +360,7 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
-    _check_seed(args.seed)
+    check_seed(args.seed)
     if fh > h or fw > w:
         raise ConfigError(f"filter {fh}x{fw} does not fit the {h}x{w} image")
     report = run_bench((h, w), args.k, (fh, fw), q_list, args.repeat, args.seed)

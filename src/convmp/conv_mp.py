@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ACTIVATION, ConfigError, SparseCode, as_bank, as_image
+from .core import ACTIVATION, UNIT_NORM_ATOL, ConfigError, SparseCode, as_bank, as_image
 
 # greedy_steps uses its block-max cache when a step skips more than this many
 # map entries: k * w_v * (h_v - 3 * h_f), the rows outside the at most three
@@ -118,14 +118,15 @@ def build_shift_gram(bank) -> np.ndarray:
 
 
 def _check_table(bank: np.ndarray, table: np.ndarray) -> None:
+    """Reject a table of another shape or bank: its zero shifts hold the bank's Gram matrix."""
     k, _, fh, fw = bank.shape
     expect = (k, k, 2 * fh - 1, 2 * fw - 1)
-    t = np.asarray(table)
-    if t.shape != expect:
-        raise ConfigError(f"shift table shape {t.shape} does not match bank, expected {expect}")
-    center = t[np.arange(k), np.arange(k), fh - 1, fw - 1]
-    if np.any(np.abs(center - 1.0) > 1e-6):
-        raise ConfigError("shift table center diagonal is not 1; stale or corrupt table")
+    if table.shape != expect:
+        raise ConfigError(f"shift table shape {table.shape} is not the bank's {expect}")
+    weights = bank.reshape(k, -1)
+    drift = np.abs(table[:, :, fh - 1, fw - 1] - weights @ weights.T)
+    if not np.all(drift <= UNIT_NORM_ATOL):  # also rejects NaN
+        raise ConfigError("shift table does not match the bank; stale or corrupt table")
 
 
 def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndarray:
@@ -200,17 +201,18 @@ def _block_max(maps: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) -> SparseCode:
     """Greedily encode an image with at most q activations.
 
-    table must be build_shift_gram(bank). The image is correlated with the
-    bank once (correlate is also where the image is validated); afterwards
-    the correlation maps are maintained through table lookups only.
+    table must be build_shift_gram(bank); another bank's raises ConfigError.
+    The image is correlated with the bank once (correlate validates it);
+    afterwards the correlation maps are maintained through table lookups.
     """
     bank = as_bank(bank)
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
     if not residual_tolerance >= 0:  # also rejects NaN
         raise ConfigError(f"residual_tolerance must be >= 0, got {residual_tolerance}")
+    table = np.asarray(table)
     _check_table(bank, table)
     maps = correlate(bank, image)
-    activations = greedy_steps(maps, np.asarray(table), q, residual_tolerance)
+    activations = greedy_steps(maps, table, q, residual_tolerance)
     c, h, w = np.shape(image)
     return SparseCode(c, h, w, activations)

@@ -13,7 +13,7 @@ Array conventions used throughout the package:
   selection order, from the encoder to disk; consumers read whole fields.
 
 All arithmetic is 64-bit floating point. Arrays handed to these functions
-are never mutated; operations are pure.
+are never mutated; operations are pure. Configs check themselves when built.
 """
 
 from __future__ import annotations
@@ -59,9 +59,15 @@ class SparseCode:
         return len(self.activations)
 
 
-@dataclass
+def check_seed(seed: int | None) -> None:
+    """Reject a negative seed (None means unseeded) before numpy sees it."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for dictionary learning."""
+    """Hyperparameters for dictionary learning; immutable, and checked when built."""
 
     num_filters: int
     filter_height: int
@@ -72,14 +78,13 @@ class TrainConfig:
     residual_tolerance: float = 0.0  # stop a pursuit when peak |corr| <= this
     min_activations: int = 1  # below this per epoch a filter is reinitialized
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("num_filters", "filter_height", "filter_width", "epochs"):
             if getattr(self, name) < (0 if name == "epochs" else 1):
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sparsity < 1:
             raise ConfigError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.min_activations < 1:
             raise ConfigError(f"min_activations must be >= 1, got {self.min_activations}")
         if not self.residual_tolerance >= 0:  # also rejects NaN

@@ -1,15 +1,17 @@
 """Alternating dictionary learning: encode with convolutional pursuit, then
 update each filter as the top principal direction of its activated patches.
 
-One epoch encodes every image with the current bank, then sweeps the
-filters in ascending index order (Gauss-Seidel: each update sees residuals
-reflecting the ones before it). For a filter j, every image location where
-j is active contributes the patch the filter is trying to explain: the
-residual patch plus j's own contribution there, i.e. the data minus all
-other activations. The filter becomes the dominant singular direction of
-those patches, its coefficients are re-projected onto it, and the
-residuals are repaired in place so they stay equal to image minus
-reconstruction. Codes are not rewritten: the next epoch encodes afresh.
+init_filters checks the corpus once, where it enters. One epoch encodes
+every image with the current bank (encode_all builds its shift table),
+then sweeps the filters in ascending index order (Gauss-Seidel: each
+update sees residuals reflecting the ones before it). For a filter j,
+every image location where j is active contributes the patch the filter is
+trying to explain: the residual patch plus j's own contribution there,
+i.e. the data minus all other activations. The filter becomes the dominant
+singular direction of those patches, its coefficients are re-projected
+onto it, and the residuals are repaired in place so they stay equal to
+image minus reconstruction. Codes are not rewritten: the next epoch
+encodes afresh.
 
 The residuals of all images live in one flat float64 buffer, images back
 to back. filter_windows reads the fields of the codes' ACTIVATION arrays,
@@ -86,15 +88,25 @@ def _draw_unit_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.n
 
 
 def init_filters(images, cfg: TrainConfig) -> np.ndarray:
-    """Seed the bank with unit-normalized random patches from the corpus."""
-    cfg.validate()
+    """Seed the bank with unit-normalized random patches from the corpus,
+    which must be nonempty, of one channel count and no image smaller than
+    the filters."""
     imgs = [as_image(im) for im in images]
+    if not imgs:
+        raise DataError("corpus is empty")
     fh, fw = cfg.filter_height, cfg.filter_width
-    usable = [im for im in imgs if im.shape[1] >= fh and im.shape[2] >= fw]
-    if not usable:
-        raise DataError(f"no corpus image is at least {fh}x{fw}")
+    channels = imgs[0].shape[0]
+    for i, im in enumerate(imgs):
+        if im.shape[0] != channels:
+            raise DataError(
+                f"image {i} has {im.shape[0]} channels, expected {channels} like image 0"
+            )
+        if im.shape[1] < fh or im.shape[2] < fw:
+            raise DataError(
+                f"image {i} is {im.shape[1]}x{im.shape[2]}, smaller than the {fh}x{fw} filters"
+            )
     rng = np.random.default_rng(cfg.seed)
-    return np.stack([_draw_unit_patch(usable, fh, fw, rng) for _ in range(cfg.num_filters)])
+    return np.stack([_draw_unit_patch(imgs, fh, fw, rng) for _ in range(cfg.num_filters)])
 
 
 def filter_windows(codes, num_filters: int, fh: int, fw: int):
@@ -250,8 +262,9 @@ def update_filter(
     return dead
 
 
-def encode_all(bank, table, images, q: int, tolerance: float = 0.0):
-    """Encode every image against a fixed bank, in order, on the calling thread."""
+def encode_all(bank, images, q: int, tolerance: float = 0.0):
+    """Encode every image in order, on the calling thread, off one shift table of the bank."""
+    table = build_shift_gram(bank)
     return [conv_mp_encode(bank, table, im, q, tolerance) for im in images]
 
 
@@ -262,22 +275,7 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
     initial bank is returned untouched. threads is ignored (encoding is
     sequential); it stays because perfbench's tests still pass it.
     """
-    cfg.validate()
-    imgs = [as_image(im) for im in images]
-    if not imgs:
-        raise DataError("corpus is empty")
-    channels = imgs[0].shape[0]
-    for i, im in enumerate(imgs):
-        if im.shape[0] != channels:
-            raise DataError(
-                f"image {i} has {im.shape[0]} channels, expected {channels} like image 0"
-            )
-        if im.shape[1] < cfg.filter_height or im.shape[2] < cfg.filter_width:
-            raise DataError(
-                f"image {i} is {im.shape[1]}x{im.shape[2]}, smaller than the "
-                f"{cfg.filter_height}x{cfg.filter_width} filters"
-            )
-
+    imgs = [np.asarray(im, dtype=np.float64) for im in images]
     bank = init_filters(imgs, cfg)
     fh, fw = cfg.filter_height, cfg.filter_width
     residual = np.empty(sum(im.size for im in imgs))  # every image's residual, back to back
@@ -287,8 +285,7 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
     rng = np.random.default_rng([cfg.seed, 1])  # reinit draws, distinct stream
 
     for epoch in range(cfg.epochs):
-        table = build_shift_gram(bank)
-        codes = encode_all(bank, table, imgs, cfg.sparsity, cfg.residual_tolerance)
+        codes = encode_all(bank, imgs, cfg.sparsity, cfg.residual_tolerance)
         for im, code, view in zip(imgs, codes, views):
             np.subtract(im, reconstruct(code, bank), out=view)
 

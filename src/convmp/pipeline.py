@@ -11,22 +11,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .conv_mp import build_shift_gram
 from .core import (
     ConfigError, DataError, SparseCode, TrainConfig, as_bank, as_image, check_compatible,
+    check_seed,
 )
 from .dict_learn import TrainStats, encode_all, train
 from .model_io import list_images, load_image, save_bank, write_lines
 from .preprocess import contrast_normalize, resize, to_grayscale
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Both layers' training parameters plus the inter-layer pooling size.
 
     The second layer trains on k1-channel pooled feature maps, so its bank
     automatically carries layer1.num_filters channels. image_size is the
     square side raw corpus images are resized to before normalization.
+    Immutable, and checked when built (the layers check themselves).
     """
 
     layer1: TrainConfig
@@ -34,9 +35,7 @@ class PipelineConfig:
     pool_size: int = 8
     image_size: int = 64
 
-    def validate(self) -> None:
-        self.layer1.validate()
-        self.layer2.validate()
+    def __post_init__(self) -> None:
         if self.pool_size < 1:
             raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.image_size < 1:
@@ -96,7 +95,7 @@ def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None, out_
     given, deterministically overrides both layers' seeds. With out_dir the
     banks and a stats log are persisted there.
     """
-    cfg.validate()
+    check_seed(seed)
     layer1_cfg, layer2_cfg = cfg.layer1, cfg.layer2
     if seed is not None:
         s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
@@ -112,10 +111,7 @@ def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None, out_
     ]
 
     bank1, stats1 = train(preprocessed, layer1_cfg)
-    table1 = build_shift_gram(bank1)
-    codes = encode_all(
-        bank1, table1, preprocessed, layer1_cfg.sparsity, layer1_cfg.residual_tolerance
-    )
+    codes = encode_all(bank1, preprocessed, layer1_cfg.sparsity, layer1_cfg.residual_tolerance)
     pooled = [
         avg_pool(abs_rectify(code_to_feature_maps(code, bank1)), cfg.pool_size)
         for code in codes

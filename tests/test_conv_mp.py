@@ -450,8 +450,17 @@ class TestConvMpEncode:
         rng = np.random.default_rng(34)
         bank = random_bank(rng, 2, 1, 3, 3)
         other = build_shift_gram(random_bank(rng, 3, 1, 3, 3))
-        with pytest.raises(ValueError, match="table"):
+        with pytest.raises(ConfigError, match="table"):
             conv_mp_encode(bank, other, np.zeros((1, 6, 6)), q=1)
+
+    def test_rejects_a_stale_table(self):
+        """A table of another unit-norm bank of the same shape has a unit
+        center diagonal too; encoding off it would drift silently."""
+        rng = np.random.default_rng(36)
+        bank = random_bank(rng, 4, 1, 5, 5)
+        stale = build_shift_gram(random_bank(rng, 4, 1, 5, 5))
+        with pytest.raises(ConfigError, match="stale"):
+            conv_mp_encode(bank, stale, rng.normal(size=(1, 24, 24)), q=30)
 
 
 class TestGreedyStepsMatchesOracle:

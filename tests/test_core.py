@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -237,10 +238,10 @@ class TestNormalizeFilters:
 
 class TestTrainConfig:
     def test_validate_accepts_defaults(self):
-        TrainConfig(4, 8, 8, sparsity=20, epochs=3).validate()
+        TrainConfig(4, 8, 8, sparsity=20, epochs=3)
 
     def test_validate_accepts_infinite_tolerance(self):
-        TrainConfig(4, 8, 8, sparsity=20, epochs=3, residual_tolerance=float("inf")).validate()
+        TrainConfig(4, 8, 8, sparsity=20, epochs=3, residual_tolerance=float("inf"))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -258,8 +259,20 @@ class TestTrainConfig:
             num_filters=2, filter_height=3, filter_width=3, sparsity=5, epochs=1
         )
         base.update(kwargs)
-        with pytest.raises(ValueError):
-            TrainConfig(**base).validate()
+        with pytest.raises(ConfigError):
+            TrainConfig(**base)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = TrainConfig(4, 8, 8, sparsity=20, epochs=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sparsity = 0
+        assert cfg.sparsity == 20
+
+    @pytest.mark.parametrize("field", ["sparsity", "seed", "min_activations"])
+    def test_replace_checks_the_new_value(self, field):
+        cfg = TrainConfig(4, 8, 8, sparsity=20, epochs=3)
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(cfg, **{field: -1})
 
 
 def test_library_raises_only_typed_errors():

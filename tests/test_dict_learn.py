@@ -4,6 +4,7 @@ import pytest
 from codes import Activation, records
 from convmp import dict_learn
 from convmp.core import (
+    DataError,
     SparseCode,
     TrainConfig,
     reconstruct,
@@ -122,8 +123,18 @@ class TestInitFilters:
             init_filters([np.zeros((1, 5, 5))], make_cfg())
 
     def test_rejects_too_small_corpus(self):
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(DataError, match="smaller than the 3x3 filters"):
             init_filters([np.ones((1, 2, 2))], make_cfg())
+
+    def test_rejects_any_undersized_image(self):
+        images = [np.ones((1, 8, 8)), np.ones((1, 8, 2))]
+        with pytest.raises(DataError, match="image 1 is 8x2"):
+            init_filters(images, make_cfg())
+
+    def test_rejects_mixed_channel_counts(self):
+        images = [np.ones((1, 8, 8)), np.ones((2, 8, 8))]
+        with pytest.raises(DataError, match="image 1 has 2 channels"):
+            init_filters(images, make_cfg())
 
 
 class TestCollectActivatedPatches:

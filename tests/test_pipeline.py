@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from convmp import dict_learn
 from codes import Activation
-from convmp.core import SparseCode, TrainConfig, normalize_filters
+from convmp.core import ConfigError, SparseCode, TrainConfig, normalize_filters
 from convmp.dict_learn import TrainStats, train
 from convmp.model_io import load_bank, save_image
 from convmp.pipeline import (
@@ -204,6 +205,20 @@ class TestRunTwoLayer:
         empty.mkdir()
         with pytest.raises(ValueError, match="no PGM"):
             run_two_layer(empty, small_cfg())
+
+    def test_rejects_negative_seed(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, 2, 24, seed=4)
+        with pytest.raises(ConfigError, match="seed"):
+            run_two_layer(corpus, small_cfg(), seed=-1)
+
+    def test_config_is_immutable_and_checked_when_built(self):
+        cfg = small_cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.pool_size = 0
+        for field in ("pool_size", "image_size"):
+            with pytest.raises(ConfigError, match=field):
+                dataclasses.replace(cfg, **{field: 0})
 
     def test_rejects_undersized_pooled_maps(self, tmp_path):
         corpus = tmp_path / "corpus"
