@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
+from .conv_mp import build_shift_gram, correlate, greedy_steps
 from .core import (
     ConfigError, DataError, TrainConfig, check_seed, normalize_filters, reconstruct,
     residual_energy,
 )
-from .dict_learn import train
+from .dict_learn import encode_all, train
 from .model_io import (
     check_cell_scale,
     list_float_images,
@@ -46,7 +46,7 @@ from .model_io import (
     write_lines,
 )
 from .pipeline import PipelineConfig, run_two_layer
-from .preprocess import contrast_normalize, random_subsample_crop, resize, to_grayscale
+from .preprocess import prepare
 
 logger = logging.getLogger("convmp")
 
@@ -159,16 +159,11 @@ def cmd_preprocess(args) -> int:
             "seed": args.seed,
         },
     )
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(args.seed) if args.pascal_crop else None
     done = failed = 0
     for path in paths:
         try:
-            img = to_grayscale(load_image(path))
-            if args.pascal_crop:
-                img = random_subsample_crop(img, rng, args.size, args.size)
-            else:
-                img = resize(img, args.size, args.size)
-            img = contrast_normalize(img)
+            img = prepare(load_image(path), args.size, rng)
         except ValueError as exc:
             logger.warning("skipping %s: %s", path.name, exc)
             failed += 1
@@ -208,8 +203,7 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     bank = load_bank(args.model)
     image = _load_any_image(Path(args.image))
-    table = build_shift_gram(bank)
-    code = conv_mp_encode(bank, table, image, args.q, args.tolerance)
+    (code,) = encode_all(bank, [image], args.q, args.tolerance)
     save_code(code, args.out)
     initial = float(np.sum(np.square(image)))
     final = residual_energy(image, code, bank)
@@ -275,8 +269,8 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
     return PipelineConfig(
         layer1=layer1,
         layer2=layer2,
-        pool_size=_config_number(values, "pool", 8),
-        image_size=_config_number(values, "image_size", 64),
+        pool_size=_config_number(values, "pool", PipelineConfig.pool_size),
+        image_size=_config_number(values, "image_size", PipelineConfig.image_size),
     )
 
 
@@ -443,6 +437,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.12 gives --flag=-- as [], skipping the flag's type
+    empty = [name for name, value in vars(args).items() if isinstance(value, list)]
+    if empty:
+        parser.error(f"argument {empty[0]}: expected one value, got --")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -107,13 +107,13 @@ def build_shift_gram(bank) -> np.ndarray:
         # Correlating filter i over the centered canvas scans shifts in
         # reverse order, hence the double flip.
         table[:, j] = correlate(bank, canvas)[:, ::-1, ::-1]
-    # Mirror one triangle onto the other so the symmetry holds bit-exactly.
-    for i in range(k):
-        flat = table[i, i].ravel()
-        n = flat.size
-        flat[n // 2 + 1 :] = flat[: n // 2][::-1]
-        for j in range(i + 1, k):
-            table[j, i] = table[i, j][::-1, ::-1]
+    # Mirror one triangle onto the other so the symmetry holds bit-exactly:
+    # the lower pairs from the upper, each diagonal block's second half from its first.
+    lower, upper = np.tril_indices(k, -1)
+    table[lower, upper] = table[upper, lower, ::-1, ::-1]
+    diagonal = table.reshape(k * k, th * tw)[:: k + 1]
+    n = th * tw
+    diagonal[:, n // 2 + 1 :] = diagonal[:, : n // 2][:, ::-1]
     return table
 
 

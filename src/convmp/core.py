@@ -84,6 +84,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sparsity < 1:
             raise ConfigError(f"sparsity must be >= 1, got {self.sparsity}")
+        # train needs a seed; only the CLI and run_two_layer take None (unseeded)
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         check_seed(self.seed)
         if self.min_activations < 1:
             raise ConfigError(f"min_activations must be >= 1, got {self.min_activations}")

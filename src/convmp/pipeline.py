@@ -17,7 +17,7 @@ from .core import (
 )
 from .dict_learn import TrainStats, encode_all, train
 from .model_io import list_images, load_image, save_bank, write_lines
-from .preprocess import contrast_normalize, resize, to_grayscale
+from .preprocess import avg_pool, prepare
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,6 @@ def abs_rectify(maps) -> np.ndarray:
     return np.abs(as_image(maps))
 
 
-def avg_pool(maps, pool: int) -> np.ndarray:
-    """Non-overlapping pool x pool block means per channel; ragged blocks on
-    the right/bottom edges average over their actual extent."""
-    img = as_image(maps)
-    if pool < 1:
-        raise ConfigError(f"pool must be >= 1, got {pool}")
-    if pool == 1:
-        return img.copy()
-    c, h, w = img.shape
-    row_starts = np.arange(0, h, pool)
-    col_starts = np.arange(0, w, pool)
-    sums = np.add.reduceat(np.add.reduceat(img, row_starts, axis=1), col_starts, axis=2)
-    extent_r = np.minimum(row_starts + pool, h) - row_starts
-    extent_c = np.minimum(col_starts + pool, w) - col_starts
-    return sums / (extent_r[None, :, None] * extent_c[None, None, :])
-
-
 def write_stats(stats: PipelineStats, path) -> None:
     lines = stats.layer1.lines("layer=1 ") + stats.layer2.lines("layer=2 ")
     write_lines(path, lines)
@@ -89,11 +72,11 @@ def write_stats(stats: PipelineStats, path) -> None:
 def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None, out_dir=None):
     """Full experiment driver; returns (layer1 bank, layer2 bank, stats).
 
-    Preprocesses the corpus (grayscale, resize, contrast normalization),
-    trains layer 1, encodes every image, densifies/rectifies/pools the
-    codes, and trains layer 2 on the pooled multi-channel maps. A seed, if
-    given, deterministically overrides both layers' seeds. With out_dir the
-    banks and a stats log are persisted there.
+    Preprocesses the corpus with prepare (grayscale, resize, contrast
+    normalization), trains layer 1, encodes every image, densifies,
+    rectifies and pools the codes, and trains layer 2 on the pooled
+    multi-channel maps. A seed, if given, deterministically overrides both
+    layers' seeds. With out_dir the banks and a stats log are persisted there.
     """
     check_seed(seed)
     layer1_cfg, layer2_cfg = cfg.layer1, cfg.layer2
@@ -105,10 +88,7 @@ def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None, out_
     paths = list_images(corpus_dir)
     if not paths:
         raise DataError(f"no PGM/PPM images found in {corpus_dir}")
-    preprocessed = [
-        contrast_normalize(resize(to_grayscale(load_image(p)), cfg.image_size, cfg.image_size))
-        for p in paths
-    ]
+    preprocessed = [prepare(load_image(p), cfg.image_size) for p in paths]
 
     bank1, stats1 = train(preprocessed, layer1_cfg)
     codes = encode_all(bank1, preprocessed, layer1_cfg.sparsity, layer1_cfg.residual_tolerance)

@@ -1,5 +1,6 @@
 """Corpus ingestion transforms: grayscale, resize, additive contrast
-normalization, and random subsample-and-crop.
+normalization, block-mean pooling and random subsample-and-crop; prepare
+chains them the one way both the preprocess command and the pipeline use.
 
 All transforms are pure per-image functions over (c, h, w) float arrays
 with samples nominally in [0, 1] on input (signed after normalization).
@@ -12,6 +13,7 @@ import numpy as np
 from .core import ConfigError, DataError, as_image
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
+CONTRAST_SIDE = 5  # box side of contrast_normalize's local mean
 
 
 def to_grayscale(image) -> np.ndarray:
@@ -60,23 +62,22 @@ def resize(image, out_h: int, out_w: int) -> np.ndarray:
     )
 
 
-def contrast_normalize(image, side: int = 5) -> np.ndarray:
+def contrast_normalize(image) -> np.ndarray:
     """Subtract the local box-filtered mean from a single-channel image.
 
-    The mean at each pixel averages over the intersection of the side x side
-    window with the image (valid-count normalization at borders), so a
-    constant image maps to exactly zero everywhere. Computed as the mean of
-    center-minus-neighbor differences, which is the same quantity but keeps
-    the constant-input case exact in floating point.
+    The mean at each pixel averages over the intersection of the
+    CONTRAST_SIDE x CONTRAST_SIDE window with the image (valid-count
+    normalization at borders), so a constant image maps to exactly zero
+    everywhere. Computed as the mean of center-minus-neighbor differences,
+    which is the same quantity but keeps the constant-input case exact in
+    floating point.
     """
     img = as_image(image)
     if img.shape[0] != 1:
         raise DataError(f"contrast normalization expects 1 channel, got {img.shape[0]}")
-    if side < 1 or side % 2 == 0:
-        raise ConfigError(f"box side must be odd and positive, got {side}")
     x = img[0]
     h, w = x.shape
-    half = side // 2
+    half = CONTRAST_SIDE // 2
     diff = np.zeros((h, w))
     count = np.zeros((h, w))
     for dr in range(-half, half + 1):
@@ -90,22 +91,21 @@ def contrast_normalize(image, side: int = 5) -> np.ndarray:
     return (diff / count)[None]
 
 
-def block_average(image, factor: int) -> np.ndarray:
-    """Downsample by factor x factor block means, trimming ragged edges."""
-    img = as_image(image)
-    if factor < 1:
-        raise ConfigError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
+def avg_pool(maps, pool: int) -> np.ndarray:
+    """Non-overlapping pool x pool block means per channel; ragged blocks on
+    the right/bottom edges average over their actual extent."""
+    img = as_image(maps)
+    if pool < 1:
+        raise ConfigError(f"pool must be >= 1, got {pool}")
+    if pool == 1:
         return img.copy()
     c, h, w = img.shape
-    h2, w2 = (h // factor) * factor, (w // factor) * factor
-    if h2 == 0 or w2 == 0:
-        raise ConfigError(f"image {h}x{w} is smaller than one {factor}x{factor} block")
-    return (
-        img[:, :h2, :w2]
-        .reshape(c, h2 // factor, factor, w2 // factor, factor)
-        .mean(axis=(2, 4))
-    )
+    row_starts = np.arange(0, h, pool)
+    col_starts = np.arange(0, w, pool)
+    sums = np.add.reduceat(np.add.reduceat(img, row_starts, axis=1), col_starts, axis=2)
+    extent_r = np.minimum(row_starts + pool, h) - row_starts
+    extent_c = np.minimum(col_starts + pool, w) - col_starts
+    return sums / (extent_r[None, :, None] * extent_c[None, None, :])
 
 
 def random_subsample_crop(
@@ -115,8 +115,9 @@ def random_subsample_crop(
 
     The factor is drawn uniformly from the subset of {1, 2, 3, 4} that still
     leaves room for an out_h x out_w crop after factor x factor block
-    averaging. Draw order is factor, then crop row, then crop column, so a
-    fixed generator state reproduces the output bit for bit.
+    averaging of the image trimmed to whole blocks. Draw order is factor,
+    then crop row, then crop column, so a fixed generator state reproduces
+    the output bit for bit.
     """
     img = as_image(image)
     h, w = img.shape[1], img.shape[2]
@@ -124,7 +125,15 @@ def random_subsample_crop(
         raise ConfigError(f"image {h}x{w} is smaller than the {out_h}x{out_w} crop")
     feasible = [f for f in (1, 2, 3, 4) if h // f >= out_h and w // f >= out_w]
     factor = feasible[int(rng.integers(len(feasible)))]
-    x = block_average(img, factor)
+    x = avg_pool(img[:, : (h // factor) * factor, : (w // factor) * factor], factor)
     r0 = int(rng.integers(x.shape[1] - out_h + 1))
     c0 = int(rng.integers(x.shape[2] - out_w + 1))
     return x[:, r0 : r0 + out_h, c0 : c0 + out_w].copy()
+
+
+def prepare(image, size: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """The ingestion chain: grayscale, a size x size random subsample-and-crop
+    drawn from rng if given (else a resize), then contrast normalization."""
+    img = to_grayscale(image)
+    img = resize(img, size, size) if rng is None else random_subsample_crop(img, rng, size, size)
+    return contrast_normalize(img)

@@ -498,6 +498,24 @@ class TestMalformedInputExitCodes:
             assert not (tmp_path / "pre").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["preprocess", "--in", "{d}/raw", "--out", "{d}/pre", "--size=--"],
+     ["train", "--corpus", "{d}", "--out", "{d}/m.bank", "--q=--"],
+     ["encode", "--model", "{d}/m.bank", "--image", "{d}/img.pgm", "--out", "{d}/c", "--q=--"],
+     ["bench", "--k=--"]],
+    ids=["preprocess", "train", "encode", "bench"],
+)
+def test_a_flag_given_as_double_dash_is_a_usage_error(tmp_path, capsys, argv):
+    # argparse before Python 3.12 hands "--flag=--" over as [], past the flag's type
+    save_bank(normalize_filters(np.ones((1, 1, 2, 2))), tmp_path / "m.bank")
+    save_image(np.full((1, 4, 4), 0.5), tmp_path / "img.pgm")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(d=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    assert "expected one value" in capsys.readouterr().err
+
+
 def test_a_code_too_large_to_hold_is_data_error(tmp_path):
     pytest.importorskip("resource")
     _valid_bank(tmp_path)

@@ -262,6 +262,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**base)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "3"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # None passes the CLI's seed check (unseeded) but means nothing to train
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(2, 3, 3, sparsity=5, epochs=1, seed=seed)
+
+    def test_accepts_a_numpy_integer_seed(self):
+        assert TrainConfig(2, 3, 3, sparsity=5, epochs=1, seed=np.int64(7)).seed == 7
+
     def test_fields_cannot_be_assigned(self):
         cfg = TrainConfig(4, 8, 8, sparsity=20, epochs=3)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -133,6 +133,13 @@ class TestAvgPool:
                 assert abs(out[0, br, bc] - direct) <= 1e-12
         assert abs(out.mean() - img.mean()) <= 1e-12
 
+    def test_preserves_global_mean_when_dims_divide(self):
+        rng = np.random.default_rng(66)
+        img = rng.random(size=(2, 12, 8))
+        down = avg_pool(img, 4)
+        for ch in range(2):
+            assert abs(down[ch].mean() - img[ch].mean()) <= 1e-12
+
     def test_ragged_blocks_average_actual_extent(self):
         img = np.arange(15.0).reshape(1, 3, 5)
         out = avg_pool(img, 2)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from convmp.preprocess import (
-    block_average,
     contrast_normalize,
+    prepare,
     random_subsample_crop,
     resize,
     to_grayscale,
@@ -136,24 +136,9 @@ class TestContrastNormalize:
             contrast_normalize(img + 0.37), contrast_normalize(img), rtol=0, atol=1e-12
         )
 
-    def test_rejects_even_side_and_multichannel(self):
-        with pytest.raises(ValueError, match="odd"):
-            contrast_normalize(np.zeros((1, 5, 5)), side=4)
+    def test_rejects_multichannel(self):
         with pytest.raises(ValueError, match="channel"):
             contrast_normalize(np.zeros((3, 5, 5)))
-
-
-class TestBlockAverage:
-    def test_preserves_global_mean_when_dims_divide(self):
-        rng = np.random.default_rng(66)
-        img = rng.random(size=(2, 12, 8))
-        down = block_average(img, 4)
-        for ch in range(2):
-            assert abs(down[ch].mean() - img[ch].mean()) <= 1e-12
-
-    def test_factor_one_is_identity(self):
-        img = np.random.default_rng(67).random(size=(1, 5, 5))
-        np.testing.assert_array_equal(block_average(img, 1), img)
 
 
 class TestRandomSubsampleCrop:
@@ -193,3 +178,17 @@ class TestRandomSubsampleCrop:
     def test_rejects_too_small_image(self):
         with pytest.raises(ValueError, match="smaller"):
             random_subsample_crop(np.zeros((1, 50, 64)), np.random.default_rng(0))
+
+
+class TestPrepare:
+    def test_resize_chain_is_the_three_transforms_bit_for_bit(self):
+        img = np.random.default_rng(71).random(size=(3, 40, 52))
+        expect = contrast_normalize(resize(to_grayscale(img), 24, 24))
+        np.testing.assert_array_equal(prepare(img, 24), expect)
+
+    def test_crop_chain_draws_from_the_generator(self):
+        img = np.random.default_rng(72).random(size=(3, 150, 130))
+        expect = contrast_normalize(
+            random_subsample_crop(to_grayscale(img), np.random.default_rng(5), 32, 32)
+        )
+        np.testing.assert_array_equal(prepare(img, 32, np.random.default_rng(5)), expect)
