@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conv_mp import build_shift_gram, correlate, greedy_steps
+from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
 from .core import (
     ConfigError, DataError, TrainConfig, check_seed, normalize_filters, reconstruct,
     residual_energy,
 )
-from .dict_learn import encode_all, train
+from .dict_learn import train
 from .model_io import (
     check_cell_scale,
     list_float_images,
@@ -203,7 +203,8 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     bank = load_bank(args.model)
     image = _load_any_image(Path(args.image))
-    (code,) = encode_all(bank, [image], args.q, args.tolerance)
+    table = build_shift_gram(bank)
+    code = conv_mp_encode(bank, table, image, args.q, args.tolerance)
     save_code(code, args.out)
     initial = float(np.sum(np.square(image)))
     final = residual_energy(image, code, bank)
