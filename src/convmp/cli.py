@@ -25,12 +25,11 @@ import numpy as np
 from . import __version__
 from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
 from .core import (
-    ConfigError, DataError, TrainConfig, check_seed, normalize_filters, reconstruct,
+    ConfigError, DataError, TrainConfig, check_count, normalize_filters, reconstruct,
     residual_energy,
 )
 from .dict_learn import train
 from .model_io import (
-    check_cell_scale,
     list_float_images,
     list_images,
     load_bank,
@@ -45,7 +44,7 @@ from .model_io import (
     save_image,
     write_lines,
 )
-from .pipeline import PipelineConfig, run_two_layer
+from .pipeline import PipelineConfig, run_two_layer, write_stats
 from .preprocess import prepare
 
 logger = logging.getLogger("convmp")
@@ -85,8 +84,8 @@ def _parse_dims(text: str, flag: str) -> tuple[int, int]:
         h, w = (int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{flag} expects HxW, got {text!r}") from None
-    if h < 1 or w < 1:
-        raise ConfigError(f"{flag} dims must be positive, got {text!r}")
+    check_count(f"{flag} height", h)
+    check_count(f"{flag} width", w)
     return h, w
 
 
@@ -138,9 +137,8 @@ def _load_corpus(directory: Path):
 # commands
 
 def cmd_preprocess(args) -> int:
-    check_seed(args.seed)
-    if args.size < 1:  # before any output, so no manifest is left behind
-        raise ConfigError(f"--size must be >= 1, got {args.size}")
+    check_count("--seed", args.seed, 0)
+    check_count("--size", args.size)  # before any output, so no manifest is left behind
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     if not in_dir.is_dir():
         raise DataError(f"input directory {in_dir} does not exist")
@@ -180,8 +178,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(vars(args))
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     _write_manifest(
         Path(str(out) + ".manifest.txt"),
         {
@@ -276,13 +273,14 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
 
 
 def cmd_pipeline(args) -> int:
-    check_cell_scale(args.scale)
+    check_count("--scale", args.scale)
     values = _parse_config_file(Path(args.config))
     cfg = _pipeline_config(values)
     seed = args.seed  # flags override file values
     if seed is None and values.get("seed"):  # an unseeded run's manifest says seed=
         seed = _config_number(values, "seed", None)
-    check_seed(seed)
+    if seed is not None:
+        check_count("seed", seed, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -297,9 +295,11 @@ def cmd_pipeline(args) -> int:
     manifest.update(_train_entries(cfg.layer1, "layer1."))
     manifest.update(_train_entries(cfg.layer2, "layer2."))
     _write_manifest(out / "manifest.txt", manifest)
-    bank1, bank2, _ = run_two_layer(args.corpus, cfg, seed=seed, out_dir=out)
-    render_filter_grid(bank1, out / "layer1_filters.pgm", cell_scale=args.scale)
-    render_filter_grid(bank2, out / "layer2_filters.pgm", cell_scale=args.scale)
+    bank1, bank2, stats = run_two_layer(args.corpus, cfg, seed=seed)
+    for name, bank in (("layer1", bank1), ("layer2", bank2)):
+        save_bank(bank, out / f"{name}.bank")
+        render_filter_grid(bank, out / f"{name}_filters.pgm", cell_scale=args.scale)
+    write_stats(stats, out / "stats.txt")
     logger.info("pipeline outputs in %s", out)
     return 0
 
@@ -349,15 +349,11 @@ def cmd_bench(args) -> int:
         q_list = [int(tok) for tok in args.q.split(",")]
     except ValueError:
         raise ConfigError(f"--q expects a comma-separated list, got {args.q!r}") from None
-    if not q_list or min(q_list) < 1:
-        raise ConfigError("--q values must be positive")
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
-    if args.repeat < 1:
-        raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
-    check_seed(args.seed)
-    if fh > h or fw > w:
-        raise ConfigError(f"filter {fh}x{fw} does not fit the {h}x{w} image")
+    for q in q_list:
+        check_count("--q", q)
+    check_count("--k", args.k)
+    check_count("--repeat", args.repeat)
+    check_count("--seed", args.seed, 0)
     report = run_bench((h, w), args.k, (fh, fw), q_list, args.repeat, args.seed)
     for q, med, per in zip(report["qs"], report["median_s"], report["per_step_ns"]):
         print(f"q={q} median_ms={med * 1e3:.3f} per_step_ns={per:.0f}")

@@ -22,7 +22,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ACTIVATION, UNIT_NORM_ATOL, ConfigError, SparseCode, as_bank, as_image
+from .core import (
+    ACTIVATION, UNIT_NORM_ATOL, ConfigError, SparseCode, as_bank, as_image, check_count,
+)
 
 # greedy_steps uses its block-max cache when a step skips more than this many
 # map entries: k * w_v * (h_v - 3 * h_f), the rows outside the at most three
@@ -206,8 +208,7 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     afterwards the correlation maps are maintained through table lookups.
     """
     bank = as_bank(bank)
-    if q < 1:
-        raise ConfigError(f"q must be >= 1, got {q}")
+    check_count("q", q)
     if not residual_tolerance >= 0:  # also rejects NaN
         raise ConfigError(f"residual_tolerance must be >= 0, got {residual_tolerance}")
     table = np.asarray(table)

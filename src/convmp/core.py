@@ -59,10 +59,11 @@ class SparseCode:
         return len(self.activations)
 
 
-def check_seed(seed: int | None) -> None:
-    """Reject a negative seed (None means unseeded) before numpy sees it."""
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+def check_count(name: str, value, least: int = 1) -> None:
+    """The one count check: value must be an integer >= least, else a
+    ConfigError names it. Counts, sizes, scales and seeds all come here."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,10 @@ class TrainConfig:
     min_activations: int = 1  # below this per epoch a filter is reinitialized
 
     def __post_init__(self) -> None:
-        for name in ("num_filters", "filter_height", "filter_width", "epochs"):
-            if getattr(self, name) < (0 if name == "epochs" else 1):
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.sparsity < 1:
-            raise ConfigError(f"sparsity must be >= 1, got {self.sparsity}")
         # train needs a seed; only the CLI and run_two_layer take None (unseeded)
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        check_seed(self.seed)
-        if self.min_activations < 1:
-            raise ConfigError(f"min_activations must be >= 1, got {self.min_activations}")
+        for name, least in {"num_filters": 1, "filter_height": 1, "filter_width": 1,
+                            "sparsity": 1, "epochs": 0, "seed": 0, "min_activations": 1}.items():
+            check_count(name, getattr(self, name), least)
         if not self.residual_tolerance >= 0:  # also rejects NaN
             raise ConfigError(
                 f"residual_tolerance must be >= 0, got {self.residual_tolerance}"

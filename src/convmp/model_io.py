@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DataError, SparseCode, as_bank, as_image
+from .core import ConfigError, DataError, SparseCode, as_bank, as_image, check_count
 
 BANK_MAGIC = b"CMPD1"
 FLOAT_IMAGE_MAGIC = b"CMPF1"
@@ -72,8 +72,9 @@ def read_text(path) -> str:
 
 
 def write_lines(path, lines) -> None:
-    """Write text lines, each ending in a newline, through write_atomic."""
-    write_atomic(path, ["\n".join(lines) + "\n"], text=True)
+    """Write text lines, each ending in a newline, through write_atomic; no
+    lines give an empty file."""
+    write_atomic(path, ["".join(line + "\n" for line in lines)], text=True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +250,6 @@ def _affine_to_unit(filt: np.ndarray) -> np.ndarray:
     return np.full_like(filt, 0.5)
 
 
-def check_cell_scale(cell_scale: int) -> None:
-    """The render-scale check, shared by render_filter_grid and callers that
-    must reject a bad scale before computing anything."""
-    if cell_scale < 1:
-        raise ConfigError(f"cell_scale must be >= 1, got {cell_scale}")
-
-
 def render_filter_grid(bank, path=None, cell_scale: int = 1) -> np.ndarray:
     """Tile the filters into a near-square grid image and optionally save it.
 
@@ -267,7 +261,7 @@ def render_filter_grid(bank, path=None, cell_scale: int = 1) -> np.ndarray:
     """
     bank = as_bank(bank, unit_norm=False)
     k, c, fh, fw = bank.shape
-    check_cell_scale(cell_scale)
+    check_count("cell_scale", cell_scale)
     cols = math.ceil(math.sqrt(k))
     rows = math.ceil(k / cols)
     cell_w = c * fw + (c - 1)

@@ -7,16 +7,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    ConfigError, DataError, SparseCode, TrainConfig, as_bank, as_image, check_compatible,
-    check_seed,
+    DataError, SparseCode, TrainConfig, as_bank, as_image, check_compatible, check_count,
 )
 from .dict_learn import TrainStats, encode_all, train
-from .model_io import list_images, load_image, save_bank, write_lines
+from .model_io import list_images, load_image, write_lines
 from .preprocess import avg_pool, prepare
 
 
@@ -36,10 +34,8 @@ class PipelineConfig:
     image_size: int = 64
 
     def __post_init__(self) -> None:
-        if self.pool_size < 1:
-            raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.image_size < 1:
-            raise ConfigError(f"image_size must be >= 1, got {self.image_size}")
+        check_count("pool_size", self.pool_size)
+        check_count("image_size", self.image_size)
 
 
 @dataclass
@@ -69,18 +65,19 @@ def write_stats(stats: PipelineStats, path) -> None:
     write_lines(path, lines)
 
 
-def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None, out_dir=None):
-    """Full experiment driver; returns (layer1 bank, layer2 bank, stats).
+def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None):
+    """Full experiment driver; returns (layer1 bank, layer2 bank, stats) and
+    writes nothing.
 
     Preprocesses the corpus with prepare (grayscale, resize, contrast
     normalization), trains layer 1, encodes every image, densifies,
     rectifies and pools the codes, and trains layer 2 on the pooled
     multi-channel maps. A seed, if given, deterministically overrides both
-    layers' seeds. With out_dir the banks and a stats log are persisted there.
+    layers' seeds; None means unseeded.
     """
-    check_seed(seed)
     layer1_cfg, layer2_cfg = cfg.layer1, cfg.layer2
     if seed is not None:
+        check_count("seed", seed, 0)
         s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
         layer1_cfg = dataclasses.replace(layer1_cfg, seed=s1)
         layer2_cfg = dataclasses.replace(layer2_cfg, seed=s2)
@@ -104,12 +101,4 @@ def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None, out_
             f"{layer2_cfg.filter_height}x{layer2_cfg.filter_width} filters"
         )
     bank2, stats2 = train(pooled, layer2_cfg)
-
-    stats = PipelineStats(stats1, stats2)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_bank(bank1, out / "layer1.bank")
-        save_bank(bank2, out / "layer2.bank")
-        write_stats(stats, out / "stats.txt")
-    return bank1, bank2, stats
+    return bank1, bank2, PipelineStats(stats1, stats2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, DataError, as_image
+from .core import ConfigError, DataError, as_image, check_count
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 CONTRAST_SIDE = 5  # box side of contrast_normalize's local mean
@@ -35,8 +35,8 @@ def resize(image, out_h: int, out_w: int) -> np.ndarray:
     clamped into the source grid; unchanged dims return an exact copy.
     """
     img = as_image(image)
-    if out_h < 1 or out_w < 1:
-        raise ConfigError(f"target dims must be positive, got {out_h}x{out_w}")
+    check_count("out_h", out_h)
+    check_count("out_w", out_w)
     c, h, w = img.shape
     if (out_h, out_w) == (h, w):
         return img.copy()
@@ -95,8 +95,7 @@ def avg_pool(maps, pool: int) -> np.ndarray:
     """Non-overlapping pool x pool block means per channel; ragged blocks on
     the right/bottom edges average over their actual extent."""
     img = as_image(maps)
-    if pool < 1:
-        raise ConfigError(f"pool must be >= 1, got {pool}")
+    check_count("pool", pool)
     if pool == 1:
         return img.copy()
     c, h, w = img.shape

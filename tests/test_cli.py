@@ -41,6 +41,7 @@ from convmp.model_io import (
     save_code,
     save_image,
 )
+from convmp.pipeline import run_two_layer
 
 
 def write_pgm_corpus(directory, n, size, seed):
@@ -128,6 +129,7 @@ class TestTrain:
         assert main(["train", "--out", str(out_a), *flags]) == 0
         assert main(["train", "--out", str(out_b), *flags]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        assert Path(str(out_a) + ".stats.txt").read_bytes() == b""  # no epochs, no lines
 
     def test_bad_filter_spec_is_config_error(self, tmp_path):
         assert main(["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m"),
@@ -267,9 +269,14 @@ class TestPipelineCommand:
         out = tmp_path / "out"
         assert main(["pipeline", "--corpus", str(tmp_path / "raw"), "--config", str(config),
                      "--out", str(out), "--seed", "5", "--threads", "1"]) == 0
-        assert load_bank(out / "layer1.bank").shape == (2, 1, 6, 6)
-        assert load_bank(out / "layer2.bank").shape == (3, 2, 2, 2)
-        for name in ("layer1_filters.pgm", "layer2_filters.pgm", "stats.txt", "manifest.txt"):
+        # the command saves what run_two_layer returns for the same config and seed
+        bank1, bank2, _ = run_two_layer(tmp_path / "raw", _pipeline_config(
+            _parse_config_file(config)), seed=5)
+        np.testing.assert_array_equal(load_bank(out / "layer1.bank"), bank1)
+        np.testing.assert_array_equal(load_bank(out / "layer2.bank"), bank2)
+        assert bank1.shape == (2, 1, 6, 6) and bank2.shape == (3, 2, 2, 2)
+        assert (out / "stats.txt").read_text().startswith("layer=1 epoch=0 ")
+        for name in ("layer1_filters.pgm", "layer2_filters.pgm", "manifest.txt"):
             assert (out / name).exists()
 
     @pytest.mark.parametrize("seed", [["--seed", "5"], []], ids=["seeded", "unseeded"])

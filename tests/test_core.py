@@ -1,5 +1,7 @@
+import argparse
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -296,3 +298,85 @@ def test_library_raises_only_typed_errors():
             if isinstance(exc, ast.Name) and exc.id in ("ValueError", "Exception", "RuntimeError"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+
+def _count_entry_points():
+    """Every count the library and the CLI check, as (id, the name the error
+    gives, least, call with (value, a directory holding an empty config file),
+    kind of value). The CLI's parsed flags are passed as an argparse
+    namespace; the HxW and --q text it parses is given as text."""
+    from convmp.cli import _parse_dims, cmd_bench, cmd_pipeline, cmd_preprocess
+    from convmp.conv_mp import build_shift_gram, conv_mp_encode
+    from convmp.model_io import render_filter_grid
+    from convmp.pipeline import PipelineConfig, run_two_layer
+    from convmp.preprocess import avg_pool, resize
+
+    train = dict(num_filters=2, filter_height=3, filter_width=3, sparsity=5, epochs=1)
+    layers = dict(layer1=TrainConfig(**train), layer2=TrainConfig(**train))
+    bank = normalize_filters(np.ones((1, 1, 2, 2)))
+    image = np.ones((1, 4, 4))
+
+    def preprocess(**flags):
+        return cmd_preprocess(argparse.Namespace(**{"seed": 0, "size": 8, **flags}))
+
+    def bench(**flags):
+        return cmd_bench(argparse.Namespace(
+            **{"image": "12x12", "filter": "3x3", "q": "2", "k": 1, "repeat": 1, "seed": 0,
+               **flags}))
+
+    def pipeline(d, **flags):
+        return cmd_pipeline(argparse.Namespace(
+            **{"scale": 1, "seed": None, "config": d / "empty.cfg", **flags}))
+
+    return [
+        *((f"TrainConfig-{f}", f, 0 if f in ("epochs", "seed") else 1,
+           lambda v, d, f=f: TrainConfig(**{**train, f: v}), "value")
+          for f in ("num_filters", "filter_height", "filter_width", "sparsity", "epochs",
+                    "seed", "min_activations")),
+        *((f"PipelineConfig-{f}", f, 1,
+           lambda v, d, f=f: PipelineConfig(**layers, **{f: v}), "value")
+          for f in ("pool_size", "image_size")),
+        ("conv_mp_encode-q", "q", 1,
+         lambda v, d: conv_mp_encode(bank, build_shift_gram(bank), image, v), "value"),
+        ("resize-out_h", "out_h", 1, lambda v, d: resize(image, v, 4), "value"),
+        ("resize-out_w", "out_w", 1, lambda v, d: resize(image, 4, v), "value"),
+        ("avg_pool-pool", "pool", 1, lambda v, d: avg_pool(image, v), "value"),
+        ("render_filter_grid-cell_scale", "cell_scale", 1,
+         lambda v, d: render_filter_grid(bank, cell_scale=v), "value"),
+        ("run_two_layer-seed", "seed", 0,
+         lambda v, d: run_two_layer(d, PipelineConfig(**layers), v), "seed"),
+        ("preprocess-size", "--size", 1, lambda v, d: preprocess(size=v), "value"),
+        ("preprocess-seed", "--seed", 0, lambda v, d: preprocess(seed=v), "value"),
+        ("bench-k", "--k", 1, lambda v, d: bench(k=v), "value"),
+        ("bench-repeat", "--repeat", 1, lambda v, d: bench(repeat=v), "value"),
+        ("bench-seed", "--seed", 0, lambda v, d: bench(seed=v), "value"),
+        ("bench-q", "--q", 1, lambda v, d: bench(q=f"2,{v}"), "text"),
+        ("dims-height", "--image", 1, lambda v, d: _parse_dims(f"{v}x4", "--image"), "text"),
+        ("dims-width", "--image", 1, lambda v, d: _parse_dims(f"4x{v}", "--image"), "text"),
+        ("pipeline-scale", "--scale", 1, lambda v, d: pipeline(d, scale=v), "value"),
+        ("pipeline-seed", "seed", 0, lambda v, d: pipeline(d, seed=v), "seed"),
+    ]
+
+
+COUNT_ENTRY_POINTS = _count_entry_points()
+
+
+@pytest.mark.parametrize(
+    ("name", "least", "call", "kind"),
+    [entry[1:] for entry in COUNT_ENTRY_POINTS],
+    ids=[entry[0] for entry in COUNT_ENTRY_POINTS],
+)
+def test_every_count_rejects_a_small_or_non_integer_value(tmp_path, name, least, call, kind):
+    """Below the least value, a float, None or a string: each a ConfigError
+    naming the count, from the library as from the CLI. A None seed means
+    unseeded, and text given as "3" is a valid count."""
+    (tmp_path / "empty.cfg").write_text("")
+    bad = {
+        "value": [least - 1, 2.5, None, "3"],
+        "seed": [least - 1, 2.5, "3"],
+        "text": [str(least - 1), "2.5", "None"],
+    }[kind]
+    for value in bad:
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            call(value, tmp_path)

@@ -1,12 +1,14 @@
-"""Flag fuzzing: any value given to the numeric and HxW flags of train, encode
-and bench (zero, negatives, nan, inf, empty, non-numeric text, malformed
-HxW) either runs or is rejected, so the CLI exits 0, 2 or 3, never 4, and
-prints no traceback.
+"""Flag fuzzing: any value given to the numeric and HxW flags of train, encode,
+bench, preprocess, render-filters and pipeline, and to the pipeline's
+numeric config values (zero, negatives, nan, inf, empty, non-numeric text,
+malformed HxW) either runs or is rejected, so the CLI exits 0, 2 or 3,
+never 4, and prints no traceback.
 
 Every drawn size is small (images up to 40x40, up to 6 filters of at most
-14x14, a few pursuit steps and epochs), so no case allocates more than a
-few kilobytes; a flag that is not drawn keeps a small setting. The runs
-share the FUZZ settings of the parser fuzzing.
+14x14, a few pursuit steps and epochs, render scales up to 8), so no case
+allocates more than a few kilobytes; a flag or config value that is not
+drawn keeps a small setting. The runs share the FUZZ settings of the parser
+fuzzing.
 """
 
 import numpy as np
@@ -20,9 +22,9 @@ from test_parser_fuzz import FUZZ  # noqa: E402
 
 from convmp.cli import main  # noqa: E402
 from convmp.core import normalize_filters  # noqa: E402
-from convmp.model_io import save_bank, save_float_image  # noqa: E402
+from convmp.model_io import save_bank, save_float_image, save_image  # noqa: E402
 
-FLAGS = settings(FUZZ, max_examples=120)  # keeps the three fuzzers near 2 s together
+FLAGS = settings(FUZZ, max_examples=120)  # keeps the six fuzzers near 4 s together
 JUNK = ["", " ", "nan", "inf", "-inf", "x", "1.5", "1e2", "0x10", "--"]
 
 
@@ -73,15 +75,25 @@ def drawn_flags(strategies):
     )
 
 
+def drawn_config(strategies):
+    """Any subset of the config keys, each with a drawn value, as key=value lines."""
+    return st.fixed_dictionaries({}, optional=strategies).map(
+        lambda values: "".join(f"{key}={value}\n" for key, value in values.items())
+    )
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A three-image 12x12 corpus, a unit-norm 2x4x4 bank, and an output directory."""
+    """A three-image 12x12 corpus, three raw 16x16 PGM images, a unit-norm
+    2x4x4 bank, and an output directory."""
     root = tmp_path_factory.mktemp("flags")
     rng = np.random.default_rng(0)
-    corpus = root / "corpus"
+    corpus, raw = root / "corpus", root / "raw"
     corpus.mkdir()
+    raw.mkdir()
     for i in range(3):
         save_float_image(rng.normal(size=(1, 12, 12)), corpus / f"im{i}.f64")
+        save_image(rng.random((1, 16, 16)), raw / f"im{i}.pgm")
     save_bank(normalize_filters(rng.normal(size=(2, 1, 4, 4))), root / "model.bank")
     return root
 
@@ -129,3 +141,46 @@ def test_encode_flags_exit_0_2_or_3(inputs, capsys, flags):
 def test_bench_flags_exit_0_2_or_3(capsys, flags):
     small = ["--image=24x24", "--k=2", "--filter=5x5", "--q=2,4", "--repeat=2"]
     exits_cleanly(["bench", *small, *flags], capsys)
+
+
+@FLAGS
+@given(crop=st.booleans(), flags=drawn_flags({"--size": ints(24), "--seed": ints()}))
+def test_preprocess_flags_exit_0_2_or_3(inputs, capsys, crop, flags):
+    argv = ["preprocess", "--in", inputs / "raw", "--out", inputs / "pre", *flags]
+    exits_cleanly(argv + ["--pascal-crop"] * crop, capsys)
+
+
+@FLAGS
+@given(flags=drawn_flags({"--scale": ints(8)}))
+def test_render_filters_flags_exit_0_2_or_3(inputs, capsys, flags):
+    exits_cleanly(
+        ["render-filters", "--model", inputs / "model.bank", "--out", inputs / "f.pgm", *flags],
+        capsys,
+    )
+
+
+PIPELINE_SMALL = (
+    "image_size=16\npool=4\nlayer1.k=2\nlayer1.filter=4x4\nlayer1.q=3\nlayer1.epochs=1\n"
+    "layer2.k=2\nlayer2.filter=2x2\nlayer2.q=2\nlayer2.epochs=1\n"
+)
+
+
+@FLAGS
+@given(
+    flags=drawn_flags({"--scale": ints(4), "--seed": ints()}),
+    config=drawn_config({
+        "image_size": ints(20), "pool": ints(6),
+        **{f"layer{n}.k": ints(3) for n in (1, 2)},
+        **{f"layer{n}.q": ints(4) for n in (1, 2)},
+        **{f"layer{n}.epochs": ints(2) for n in (1, 2)},
+        "layer1.filter": dims(8), "layer2.filter": dims(4),
+    }),
+)
+def test_pipeline_flags_and_config_values_exit_0_2_or_3(inputs, capsys, flags, config):
+    # drawn values come after the small settings, and a later key=value wins
+    (inputs / "pipe.cfg").write_text(PIPELINE_SMALL + config)
+    exits_cleanly(
+        ["pipeline", "--corpus", inputs / "raw", "--config", inputs / "pipe.cfg",
+         "--out", inputs / "run", *flags],
+        capsys,
+    )

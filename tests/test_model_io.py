@@ -246,6 +246,10 @@ class TestWriteAtomic:
         ]
         assert (tmp_path / "s.txt").read_bytes() == b"a=1\nb=2\n"
 
+    def test_write_lines_with_no_lines_gives_an_empty_file(self, tmp_path):
+        write_lines(tmp_path / "s.txt", [])
+        assert (tmp_path / "s.txt").read_bytes() == b""
+
 
 class TestRenderFilterGrid:
     def test_single_filter_single_cell(self):

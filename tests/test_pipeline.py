@@ -8,7 +8,7 @@ from convmp import dict_learn
 from codes import Activation
 from convmp.core import ConfigError, SparseCode, TrainConfig, normalize_filters
 from convmp.dict_learn import TrainStats, train
-from convmp.model_io import load_bank, save_image
+from convmp.model_io import save_image
 from convmp.pipeline import (
     PipelineConfig,
     PipelineStats,
@@ -152,16 +152,13 @@ class TestRunTwoLayer:
     def test_shapes_and_outputs(self, tmp_path):
         corpus = tmp_path / "corpus"
         write_corpus(corpus, 6, 24, seed=0)
-        out = tmp_path / "out"
-        bank1, bank2, stats = run_two_layer(corpus, small_cfg(), seed=1, out_dir=out)
+        bank1, bank2, stats = run_two_layer(corpus, small_cfg(), seed=1)
         assert bank1.shape == (2, 1, 6, 6)
         # 24x24 -> valid 19x19 -> pool 8 -> 3x3 maps with 2 channels
         assert bank2.shape == (3, 2, 2, 2)
         assert len(stats.layer1.epoch_energy) == 1
         assert len(stats.layer2.epoch_energy) == 1
-        np.testing.assert_array_equal(load_bank(out / "layer1.bank"), bank1)
-        np.testing.assert_array_equal(load_bank(out / "layer2.bank"), bank2)
-        assert (out / "stats.txt").read_text().startswith("layer=1 epoch=0 ")
+        assert list(tmp_path.iterdir()) == [corpus]  # the caller writes the outputs
 
     def test_bit_reproducible_under_fixed_seed(self, tmp_path):
         corpus = tmp_path / "corpus"

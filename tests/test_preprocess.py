@@ -103,7 +103,7 @@ class TestResize:
             )
 
     def test_rejects_zero_dims(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="out_h"):
             resize(np.zeros((1, 4, 4)), 0, 4)
 
 
