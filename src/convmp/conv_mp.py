@@ -7,10 +7,9 @@ matrix only depends on relative shifts, so the greedy loop runs off a
 peak is subtracted, only correlation values inside the overlap window
 around it change, and each change is a table lookup. Encoding therefore
 costs one application of the filter bank plus, per pursuit step, one
-window update and one argmax. The bank is applied to a taps-major view of
-the image, one cache-sized tile of map positions at a time: one
-bank @ taps GEMM per tile, written straight into the maps, so the working
-set is one tile and the maps have the same bits at 1 and 2 BLAS threads.
+window update and one argmax. The bank is applied one band of image rows
+at a time, unfolded along x only, as one GEMM per map row written straight
+into the maps, so the maps have the same bits at 1 and 2 BLAS threads.
 On large maps the argmax runs off a cache of per-block maxima (blocks of
 h_f rows), so a step rescans only the band of rows its window touched,
 not the whole map; on small maps a direct scan is cheaper. The steps come
@@ -24,6 +23,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     ACTIVATION, UNIT_NORM_ATOL, ConfigError, SparseCode, as_bank, as_image, check_count,
+    check_tolerance,
 )
 
 # greedy_steps uses its block-max cache when a step skips more than this many
@@ -33,11 +33,14 @@ from .core import (
 # crossover.
 CACHE_MIN_SKIPPED = 32_768
 
-# Most multiply-adds per correlate tile, unless one window alone holds more.
-# Keeps each tile's unfolded windows cache-sized, and with the bundled OpenBLAS
-# GEMMs this small give the same bits at 1 and 2 threads, which a test checks
-# on 300 shapes (larger whole-row chunks did not).
+# Most multiply-adds per correlate GEMM, unless one window alone holds more.
+# With the bundled OpenBLAS, GEMMs this small give the same bits at 1 and 2
+# threads, which a test checks on 305 shapes (larger whole-row chunks did not).
 CORRELATE_CHUNK_MACS = 2**18
+
+# Most samples per correlate band, unless the h_f unfolded rows under one map
+# row alone hold more. One-row bands made 256x256 images twice as slow.
+CORRELATE_BAND_SAMPLES = 2**15
 
 
 def correlate(bank, image) -> np.ndarray:
@@ -46,12 +49,13 @@ def correlate(bank, image) -> np.ndarray:
     Returns maps of shape (k, h - h_f + 1, w - w_f + 1) where
     maps[j, r, c] = <filter j placed at (r, c), image>.
 
-    The image is viewed taps-major, as (c, h_f, w_f, h_v, w_v) with no
-    copy, and multiplied one tile of map positions at a time (see _tiles):
-    each tile's (c*h_f*w_f, positions) slab is copied in runs of whole map
-    rows, and bank @ slab is written straight into the tile's span of the
-    flat maps. The working set is one tile of at most CORRELATE_CHUNK_MACS
-    multiply-adds.
+    The image is unfolded along x only, as (h, c, w_f, w_v) with no copy,
+    and copied one band of rows at a time, so each sample is duplicated
+    w_f times, not h_f * w_f. In a band the h_f unfolded rows under each
+    map row are one (h_f*c*w_f, w_v) matrix, and one batched matmul per
+    band multiplies the bank by each of them straight into the maps: one
+    GEMM per map row, or per column segment when a row holds more than
+    CORRELATE_CHUNK_MACS multiply-adds.
     """
     bank = as_bank(bank, unit_norm=False)
     img = as_image(image)
@@ -63,31 +67,24 @@ def correlate(bank, image) -> np.ndarray:
         raise ConfigError(f"filter {fh}x{fw} does not fit inside image {h}x{w}")
     hv, wv = h - fh + 1, w - fw + 1
     sc, sh, sw = img.strides
-    taps = as_strided(img, (c, fh, fw, hv, wv), (sc, sh, sw, sh, sw), writeable=False)
-    weights = bank.reshape(k, -1)
+    unfold = as_strided(img, (h, c, fw, wv), (sh, sc, sw, sw), writeable=False)
+    weights = bank.transpose(0, 2, 1, 3).reshape(k, -1)
+    rows = min(hv, max(1, CORRELATE_BAND_SAMPLES // (c * fw * wv) - fh + 1))
+    cols = min(wv, max(1, CORRELATE_CHUNK_MACS // weights.size))
+    band = np.empty((rows + fh - 1, c, fw, wv))
+    # stack[r]: map row r's windows, the h_f unfolded rows from band row r;
+    # its taps, in (dy, channel, dx) order, are one dx step apart
+    s_row, _, s_dx, s_x = band.strides
+    stack = np.ndarray((rows, fh * c * fw, wv), buffer=band, strides=(s_row, s_dx, s_x))
     out = np.empty((k, hv, wv))
-    flat = out.reshape(k, -1)
-    for rows, cols in _tiles(hv, wv, c * fh * fw * k):
-        # whole rows or one row's segment: one contiguous span of each flat map
-        start, stop = rows.start * wv + cols.start, (rows.stop - 1) * wv + cols.stop
-        # the slab copy is a temporary, freed before the next tile's is made
-        slab = taps[..., rows, cols].reshape(-1, stop - start)
-        np.matmul(weights, slab, out=flat[:, start:stop])
-        del slab
-    return out
-
-
-def _tiles(hv: int, wv: int, window_macs: int):
-    """Row and column slices of correlate's tiles over an (hv, wv) map, in
-    row-major order. A tile is as many whole rows as fit in
-    CORRELATE_CHUNK_MACS multiply-adds; when one row does not fit, it is a
-    segment of one row holding as many windows as fit. Either way it holds
-    at least one row or window."""
-    rows = max(1, CORRELATE_CHUNK_MACS // (wv * window_macs))
-    cols = min(wv, max(1, CORRELATE_CHUNK_MACS // window_macs))
+    by_row = out.transpose(1, 0, 2)
     for r0 in range(0, hv, rows):
+        n = min(rows, hv - r0)
+        band[: n + fh - 1] = unfold[r0 : r0 + n + fh - 1]
         for c0 in range(0, wv, cols):
-            yield slice(r0, min(r0 + rows, hv)), slice(c0, min(c0 + cols, wv))
+            span = slice(c0, c0 + cols)
+            np.matmul(weights, stack[:n, :, span], out=by_row[r0 : r0 + n, :, span])
+    return out
 
 
 def build_shift_gram(bank) -> np.ndarray:
@@ -209,8 +206,7 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     """
     bank = as_bank(bank)
     check_count("q", q)
-    if not residual_tolerance >= 0:  # also rejects NaN
-        raise ConfigError(f"residual_tolerance must be >= 0, got {residual_tolerance}")
+    check_tolerance(residual_tolerance)
     table = np.asarray(table)
     _check_table(bank, table)
     maps = correlate(bank, image)

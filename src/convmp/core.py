@@ -18,6 +18,7 @@ are never mutated; operations are pure. Configs check themselves when built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,12 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_tolerance(value) -> None:
+    """The one residual_tolerance check: a real number >= 0; inf passes, NaN does not."""
+    if not isinstance(value, numbers.Real) or not value >= 0:
+        raise ConfigError(f"residual_tolerance must be a number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for dictionary learning; immutable, and checked when built."""
@@ -84,10 +91,7 @@ class TrainConfig:
         for name, least in {"num_filters": 1, "filter_height": 1, "filter_width": 1,
                             "sparsity": 1, "epochs": 0, "seed": 0, "min_activations": 1}.items():
             check_count(name, getattr(self, name), least)
-        if not self.residual_tolerance >= 0:  # also rejects NaN
-            raise ConfigError(
-                f"residual_tolerance must be >= 0, got {self.residual_tolerance}"
-            )
+        check_tolerance(self.residual_tolerance)
 
 
 def as_image(arr, name: str = "image") -> np.ndarray:

@@ -100,7 +100,7 @@ def _read_f8(path, magic: bytes, rank: int, kind: str) -> np.ndarray:
     expected = math.prod(dims) * 8
     if len(data) - head != expected:
         raise DataError(f"{path}: payload is {len(data) - head} bytes, expected {expected}")
-    return np.frombuffer(data[head:], dtype="<f8").astype(np.float64).reshape(dims)
+    return np.frombuffer(data, "<f8", offset=head).reshape(dims).astype(np.float64)
 
 
 def save_bank(bank, path) -> None:

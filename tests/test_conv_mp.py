@@ -136,46 +136,57 @@ class TestCorrelate:
         )
 
     @pytest.mark.parametrize(
-        "shape, n_tiles",
+        "shape, n_bands, cols",
         [
-            # (k, c, h_f, w_f, h, w); tiles from CORRELATE_CHUNK_MACS = 2**18
-            ((3, 2, 5, 4, 60, 70), 2),  # 32-row tiles over 56 rows: a 24-row tail
-            ((8, 1, 16, 16, 64, 64), 25),  # 2-row tiles over 49 rows: a 1-row tail
-            ((16, 1, 8, 8, 256, 256), 249),  # one row per tile
-            ((8, 2, 7, 16, 147, 139), 141),  # one row per tile
-            ((1, 1, 12, 12, 187, 218), 22),  # k=1 is a GEMV: 8-row tiles
-            ((1, 1, 11, 13, 187, 198), 20),  # 4-row-aligned GEMV chunks differ here at 2+ BLAS threads
-            ((1024, 8, 16, 16, 24, 16), 9),  # one-column maps, one window over budget: 1-window tiles
-            ((16, 3, 19, 19, 32, 80), 70),  # a row over budget: 15-window row segments, 5 per row
+            # (k, c, h_f, w_f, h, w); bands from CORRELATE_BAND_SAMPLES = 2**15,
+            # column segments from CORRELATE_CHUNK_MACS = 2**18
+            ((3, 2, 5, 4, 60, 70), 1, 67),  # all 56 map rows in one band
+            ((8, 1, 16, 16, 64, 64), 2, 49),  # 26-row bands over 49 rows: a 23-row tail
+            ((16, 1, 8, 8, 256, 256), 28, 249),  # 9-row bands over 249 rows: a 6-row tail
+            ((8, 2, 7, 16, 147, 139), 71, 124),  # 2-row bands over 141 rows: a 1-row tail
+            ((1, 1, 12, 12, 187, 218), 88, 207),  # k=1 is a GEMV per map row
+            ((1, 1, 11, 13, 187, 198), 59, 186),  # 4-row GEMV chunks differed here at 2+ BLAS threads
+            ((1024, 8, 16, 16, 24, 16), 1, 1),  # one-column maps, one window over budget
+            ((16, 3, 19, 19, 32, 80), 14, 15),  # h_f rows over the band budget, a row over
+            # the GEMM budget: one-row bands, 15-window row segments, 5 per row
         ],
-        ids=["short-tail", "one-row-tail", "many-tiles", "multichannel", "k1", "k1-threaded",
+        ids=["one-band", "two-bands", "many-bands", "multichannel", "k1", "k1-threaded",
              "window-over-budget", "row-over-budget"],
     )
-    def test_each_tile_is_its_own_gemm(self, shape, n_tiles):
+    def test_each_map_row_is_its_own_gemm(self, monkeypatch, shape, n_bands, cols):
         k, c, fh, fw, h, w = shape
         rng = np.random.default_rng(24)
         bank = rng.normal(size=(k, c, fh, fw))
         image = rng.normal(size=(c, h, w))
         hv, wv = h - fh + 1, w - fw + 1
-        # taps-major windows: taps[:, :, :, r, c] is the window at (r, c)
-        taps = sliding_window_view(image, (fh, fw), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-        window_macs = c * fh * fw * k
+        # windows[r, :, x] is the window at (r, x), taps in (dy, channel, dx) order
+        windows = sliding_window_view(image, (fh, fw), axis=(1, 2)).transpose(1, 3, 0, 4, 2)
+        windows = windows.reshape(hv, fh * c * fw, wv)
+        weights_dyx = bank.transpose(0, 2, 1, 3).reshape(k, -1)
+        matmul, outs = np.matmul, []
+
+        def spy(a, b, out):  # record where each batched matmul writes
+            outs.append((out.__array_interface__["data"][0], out.shape))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
         got = correlate(bank, image)
+        monkeypatch.undo()
         assert got.flags.c_contiguous
-        tiles = list(conv_mp._tiles(hv, wv, window_macs))
-        assert len(tiles) == n_tiles
+        base = got.__array_interface__["data"][0]
         cover = np.zeros((hv, wv), dtype=int)
-        for rows, cols in tiles:
-            cover[rows, cols] += 1
-            slab = taps[..., rows, cols]
-            n_rows, n_cols = slab.shape[-2:]
-            n = n_rows * n_cols
-            assert n_cols == wv or n_rows == 1  # whole rows or one row's segment
-            assert n * window_macs <= conv_mp.CORRELATE_CHUNK_MACS or n == 1
-            start = rows.start * wv + cols.start
-            span = slice(start, start + n)  # the tile's outputs in each flat map
-            want = bank.reshape(k, -1) @ slab.reshape(c * fh * fw, n)
-            assert np.array_equal(got.reshape(k, -1)[:, span], want)
+        bands = set()
+        for start, (n_rows, n_filters, n_cols) in outs:
+            r0, c0 = divmod((start - base) // got.itemsize, wv)
+            bands.add(r0)
+            assert n_filters == k
+            assert n_cols == min(cols, wv - c0)
+            assert n_cols * weights_dyx.size <= conv_mp.CORRELATE_CHUNK_MACS or n_cols == 1
+            cover[r0 : r0 + n_rows, c0 : c0 + n_cols] += 1
+            for r in range(r0, r0 + n_rows):
+                window = np.ascontiguousarray(windows[r, :, c0 : c0 + n_cols])
+                assert np.array_equal(got[:, r, c0 : c0 + n_cols], weights_dyx @ window)
+        assert len(bands) == n_bands
         assert np.all(cover == 1)
 
     def test_working_set_is_one_chunk(self):
@@ -208,20 +219,20 @@ class TestCorrelate:
             tracemalloc.stop()
         assert peak - maps.nbytes < 2**20
 
-    def test_one_tile_copy_is_alive_at_a_time(self):
-        # train's shape: a 2-row tile copies a (256, 98) slab of taps, 196 KiB.
-        # Copying the next tile's slab while the previous one is still held
-        # made the working set 395 KiB.
+    def test_one_band_copy_is_alive_at_a_time(self):
+        # encode256's shape: each 9-row band copies 16 unfolded rows, a
+        # (16, 1, 8, 249) array of 249 KiB. Copying the next band while the
+        # previous one is still held makes the working set 498 KiB.
         rng = np.random.default_rng(26)
-        bank = rng.normal(size=(8, 1, 16, 16))
-        image = rng.normal(size=(1, 64, 64))
+        bank = rng.normal(size=(16, 1, 8, 8))
+        image = rng.normal(size=(1, 256, 256))
         tracemalloc.start()
         try:
             maps = correlate(bank, image)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - maps.nbytes < 1.5 * 256 * 98 * 8
+        assert peak - maps.nbytes < 1.5 * 16 * 8 * 249 * 8
 
     def test_maps_have_the_same_bits_at_1_and_2_blas_threads(self):
         # Each child hashes the maps of the same seeded shapes; only the BLAS

@@ -18,6 +18,7 @@ from convmp.core import (
     reconstruct,
     residual_energy,
 )
+from convmp.conv_mp import build_shift_gram, conv_mp_encode
 
 
 def paste_oracle(code, bank):
@@ -269,6 +270,15 @@ class TestTrainConfig:
         # None passes the CLI's seed check (unseeded) but means nothing to train
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(2, 3, 3, sparsity=5, epochs=1, seed=seed)
+
+    @pytest.mark.parametrize("tolerance", [None, "3", [0.5]])
+    def test_a_tolerance_that_is_not_a_number_is_a_config_error(self, tolerance):
+        # TrainConfig and conv_mp_encode share one check, so both reject it alike
+        bank = normalize_filters(np.ones((1, 1, 2, 2)))
+        with pytest.raises(ConfigError, match="residual_tolerance"):
+            TrainConfig(2, 3, 3, sparsity=5, epochs=1, residual_tolerance=tolerance)
+        with pytest.raises(ConfigError, match="residual_tolerance"):
+            conv_mp_encode(bank, build_shift_gram(bank), np.ones((1, 4, 4)), 2, tolerance)
 
     def test_accepts_a_numpy_integer_seed(self):
         assert TrainConfig(2, 3, 3, sparsity=5, epochs=1, seed=np.int64(7)).seed == 7

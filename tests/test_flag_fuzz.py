@@ -173,6 +173,9 @@ PIPELINE_SMALL = (
         **{f"layer{n}.k": ints(3) for n in (1, 2)},
         **{f"layer{n}.q": ints(4) for n in (1, 2)},
         **{f"layer{n}.epochs": ints(2) for n in (1, 2)},
+        **{f"layer{n}.tolerance": floats() for n in (1, 2)},
+        **{f"layer{n}.min_activations": ints(3) for n in (1, 2)},
+        **{f"layer{n}.seed": ints() for n in (1, 2)},
         "layer1.filter": dims(8), "layer2.filter": dims(4),
     }),
 )

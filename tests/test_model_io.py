@@ -82,6 +82,15 @@ class TestFloatImageFiles:
             load_bank(path)
 
 
+def test_loaded_banks_and_images_own_their_data_and_are_writeable(tmp_path):
+    # one copy of the payload: not a view of the file's bytes, nor of a copy of them
+    rng = np.random.default_rng(90)
+    save_bank(random_bank(rng, 3, 2, 4, 5), tmp_path / "m.bank")
+    save_float_image(rng.normal(size=(2, 6, 7)), tmp_path / "i.f64")
+    for loaded in (load_bank(tmp_path / "m.bank"), load_float_image(tmp_path / "i.f64")):
+        assert loaded.flags.owndata and loaded.flags.writeable
+
+
 def decode_pnm_oracle(data):
     """Byte-level PNM decoder independent of the library implementation."""
     import re
