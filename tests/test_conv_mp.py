@@ -166,14 +166,14 @@ class TestCorrelate:
         matmul, outs = np.matmul, []
 
         def spy(a, b, out):  # record where each batched matmul writes
-            outs.append((out.__array_interface__["data"][0], out.shape))
+            outs.append((out.ctypes.data, out.shape))
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", spy)
         got = correlate(bank, image)
         monkeypatch.undo()
         assert got.flags.c_contiguous
-        base = got.__array_interface__["data"][0]
+        base = got.ctypes.data
         cover = np.zeros((hv, wv), dtype=int)
         bands = set()
         for start, (n_rows, n_filters, n_cols) in outs:
@@ -205,9 +205,9 @@ class TestCorrelate:
         assert peak - maps.nbytes < 8 * 2**20
 
     def test_working_set_at_train_shape_is_under_1_mib(self):
-        # train's default shape (k8, 16x16 filters, 64x64 images): a 2-row tile
-        # unfolds 98 windows, 0.2 MB. Chunks of at least 2**21 multiply-adds
-        # unfolded 21 rows, 2.1 MB.
+        # train's default shape (k8, 16x16 filters, 64x64 images): a band
+        # copies 41 unfolded rows, 0.26 MB. Chunks of at least 2**21
+        # multiply-adds unfolded 21 rows of windows, 2.1 MB.
         rng = np.random.default_rng(26)
         bank = rng.normal(size=(8, 1, 16, 16))
         image = rng.normal(size=(1, 64, 64))
