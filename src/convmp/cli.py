@@ -4,9 +4,10 @@ filter rendering, the two-layer pipeline, and the pursuit-loop benchmark.
 Exit codes: 0 success, 2 configuration error (core.ConfigError), 3 data
 error (core.DataError, OSError, or MemoryError from an input too large to
 hold), 4 internal error. The library raises the typed errors; main only
-maps them. Batch commands write a key=value manifest into their output
-location before computing; re-running with the same inputs and manifest
-reproduces the outputs bit for bit: a pipeline manifest passed as
+maps them. Batch commands check their flags and corpus before any output,
+then write a key=value manifest of the settings that run (a pipeline seed
+already turned into layer seeds); re-running with the same inputs and
+manifest reproduces the outputs bit for bit: a pipeline manifest passed as
 --config, or a train manifest's entries passed as train's flags.
 """
 
@@ -44,7 +45,7 @@ from .model_io import (
     save_image,
     write_lines,
 )
-from .pipeline import PipelineConfig, run_two_layer, write_stats
+from .pipeline import PipelineConfig, run_two_layer, seeded, write_stats
 from .preprocess import prepare
 
 logger = logging.getLogger("convmp")
@@ -70,12 +71,12 @@ TRAIN_NAMES = {
     "min_activations": ("min_activations",),
 }
 # a pipeline config's keys; a manifest's tool, command, corpus, out and threads
-# are accepted and ignored, so that a manifest replays
+# (written by older versions) are accepted and ignored, so that a manifest replays
 PIPELINE_KEYS = {
     "image_size", "pool", "seed", "tool", "command", "corpus", "out", "threads",
     *(f"layer{n}.{name}" for n in (1, 2) for name in TRAIN_NAMES),
 }
-THREADS_HELP = "accepted and recorded in the manifest; has no effect (encoding is sequential)"
+THREADS_HELP = "an integer >= 1; has no effect (encoding is sequential) and is not recorded"
 
 
 def _parse_dims(text: str, flag: str) -> tuple[int, int]:
@@ -123,14 +124,14 @@ def _load_any_image(path: Path):
     return load_image(path)
 
 
-def _load_corpus(directory: Path):
-    """Preprocessed corpora: prefer signed float sidecars over 8-bit images."""
+def _find_corpus(directory: Path, *listings) -> list[Path]:
+    """The first nonempty listing of an existing directory, found before any output."""
     if not directory.is_dir():
         raise DataError(f"corpus directory {directory} does not exist")
-    paths = list_float_images(directory) or list_images(directory)
-    if not paths:
-        raise DataError(f"no corpus images (.f64/.pgm/.ppm) found in {directory}")
-    return [_load_any_image(p) for p in paths]
+    for listing in listings:
+        if paths := listing(directory):
+            return paths
+    raise DataError(f"no corpus images found in {directory}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +141,7 @@ def cmd_preprocess(args) -> int:
     check_count("--seed", args.seed, 0)
     check_count("--size", args.size)  # before any output, so no manifest is left behind
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
-    if not in_dir.is_dir():
-        raise DataError(f"input directory {in_dir} does not exist")
-    paths = list_images(in_dir)
-    if not paths:
-        raise DataError(f"no PGM/PPM images found in {in_dir}")
+    paths = _find_corpus(in_dir, list_images)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(
         out_dir / "manifest.txt",
@@ -177,20 +174,16 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(vars(args))
+    check_count("--threads", args.threads)
+    # a preprocessed corpus: signed float sidecars before 8-bit images
+    paths = _find_corpus(Path(args.corpus), list_float_images, list_images)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_manifest(
         Path(str(out) + ".manifest.txt"),
-        {
-            "command": "train",
-            "corpus": args.corpus,
-            "out": out,
-            **_train_entries(cfg),
-            "threads": args.threads,
-        },
+        {"command": "train", "corpus": args.corpus, "out": out, **_train_entries(cfg)},
     )
-    images = _load_corpus(Path(args.corpus))
-    bank, stats = train(images, cfg)
+    bank, stats = train([_load_any_image(p) for p in paths], cfg)
     save_bank(bank, out)
     write_lines(Path(str(out) + ".stats.txt"), stats.lines())
     logger.info("wrote %s", out)
@@ -246,7 +239,9 @@ def _config_number(values: dict[str, str], key: str, default, kind=int):
         raise ConfigError(f"config key {key} must be {noun}") from None
 
 
-def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
+def _pipeline_config(values: dict[str, str], seed: int | None = None) -> PipelineConfig:
+    """The config that runs: the layers' seeds derived from seed, else from the
+    file's seed key; no seed (or an older manifest's empty seed=) keeps theirs."""
     unknown = [key for key in values if key not in PIPELINE_KEYS]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]}")
@@ -264,38 +259,31 @@ def _pipeline_config(values: dict[str, str]) -> PipelineConfig:
             min_activations=TRAIN_DEFAULTS.min_activations,
         ),
     )
-    return PipelineConfig(
+    cfg = PipelineConfig(
         layer1=layer1,
         layer2=layer2,
         pool_size=_config_number(values, "pool", PipelineConfig.pool_size),
         image_size=_config_number(values, "image_size", PipelineConfig.image_size),
     )
+    if seed is None and values.get("seed"):
+        seed = _config_number(values, "seed", None)
+    return cfg if seed is None else seeded(cfg, seed)
 
 
 def cmd_pipeline(args) -> int:
     check_count("--scale", args.scale)
-    values = _parse_config_file(Path(args.config))
-    cfg = _pipeline_config(values)
-    seed = args.seed  # flags override file values
-    if seed is None and values.get("seed"):  # an unseeded run's manifest says seed=
-        seed = _config_number(values, "seed", None)
-    if seed is not None:
-        check_count("seed", seed, 0)
+    check_count("--threads", args.threads)
+    cfg = _pipeline_config(_parse_config_file(Path(args.config)), args.seed)
+    paths = _find_corpus(Path(args.corpus), list_images)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": "pipeline",
-        "corpus": args.corpus,
-        "out": out,
-        "image_size": cfg.image_size,
-        "pool": cfg.pool_size,
-        "seed": seed if seed is not None else "",
-        "threads": args.threads,
-    }
+    manifest = {"command": "pipeline", "corpus": args.corpus, "out": out,
+                "image_size": cfg.image_size, "pool": cfg.pool_size}
     manifest.update(_train_entries(cfg.layer1, "layer1."))
     manifest.update(_train_entries(cfg.layer2, "layer2."))
     _write_manifest(out / "manifest.txt", manifest)
-    bank1, bank2, stats = run_two_layer(args.corpus, cfg, seed=seed)
+    # one raw image at a time: run_two_layer prepares each as it takes it
+    bank1, bank2, stats = run_two_layer(map(load_image, paths), cfg)
     for name, bank in (("layer1", bank1), ("layer2", bank2)):
         save_bank(bank, out / f"{name}.bank")
         render_filter_grid(bank, out / f"{name}_filters.pgm", cell_scale=args.scale)
@@ -322,17 +310,17 @@ def run_bench(
     maps = correlate(bank, image)
     greedy_steps(maps.copy(), table, max(q_list))  # warm caches before timing
 
-    medians = []
-    for q in q_list:
-        times = []
-        for _ in range(repeat):
+    # each repeat times every q in turn, so a slow spell on the host hits all q alike
+    times = [[] for _ in q_list]
+    for _ in range(repeat):
+        for q, samples in zip(q_list, times):
             scratch = maps.copy()
             t0 = time.perf_counter()
             steps = greedy_steps(scratch, table, q)
-            times.append(time.perf_counter() - t0)
+            samples.append(time.perf_counter() - t0)
             if len(steps) != q:
                 raise ConfigError(f"--q {q} outruns the map: pursuit stopped at {len(steps)}")
-        medians.append(statistics.median(times))
+    medians = [statistics.median(samples) for samples in times]
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     return {
         "qs": q_list,

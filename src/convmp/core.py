@@ -87,7 +87,7 @@ class TrainConfig:
     min_activations: int = 1  # below this per epoch a filter is reinitialized
 
     def __post_init__(self) -> None:
-        # train needs a seed; only the CLI and run_two_layer take None (unseeded)
+        # every run has a seed; a pipeline seed reaches both layers through pipeline.seeded
         for name, least in {"num_filters": 1, "filter_height": 1, "filter_width": 1,
                             "sparsity": 1, "epochs": 0, "seed": 0, "min_activations": 1}.items():
             check_count(name, getattr(self, name), least)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .core import (
     DataError, SparseCode, TrainConfig, as_bank, as_image, check_compatible, check_count,
 )
 from .dict_learn import TrainStats, encode_all, train
-from .model_io import list_images, load_image, write_lines
+from .model_io import write_lines
 from .preprocess import avg_pool, prepare
 
 
@@ -65,40 +66,43 @@ def write_stats(stats: PipelineStats, path) -> None:
     write_lines(path, lines)
 
 
-def run_two_layer(corpus_dir, cfg: PipelineConfig, seed: int | None = None):
+def seeded(cfg: PipelineConfig, seed: int) -> PipelineConfig:
+    """cfg with both layers' seeds derived from one pipeline seed, layer 1's
+    first; the only place a pipeline seed is checked or used."""
+    check_count("seed", seed, 0)
+    s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    return dataclasses.replace(
+        cfg,
+        layer1=dataclasses.replace(cfg.layer1, seed=s1),
+        layer2=dataclasses.replace(cfg.layer2, seed=s2),
+    )
+
+
+def run_two_layer(images, cfg: PipelineConfig):
     """Full experiment driver; returns (layer1 bank, layer2 bank, stats) and
     writes nothing.
 
-    Preprocesses the corpus with prepare (grayscale, resize, contrast
-    normalization), trains layer 1, encodes every image, densifies,
-    rectifies and pools the codes, and trains layer 2 on the pooled
-    multi-channel maps. A seed, if given, deterministically overrides both
-    layers' seeds; None means unseeded.
+    Prepares each raw image with prepare as it takes it from the iterable,
+    so one raw image is held at a time. Trains layer 1, encodes every image,
+    densifies, rectifies and pools the codes, and trains layer 2 on the
+    pooled multi-channel maps, each layer under its own config's seed.
     """
-    layer1_cfg, layer2_cfg = cfg.layer1, cfg.layer2
-    if seed is not None:
-        check_count("seed", seed, 0)
-        s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-        layer1_cfg = dataclasses.replace(layer1_cfg, seed=s1)
-        layer2_cfg = dataclasses.replace(layer2_cfg, seed=s2)
+    # map releases each raw image before it takes the next; a comprehension
+    # would keep the previous one bound while the next one loads
+    preprocessed = list(map(partial(prepare, size=cfg.image_size), images))
 
-    paths = list_images(corpus_dir)
-    if not paths:
-        raise DataError(f"no PGM/PPM images found in {corpus_dir}")
-    preprocessed = [prepare(load_image(p), cfg.image_size) for p in paths]
-
-    bank1, stats1 = train(preprocessed, layer1_cfg)
-    codes = encode_all(bank1, preprocessed, layer1_cfg.sparsity, layer1_cfg.residual_tolerance)
+    bank1, stats1 = train(preprocessed, cfg.layer1)
+    codes = encode_all(bank1, preprocessed, cfg.layer1.sparsity, cfg.layer1.residual_tolerance)
     pooled = [
         avg_pool(abs_rectify(code_to_feature_maps(code, bank1)), cfg.pool_size)
         for code in codes
     ]
 
     ph, pw = pooled[0].shape[1], pooled[0].shape[2]
-    if ph < layer2_cfg.filter_height or pw < layer2_cfg.filter_width:
+    if ph < cfg.layer2.filter_height or pw < cfg.layer2.filter_width:
         raise DataError(
             f"pooled maps are {ph}x{pw}, smaller than the layer-2 "
-            f"{layer2_cfg.filter_height}x{layer2_cfg.filter_width} filters"
+            f"{cfg.layer2.filter_height}x{cfg.layer2.filter_width} filters"
         )
-    bank2, stats2 = train(pooled, layer2_cfg)
+    bank2, stats2 = train(pooled, cfg.layer2)
     return bank1, bank2, PipelineStats(stats1, stats2)

@@ -33,6 +33,7 @@ from convmp.core import (
 )
 from convmp.model_io import (
     BANK_MAGIC,
+    list_images,
     load_bank,
     load_code,
     load_float_image,
@@ -41,7 +42,7 @@ from convmp.model_io import (
     save_code,
     save_image,
 )
-from convmp.pipeline import run_two_layer
+from convmp.pipeline import run_two_layer, seeded
 
 
 def write_pgm_corpus(directory, n, size, seed):
@@ -118,7 +119,7 @@ class TestTrain:
         assert lines[0].startswith("tool=convmp ")
         assert lines[1:] == [
             "command=train", f"corpus={corpus}", f"out={model}", "k=3", "filter=6x6", "q=8",
-            "epochs=1", "seed=4", "tolerance=0.0", "min_activations=1", "threads=1",
+            "epochs=1", "seed=4", "tolerance=0.0", "min_activations=1",
         ]
 
     def test_epochs_zero_reproduces_init(self, tmp_path, trained_model):
@@ -167,15 +168,41 @@ class TestTrain:
             residual_tolerance=0.01, min_activations=2,
         )
         flags = [arg for name in TRAIN_NAMES for arg in ("--" + name.replace("_", "-"), values[name])]
-        assert main(["train", "--corpus", values["corpus"], "--out", str(again), *flags,
-                     "--threads", values["threads"]]) == 0
+        assert main(["train", "--corpus", values["corpus"], "--out", str(again), *flags]) == 0
         assert again.read_bytes() == first.read_bytes()
 
-    @pytest.mark.parametrize("command", [["train", "--out", "m.bank"],
-                                         ["pipeline", "--config", "p.cfg", "--out", "run"]])
-    def test_threads_defaults_to_one_on_every_machine(self, command):
-        args = build_parser().parse_args(command + ["--corpus", "c"])
-        assert args.threads == 1  # recorded in the manifest, so it must not depend on the host
+
+class TestCorpusAndThreadsBeforeOutput:
+    """train and pipeline check --threads and find their corpus before they
+    create an output directory or write a manifest."""
+
+    @staticmethod
+    def _argv(command, tmp_path, corpus):
+        (tmp_path / "pipe.cfg").write_text("layer1.k=2\n")
+        if command == "train":
+            return ["train", "--corpus", str(corpus), "--out", str(tmp_path / "o" / "m.bank")]
+        return ["pipeline", "--corpus", str(corpus), "--config", str(tmp_path / "pipe.cfg"),
+                "--out", str(tmp_path / "o")]
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    @pytest.mark.parametrize("corpus", ["missing", "empty"])
+    def test_an_unusable_corpus_exits_3_and_writes_nothing(self, tmp_path, capsys, command,
+                                                           corpus):
+        if corpus == "empty":
+            (tmp_path / "c").mkdir()
+            (tmp_path / "c" / "notes.txt").write_text("not an image\n")
+        assert main(self._argv(command, tmp_path, tmp_path / "c")) == 3
+        assert str(tmp_path / "c") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    @pytest.mark.parametrize("threads", ["-7", "0"])
+    def test_threads_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                          threads):
+        write_pgm_corpus(tmp_path / "c", 2, 24, seed=0)
+        assert main(self._argv(command, tmp_path, tmp_path / "c") + ["--threads", threads]) == 2
+        assert "--threads must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEncodeReconstruct:
@@ -270,8 +297,8 @@ class TestPipelineCommand:
         assert main(["pipeline", "--corpus", str(tmp_path / "raw"), "--config", str(config),
                      "--out", str(out), "--seed", "5", "--threads", "1"]) == 0
         # the command saves what run_two_layer returns for the same config and seed
-        bank1, bank2, _ = run_two_layer(tmp_path / "raw", _pipeline_config(
-            _parse_config_file(config)), seed=5)
+        bank1, bank2, _ = run_two_layer(map(load_image, list_images(tmp_path / "raw")),
+                                        _pipeline_config(_parse_config_file(config), 5))
         np.testing.assert_array_equal(load_bank(out / "layer1.bank"), bank1)
         np.testing.assert_array_equal(load_bank(out / "layer2.bank"), bank2)
         assert bank1.shape == (2, 1, 6, 6) and bank2.shape == (3, 2, 2, 2)
@@ -279,7 +306,7 @@ class TestPipelineCommand:
         for name in ("layer1_filters.pgm", "layer2_filters.pgm", "manifest.txt"):
             assert (out / name).exists()
 
-    @pytest.mark.parametrize("seed", [["--seed", "5"], []], ids=["seeded", "unseeded"])
+    @pytest.mark.parametrize("seed", [5, None], ids=["seeded", "unseeded"])
     def test_manifest_records_every_layer_setting(self, tmp_path, seed):
         write_pgm_corpus(tmp_path / "raw", 4, 24, seed=6)
         config = tmp_path / "pipe.cfg"
@@ -292,19 +319,49 @@ class TestPipelineCommand:
         )
         base = ["pipeline", "--corpus", str(tmp_path / "raw")]
         first, again = tmp_path / "o1", tmp_path / "o2"
-        assert main([*base, "--config", str(config), "--out", str(first), *seed]) == 0
+        flag = [] if seed is None else ["--seed", str(seed)]
+        assert main([*base, "--config", str(config), "--out", str(first), *flag]) == 0
         manifest = first / "manifest.txt"
         lines = manifest.read_text().splitlines()
         for entry in ("layer1.tolerance=0.01", "layer1.min_activations=2",
                       "layer2.tolerance=0.01", "layer2.min_activations=3"):
             assert entry in lines
-        # read back as a config file, the manifest gives the run's settings and outputs
+        # a seed is already turned into the layers' seeds, and threads has no effect
+        assert not [line for line in lines if line.startswith(("seed=", "threads="))]
+        # read back as a config file, the manifest gives the settings that ran and the outputs
         assert _pipeline_config(_parse_config_file(manifest)) == _pipeline_config(
-            _parse_config_file(config)
+            _parse_config_file(config), seed
         )
         assert main([*base, "--config", str(manifest), "--out", str(again)]) == 0
         for name in ("layer1.bank", "layer2.bank"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_seeded_manifest_without_its_seed_line_replays_the_banks(self, tmp_path):
+        """The layer seeds a manifest records are the ones that ran, so no
+        top-level seed= line is needed to replay a seeded run."""
+        write_pgm_corpus(tmp_path / "raw", 4, 24, seed=7)
+        config = tmp_path / "pipe.cfg"
+        config.write_text(
+            "image_size=24\npool=8\n"
+            "layer1.k=2\nlayer1.filter=6x6\nlayer1.q=4\nlayer1.epochs=1\n"
+            "layer2.k=2\nlayer2.filter=2x2\nlayer2.q=3\nlayer2.epochs=1\n"
+        )
+        base = ["pipeline", "--corpus", str(tmp_path / "raw")]
+        first, again = tmp_path / "o1", tmp_path / "o2"
+        assert main([*base, "--config", str(config), "--out", str(first), "--seed", "3"]) == 0
+        lines = (first / "manifest.txt").read_text().splitlines()
+        replay = tmp_path / "replay.cfg"
+        replay.write_text("".join(f"{line}\n" for line in lines if not line.startswith("seed=")))
+        assert main([*base, "--config", str(replay), "--out", str(again)]) == 0
+        for name in ("layer1.bank", "layer2.bank"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_older_manifest_seed_and_threads_lines_still_replay(self):
+        # older manifests wrote the pipeline seed (empty when unseeded) and threads
+        layers = {"layer1.seed": "0", "layer2.seed": "1", "threads": "2"}
+        assert _pipeline_config({**layers, "seed": ""}) == _pipeline_config({})
+        assert _pipeline_config({**layers, "seed": "3"}) == seeded(_pipeline_config({}), 3)
+        assert _pipeline_config({"seed": "3"}, 4) == seeded(_pipeline_config({}), 4)
 
     def test_bad_config_line_is_config_error(self, tmp_path):
         config = tmp_path / "bad.cfg"

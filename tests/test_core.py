@@ -267,7 +267,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("seed", [None, 1.5, "3"])
     def test_rejects_a_seed_that_is_not_an_integer(self, seed):
-        # None passes the CLI's seed check (unseeded) but means nothing to train
+        # None is the pipeline command's "no seed", never a TrainConfig's
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(2, 3, 3, sparsity=5, epochs=1, seed=seed)
 
@@ -316,10 +316,10 @@ def _count_entry_points():
     gives, least, call with (value, a directory holding an empty config file),
     kind of value). The CLI's parsed flags are passed as an argparse
     namespace; the HxW and --q text it parses is given as text."""
-    from convmp.cli import _parse_dims, cmd_bench, cmd_pipeline, cmd_preprocess
+    from convmp.cli import _parse_dims, cmd_bench, cmd_pipeline, cmd_preprocess, cmd_train
     from convmp.conv_mp import build_shift_gram, conv_mp_encode
     from convmp.model_io import render_filter_grid
-    from convmp.pipeline import PipelineConfig, run_two_layer
+    from convmp.pipeline import PipelineConfig, seeded
     from convmp.preprocess import avg_pool, resize
 
     train = dict(num_filters=2, filter_height=3, filter_width=3, sparsity=5, epochs=1)
@@ -335,9 +335,13 @@ def _count_entry_points():
             **{"image": "12x12", "filter": "3x3", "q": "2", "k": 1, "repeat": 1, "seed": 0,
                **flags}))
 
+    def train_cmd(d, **flags):
+        return cmd_train(argparse.Namespace(
+            **{"corpus": d / "none", "out": d / "m.bank", "threads": 1, **flags}))
+
     def pipeline(d, **flags):
         return cmd_pipeline(argparse.Namespace(
-            **{"scale": 1, "seed": None, "config": d / "empty.cfg", **flags}))
+            **{"scale": 1, "seed": None, "threads": 1, "config": d / "empty.cfg", **flags}))
 
     return [
         *((f"TrainConfig-{f}", f, 0 if f in ("epochs", "seed") else 1,
@@ -354,8 +358,8 @@ def _count_entry_points():
         ("avg_pool-pool", "pool", 1, lambda v, d: avg_pool(image, v), "value"),
         ("render_filter_grid-cell_scale", "cell_scale", 1,
          lambda v, d: render_filter_grid(bank, cell_scale=v), "value"),
-        ("run_two_layer-seed", "seed", 0,
-         lambda v, d: run_two_layer(d, PipelineConfig(**layers), v), "seed"),
+        ("seeded-seed", "seed", 0, lambda v, d: seeded(PipelineConfig(**layers), v), "value"),
+        ("train-threads", "--threads", 1, lambda v, d: train_cmd(d, threads=v), "value"),
         ("preprocess-size", "--size", 1, lambda v, d: preprocess(size=v), "value"),
         ("preprocess-seed", "--seed", 0, lambda v, d: preprocess(seed=v), "value"),
         ("bench-k", "--k", 1, lambda v, d: bench(k=v), "value"),
@@ -366,6 +370,7 @@ def _count_entry_points():
         ("dims-width", "--image", 1, lambda v, d: _parse_dims(f"4x{v}", "--image"), "text"),
         ("pipeline-scale", "--scale", 1, lambda v, d: pipeline(d, scale=v), "value"),
         ("pipeline-seed", "seed", 0, lambda v, d: pipeline(d, seed=v), "seed"),
+        ("pipeline-threads", "--threads", 1, lambda v, d: pipeline(d, threads=v), "value"),
     ]
 
 
@@ -379,8 +384,8 @@ COUNT_ENTRY_POINTS = _count_entry_points()
 )
 def test_every_count_rejects_a_small_or_non_integer_value(tmp_path, name, least, call, kind):
     """Below the least value, a float, None or a string: each a ConfigError
-    naming the count, from the library as from the CLI. A None seed means
-    unseeded, and text given as "3" is a valid count."""
+    naming the count, from the library as from the CLI. The pipeline command
+    takes a None seed as no seed, and text given as "3" is a valid count."""
     (tmp_path / "empty.cfg").write_text("")
     bad = {
         "value": [least - 1, 2.5, None, "3"],

@@ -1,7 +1,10 @@
 """Flag fuzzing: any value given to the numeric and HxW flags of train, encode,
 bench, preprocess, render-filters and pipeline, and to the pipeline's
 numeric config values (zero, negatives, nan, inf, empty, non-numeric text,
-malformed HxW) either runs or is rejected, so the CLI exits 0, 2 or 3,
+malformed HxW), and any image or code handed to encode or reconstruct with
+a bank it does not fit (another channel count, an image or code grid
+smaller than the filters, a filter index the bank lacks, a position off
+the valid grid), either runs or is rejected, so the CLI exits 0, 2 or 3,
 never 4, and prints no traceback.
 
 Every drawn size is small (images up to 40x40, up to 6 filters of at most
@@ -21,10 +24,10 @@ from hypothesis import strategies as st  # noqa: E402
 from test_parser_fuzz import FUZZ  # noqa: E402
 
 from convmp.cli import main  # noqa: E402
-from convmp.core import normalize_filters  # noqa: E402
-from convmp.model_io import save_bank, save_float_image, save_image  # noqa: E402
+from convmp.core import SparseCode, normalize_filters  # noqa: E402
+from convmp.model_io import save_bank, save_code, save_float_image, save_image  # noqa: E402
 
-FLAGS = settings(FUZZ, max_examples=120)  # keeps the six fuzzers near 4 s together
+FLAGS = settings(FUZZ, max_examples=120)  # keeps the eight fuzzers near 7 s together
 JUNK = ["", " ", "nan", "inf", "-inf", "x", "1.5", "1e2", "0x10", "--"]
 
 
@@ -99,7 +102,8 @@ def inputs(tmp_path_factory):
 
 
 def exits_cleanly(argv, capsys):
-    """Run the CLI; its exit code is 0, 2 or 3 and stderr holds no traceback."""
+    """Run the CLI; its exit code is 0, 2 or 3 and stderr holds no traceback.
+    Returns the exit code."""
     try:
         code = main([str(a) for a in argv])
     except SystemExit as exc:  # argparse rejects a value that does not convert
@@ -107,6 +111,7 @@ def exits_cleanly(argv, capsys):
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err and "internal error" not in err, (argv, err)
+    return code
 
 
 @FLAGS
@@ -131,6 +136,45 @@ def test_encode_flags_exit_0_2_or_3(inputs, capsys, flags):
          "--out", inputs / "out.code", *flags],
         capsys,
     )
+
+
+@FLAGS
+@given(channels=st.integers(1, 3), height=st.integers(1, 12), width=st.integers(1, 12))
+def test_encode_of_an_image_the_bank_does_not_fit_exits_2(inputs, capsys, channels, height,
+                                                          width):
+    """Any channel count and size of image against the 1-channel 4x4 bank."""
+    image = np.random.default_rng(0).normal(size=(channels, height, width))
+    save_float_image(image, inputs / "drawn.f64")
+    code = exits_cleanly(
+        ["encode", "--model", inputs / "model.bank", "--image", inputs / "drawn.f64",
+         "--out", inputs / "out.code", "--q=3"],
+        capsys,
+    )
+    assert code == (0 if channels == 1 and min(height, width) >= 4 else 2)
+
+
+@FLAGS
+@given(
+    channels=st.integers(1, 2), height=st.integers(1, 12), width=st.integers(1, 12),
+    activations=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 9), st.floats(-2, 2)),
+        max_size=4,
+    ),
+)
+def test_reconstruct_of_a_code_the_bank_does_not_fit_exits_2(inputs, capsys, channels, height,
+                                                             width, activations):
+    """Codes of any channel count, grid size and activations against the
+    1-channel bank of two 4x4 filters."""
+    save_code(SparseCode(channels, height, width, activations), inputs / "drawn.code")
+    code = exits_cleanly(
+        ["reconstruct", "--model", inputs / "model.bank", "--code", inputs / "drawn.code",
+         "--out", inputs / "r.pgm"],
+        capsys,
+    )
+    fits = channels == 1 and min(height, width) >= 4 and all(
+        f < 2 and r <= height - 4 and c <= width - 4 for f, r, c, _ in activations
+    )
+    assert code == (0 if fits else 2)
 
 
 @FLAGS
@@ -167,9 +211,9 @@ PIPELINE_SMALL = (
 
 @FLAGS
 @given(
-    flags=drawn_flags({"--scale": ints(4), "--seed": ints()}),
+    flags=drawn_flags({"--scale": ints(4), "--seed": ints(), "--threads": ints()}),
     config=drawn_config({
-        "image_size": ints(20), "pool": ints(6),
+        "image_size": ints(20), "pool": ints(6), "seed": ints(),
         **{f"layer{n}.k": ints(3) for n in (1, 2)},
         **{f"layer{n}.q": ints(4) for n in (1, 2)},
         **{f"layer{n}.epochs": ints(2) for n in (1, 2)},

@@ -1,14 +1,14 @@
 import dataclasses
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from convmp import dict_learn
 from codes import Activation
-from convmp.core import ConfigError, SparseCode, TrainConfig, normalize_filters
+from convmp.core import ConfigError, DataError, SparseCode, TrainConfig, normalize_filters
 from convmp.dict_learn import TrainStats, train
-from convmp.model_io import save_image
 from convmp.pipeline import (
     PipelineConfig,
     PipelineStats,
@@ -16,6 +16,7 @@ from convmp.pipeline import (
     avg_pool,
     code_to_feature_maps,
     run_two_layer,
+    seeded,
     write_stats,
 )
 
@@ -32,11 +33,10 @@ def small_cfg(**overrides):
     return PipelineConfig(**base)
 
 
-def write_corpus(directory, n, size, seed):
+def raw_images(n, size, seed):
+    """n raw images, one at a time, as a loader would give them."""
     rng = np.random.default_rng(seed)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i in range(n):
-        save_image(rng.random(size=(1, size, size)), directory / f"img{i:03d}.pgm")
+    return (rng.random(size=(1, size, size)) for _ in range(n))
 
 
 class TestCodeToFeatureMaps:
@@ -149,42 +149,51 @@ class TestAvgPool:
 
 
 class TestRunTwoLayer:
-    def test_shapes_and_outputs(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        write_corpus(corpus, 6, 24, seed=0)
-        bank1, bank2, stats = run_two_layer(corpus, small_cfg(), seed=1)
+    def test_shapes_and_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bank1, bank2, stats = run_two_layer(raw_images(6, 24, seed=0), seeded(small_cfg(), 1))
         assert bank1.shape == (2, 1, 6, 6)
         # 24x24 -> valid 19x19 -> pool 8 -> 3x3 maps with 2 channels
         assert bank2.shape == (3, 2, 2, 2)
         assert len(stats.layer1.epoch_energy) == 1
         assert len(stats.layer2.epoch_energy) == 1
-        assert list(tmp_path.iterdir()) == [corpus]  # the caller writes the outputs
+        assert list(tmp_path.iterdir()) == []  # the caller writes the outputs
 
-    def test_bit_reproducible_under_fixed_seed(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        write_corpus(corpus, 5, 24, seed=1)
-        a1, a2, _ = run_two_layer(corpus, small_cfg(), seed=7)
-        b1, b2, _ = run_two_layer(corpus, small_cfg(), seed=7)
+    def test_bit_reproducible_under_fixed_seed(self):
+        a1, a2, _ = run_two_layer(raw_images(5, 24, seed=1), seeded(small_cfg(), 7))
+        b1, b2, _ = run_two_layer(raw_images(5, 24, seed=1), seeded(small_cfg(), 7))
         np.testing.assert_array_equal(a1, b1)
         np.testing.assert_array_equal(a2, b2)
 
-    def test_identical_images_single_filter(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        rng = np.random.default_rng(108)
-        img = rng.random(size=(1, 24, 24))
-        for i in range(4):
-            save_image(img, corpus / f"same{i}.pgm")
+    def test_holds_one_raw_image_at_a_time(self):
+        """Each raw image is prepared as it is taken and released before the
+        next one is taken, so no earlier raw image is alive when it loads."""
+        refs = []
+
+        def track(image):
+            refs.append(weakref.ref(image))
+            return image
+
+        def loader():
+            for image in raw_images(5, 40, seed=2):
+                assert all(ref() is None for ref in refs)
+                yield track(image)
+
+        run_two_layer(loader(), small_cfg())
+        assert len(refs) == 5
+
+    def test_identical_images_single_filter(self):
+        img = np.random.default_rng(108).random(size=(1, 24, 24))
         cfg = small_cfg(
             layer1=TrainConfig(1, 6, 6, sparsity=4, epochs=1, seed=2),
             layer2=TrainConfig(2, 2, 2, sparsity=2, epochs=1, seed=3),
         )
-        bank1a, _, _ = run_two_layer(corpus, cfg)
-        bank1b, _, _ = run_two_layer(corpus, cfg)
+        bank1a, _, _ = run_two_layer([img] * 4, cfg)
+        bank1b, _, _ = run_two_layer([img] * 4, cfg)
         np.testing.assert_array_equal(bank1a, bank1b)
         assert abs(np.sqrt(np.sum(bank1a**2)) - 1.0) <= 1e-10
 
-    def test_every_encode_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+    def test_every_encode_runs_on_the_calling_thread(self, monkeypatch):
         """Encoding is one sequential loop, whatever train's ignored threads says."""
         idents = []
         encode = dict_learn.conv_mp_encode
@@ -197,24 +206,30 @@ class TestRunTwoLayer:
         rng = np.random.default_rng(109)
         images = [rng.normal(size=(1, 10, 10)) for _ in range(4)]
         train(images, TrainConfig(2, 3, 3, sparsity=4, epochs=2, seed=7), threads=4)
-        corpus = tmp_path / "corpus"
-        write_corpus(corpus, 4, 24, seed=3)
-        run_two_layer(corpus, small_cfg())
+        run_two_layer(raw_images(4, 24, seed=3), small_cfg())
         # 4 images: 2 epochs of train, then layer 1's epoch, its encode_all, layer 2's epoch
         assert len(idents) == 4 * 2 + 4 * 3
         assert set(idents) == {threading.get_ident()}
 
-    def test_rejects_empty_corpus(self, tmp_path):
-        empty = tmp_path / "none"
-        empty.mkdir()
-        with pytest.raises(ValueError, match="no PGM"):
-            run_two_layer(empty, small_cfg())
+    def test_rejects_empty_corpus(self):
+        with pytest.raises(DataError, match="empty"):
+            run_two_layer(iter([]), small_cfg())
 
-    def test_rejects_negative_seed(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        write_corpus(corpus, 2, 24, seed=4)
+    def test_seeded_derives_both_layer_seeds_from_one_seed(self):
+        """The derivation older manifests' seed= lines ran: the two words of
+        SeedSequence(seed), layer 1's first; every other setting is kept."""
+        cfg = small_cfg()
+        words = [int(w) for w in np.random.SeedSequence(7).generate_state(2)]
+        assert seeded(cfg, 7) == dataclasses.replace(
+            cfg,
+            layer1=dataclasses.replace(cfg.layer1, seed=words[0]),
+            layer2=dataclasses.replace(cfg.layer2, seed=words[1]),
+        )
+        assert seeded(cfg, 7) == seeded(cfg, np.int64(7)) != seeded(cfg, 8)
+
+    def test_seeded_rejects_a_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
-            run_two_layer(corpus, small_cfg(), seed=-1)
+            seeded(small_cfg(), -1)
 
     def test_config_is_immutable_and_checked_when_built(self):
         cfg = small_cfg()
@@ -224,12 +239,10 @@ class TestRunTwoLayer:
             with pytest.raises(ConfigError, match=field):
                 dataclasses.replace(cfg, **{field: 0})
 
-    def test_rejects_undersized_pooled_maps(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        write_corpus(corpus, 3, 24, seed=2)
+    def test_rejects_undersized_pooled_maps(self):
         cfg = small_cfg(layer2=TrainConfig(2, 5, 5, sparsity=2, epochs=1, seed=3))
         with pytest.raises(ValueError, match="pooled"):
-            run_two_layer(corpus, cfg)
+            run_two_layer(raw_images(3, 24, seed=2), cfg)
 
 
 def test_write_stats_prefixes_each_layers_epoch_lines(tmp_path):
