@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import statistics
 import sys
 import time
 from dataclasses import replace
@@ -320,7 +319,7 @@ def run_bench(
             samples.append(time.perf_counter() - t0)
             if len(steps) != q:
                 raise ConfigError(f"--q {q} outruns the map: pursuit stopped at {len(steps)}")
-    medians = [statistics.median(samples) for samples in times]
+    medians = [float(np.median(samples)) for samples in times]
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     return {
         "qs": q_list,

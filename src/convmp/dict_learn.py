@@ -21,7 +21,8 @@ collecting its patches is one gather and the repair is two ordered
 scatters, np.add.at then np.subtract.at. Each sample takes its updates in
 the order a loop over the positions would apply them, so the repair gives
 that loop's bits. The principal direction comes from power iteration on
-the smaller of the patch set's two Gram matrices, n x n or dim x dim.
+the (n, dim) patch rows themselves, two matrix-vector products per step,
+so no Gram matrix is formed.
 
 The alternation is not guaranteed to decrease the energy (the encoding
 subproblem is not convex); TrainStats records per-epoch energy so the
@@ -170,15 +171,15 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
     """Top left singular direction of the stacked (uncentered) patches.
 
     patches is an (n, dim) array or a sequence of n equal-shape patches; the
-    result has one patch's shape. Power iteration with a seeded start runs
-    on the smaller of the two Gram matrices, rows^T rows (dim x dim) or
-    rows rows^T (n x n); from the n x n form the direction is mapped back
-    as u^T rows, normalized. Both share their nonzero eigenvalues, so the
-    relative residual test means the same on either. Reaching the iteration
-    cap before converging is logged as a warning. The sign is chosen to
-    keep a nonnegative inner product with prev when one is given; on a
-    near-zero tie (or without prev) the first nonzero component is made
-    positive.
+    result has one patch's shape. Power iteration from a seeded start runs
+    on rows^T rows without forming it: each step is (rows @ v) @ rows, two
+    matrix-vector products. numpy's bundled OpenBLAS runs one of at most
+    460800 entries on a single thread, so such patch sets give the same
+    bits at any BLAS thread count. It stops when the relative residual
+    |y - lam v| / lam falls to _PCA_TOL; reaching the iteration cap first
+    is logged as a warning. The sign is chosen to keep a nonnegative inner
+    product with prev when one is given; on a near-zero tie (or without
+    prev) the first nonzero component is made positive.
     """
     mats = np.asarray(patches, dtype=np.float64)
     if len(mats) == 0:
@@ -186,20 +187,18 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
     rows = mats.reshape(len(mats), -1)  # (n, dim)
     if not np.any(rows):
         raise DataError("all patches are zero; dead filter")
-    n, dim = rows.shape
-    gram = rows @ rows.T if n < dim else rows.T @ rows
-    size = gram.shape[0]
+    dim = rows.shape[1]
 
     rng = np.random.default_rng(_PCA_SEED)
-    v = rng.normal(size=size)
+    v = rng.normal(size=dim)
     v /= math.sqrt(v @ v)
     for _ in range(_PCA_MAX_ITER):
-        y = gram @ v
+        y = (rows @ v) @ rows
         lam = float(v @ y)
         norm = math.sqrt(y @ y)
         if norm == 0.0:
             # started in the nullspace; restart
-            v = rng.normal(size=size)
+            v = rng.normal(size=dim)
             v /= math.sqrt(v @ v)
             continue
         d = y - lam * v
@@ -209,9 +208,6 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
             break
     else:
         logger.warning("power iteration hit its cap of %d iterations unconverged", _PCA_MAX_ITER)
-    if n < dim:
-        v = v @ rows
-        v /= math.sqrt(v @ v)
     prev_flat = None if prev is None else np.asarray(prev, dtype=np.float64).ravel()
     v = _fix_sign(v, prev_flat)
     return v.reshape(mats.shape[1:])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -228,7 +233,7 @@ class TestPcaTopComponent:
         assert np.array_equal(stacked, listed.ravel())
 
     @pytest.mark.parametrize("n", [3, 8, 17, 18, 40], ids=lambda n: f"n{n}-dim18")
-    def test_both_gram_forms_match_dense_eigendecomposition(self, n, caplog):
+    def test_matches_dense_eigendecomposition_on_either_side_of_dim(self, n, caplog):
         # criterion 10's tolerance, on either side of n = dim
         rng = np.random.default_rng(60 + n)
         for _ in range(10):
@@ -241,8 +246,8 @@ class TestPcaTopComponent:
         assert caplog.records == []
 
     def test_rank_deficient_short_set_converges(self, caplog):
-        # 6 rows in dim 27 spanning only 2 directions: the 6x6 Gram matrix is
-        # singular, and the direction still comes back from u^T rows
+        # 6 rows in dim 27 spanning only 2 directions: rows^T rows has rank 2,
+        # and the iteration still converges to its top eigenvector
         rng = np.random.default_rng(61)
         basis = rng.normal(size=(2, 27))
         rows = rng.normal(size=(6, 2)) @ basis
@@ -617,6 +622,42 @@ class TestTrain:
         a, _ = train(images, make_cfg(epochs=2), threads=1)
         b, _ = train(images, make_cfg(epochs=2), threads=4)
         np.testing.assert_array_equal(a, b)
+
+    def test_banks_have_the_same_bits_at_1_and_2_blas_threads(self):
+        # Each child trains the same seeded random corpora and takes the top
+        # direction of three random (n, dim) patch sets; only the BLAS thread
+        # count differs. With a Gram matrix product in pca_top_component, the
+        # three training setups and the two n < dim sets gave different bits
+        # at 1 and 2 threads.
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from convmp.core import TrainConfig\n"
+            "from convmp.dict_learn import pca_top_component, train\n"
+            "for n, h, k, f, s in [(12, 48, 4, 12, 0), (10, 64, 4, 16, 3), (6, 48, 2, 12, 4)]:\n"
+            "    images = np.random.default_rng(s).normal(size=(n, 1, h, h))\n"
+            "    bank, _ = train(images, TrainConfig(k, f, f, 40, 2, seed=s))\n"
+            "    print(n, h, k, f, s, hashlib.sha256(bank.tobytes()).hexdigest())\n"
+            "for n, dim in [(100, 128), (300, 400), (2000, 128)]:\n"
+            "    rows = np.random.default_rng([n, dim]).normal(size=(n, dim))\n"
+            "    print(n, dim, hashlib.sha256(pca_top_component(rows).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(dict_learn.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n, "PYTHONPATH": path},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for n in ("1", "2")
+        ]
+        outs = [child.communicate(timeout=120) for child in children]
+        for child, (_, err) in zip(children, outs):
+            assert child.returncode == 0, err
+        one, two = (out.splitlines() for out, _ in outs)
+        assert len(one) == len(two) == 6
+        assert [a for a, b in zip(one, two) if a != b] == []
 
     def test_counts_sum_to_steps_taken(self):
         rng = np.random.default_rng(55)
