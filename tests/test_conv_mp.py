@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from convmp import conv_mp
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
+from blas_threads import lines_at_1_and_2_blas_threads
 from codes import Activation, records
 from convmp.core import (
     ConfigError, SparseCode, normalize_filters, reconstruct, residual_energy,
@@ -259,20 +256,7 @@ class TestCorrelate:
             "    maps = correlate(data.normal(size=(k, c, fh, fw)), data.normal(size=(c, h, w)))\n"
             "    print(k, c, fh, fw, h, w, hashlib.sha256(maps.tobytes()).hexdigest())\n"
         )
-        src = str(Path(conv_mp.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        children = [
-            subprocess.Popen(
-                [sys.executable, "-c", script],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n, "PYTHONPATH": path},
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            )
-            for n in ("1", "2")
-        ]
-        outs = [child.communicate(timeout=120) for child in children]
-        for child, (_, err) in zip(children, outs):
-            assert child.returncode == 0, err
-        one, two = (out.splitlines() for out, _ in outs)
+        one, two = lines_at_1_and_2_blas_threads(script)
         assert len(one) == len(two) == 305
         assert [a for a, b in zip(one, two) if a != b] == []
 

@@ -1,11 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from blas_threads import lines_at_1_and_2_blas_threads
 from codes import Activation, records
 from convmp import dict_learn
 from convmp.core import (
@@ -642,20 +638,7 @@ class TestTrain:
             "    rows = np.random.default_rng([n, dim]).normal(size=(n, dim))\n"
             "    print(n, dim, hashlib.sha256(pca_top_component(rows).tobytes()).hexdigest())\n"
         )
-        src = str(Path(dict_learn.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        children = [
-            subprocess.Popen(
-                [sys.executable, "-c", script],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n, "PYTHONPATH": path},
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            )
-            for n in ("1", "2")
-        ]
-        outs = [child.communicate(timeout=120) for child in children]
-        for child, (_, err) in zip(children, outs):
-            assert child.returncode == 0, err
-        one, two = (out.splitlines() for out, _ in outs)
+        one, two = lines_at_1_and_2_blas_threads(script)
         assert len(one) == len(two) == 6
         assert [a for a, b in zip(one, two) if a != b] == []
 
