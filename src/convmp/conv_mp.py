@@ -10,10 +10,15 @@ costs one application of the filter bank plus, per pursuit step, one
 window update and one argmax. The bank is applied one band of image rows
 at a time, unfolded along x only, as one GEMM per map row written straight
 into the maps, so the maps have the same bits at 1 and 2 BLAS threads.
-On large maps the argmax runs off a cache of per-block maxima (blocks of
-h_f rows), so a step rescans only the band of rows its window touched,
-not the whole map; on small maps a direct scan is cheaper. The steps come
-out as one core.ACTIVATION array, the form a SparseCode holds.
+The pursuit loop runs in C (_pursuit.c, built on first use) off a cache
+of the peak magnitude of each 16x32 tile of each map, and of the best tile
+of each (filter, tile row), so a step's argmax reads k * h_v/16 entries.
+A window update rescans only the part of each tile it touched; a tile
+whose peak it lowered is marked stale and rescanned only if its old peak
+comes up as the largest again. The C loop keeps numpy's bits: the update
+is m - (a * t), with no fused multiply-add, and ties go to the lowest
+filter, then row-major position, as np.abs(maps).argmax() picks them.
+The steps come out as one core.ACTIVATION array, the form a SparseCode holds.
 """
 
 from __future__ import annotations
@@ -21,17 +26,15 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ._pursuit import pursue
 from .core import (
     ACTIVATION, UNIT_NORM_ATOL, ConfigError, SparseCode, as_bank, as_image, check_count,
     check_tolerance,
 )
 
-# greedy_steps uses its block-max cache when a step skips more than this many
-# map entries: k * w_v * (h_v - 3 * h_f), the rows outside the at most three
-# blocks a window refresh rescans. Below it the cached path's extra numpy calls
-# per step cost more than the rescan they save; CHANGES.md has the measured
-# crossover.
-CACHE_MIN_SKIPPED = 32_768
+# Most steps per call of the C loop, which holds them in one buffer; a longer
+# pursuit makes more calls, each starting with one scan of the maps.
+STEP_BLOCK = 2**16
 
 # Most multiply-adds per correlate GEMM, unless one window alone holds more.
 # With the bundled OpenBLAS, GEMMs this small give the same bits at 1 and 2
@@ -136,65 +139,38 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndar
     contribution from every map inside the overlap window via table
     lookups. Stops after max_steps or when the peak magnitude drops to
     tolerance or below. Returns the steps as a core.ACTIVATION array in
-    selection order. The caller owns maps; on return they equal the
-    correlations of the bank with the implied residual.
+    selection order. The caller owns maps, which must be finite; on return
+    they equal the correlations of the bank with the implied residual.
 
-    When the cache spares each step more than CACHE_MIN_SKIPPED entries
-    of the full rescan, the peak is found through a (k, blocks) cache of
-    max magnitudes over blocks of h_f rows: the argmax of the cache names
-    a block, the argmax inside that block names the entry, and after the
-    window update only the blocks overlapping the window's rows are
-    refreshed, for every filter. Blocks are contiguous and ordered like
-    the flat maps, so the first block holding the peak holds the
-    flat-first peak and the tie-break is the direct scan's. Both paths
-    pick bit-identical steps. maps is only read and written through
-    slices, so any memory layout is updated in place.
+    The loop runs in C (_pursuit.c, built on first use) off a cache of
+    per-tile max magnitudes, with numpy's bits: see the module docstring.
+    C-contiguous float64 maps are updated where they lie; any other layout
+    is copied in and back.
     """
     k, hv, wv = maps.shape
-    fh = (table.shape[2] + 1) // 2
-    fw = (table.shape[3] + 1) // 2
-    cached = k * wv * (hv - 3 * fh) > CACHE_MIN_SKIPPED
-    if cached:
-        starts = np.arange(0, hv * wv, fh * wv)  # flat offset of each block in one map
-        cache = _block_max(maps, starts)
-        nb = starts.size
-    steps = []
-    for _ in range(max_steps):
-        if cached:
-            j, b = divmod(int(cache.argmax()), nb)
-            pr, pc = divmod(int(np.abs(maps[j, b * fh : (b + 1) * fh]).argmax()), wv)
-            pr += b * fh
-        else:
-            j, rest = divmod(int(np.abs(maps).argmax()), hv * wv)
-            pr, pc = divmod(rest, wv)
-        a = float(maps[j, pr, pc])
-        if abs(a) <= tolerance:
+    fh, fw = (table.shape[2] + 1) // 2, (table.shape[3] + 1) // 2
+    if table.shape != (k, k, 2 * fh - 1, 2 * fw - 1):
+        raise ConfigError(f"shift table shape {table.shape} does not fit {k} maps")
+    inplace = maps.dtype == np.float64 and maps.flags.c_contiguous and maps.flags.writeable
+    work = maps if inplace else np.ascontiguousarray(maps, dtype=np.float64)
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    blocks = []
+    while True:
+        out = np.empty(max(0, min(max_steps, STEP_BLOCK)), ACTIVATION)
+        n = pursue()(
+            work.ctypes.data, k, hv, wv, table.ctypes.data, fh, fw, out.size, float(tolerance),
+            out.ctypes.data,
+        )
+        if n < 0:
+            raise MemoryError("no memory for the pursuit's tile cache")
+        # a pursuit that stopped early lets go of the rest of its block
+        blocks.append(out if n == out.size else out[:n].copy())
+        max_steps -= n
+        if n < STEP_BLOCK:
             break
-        steps.append((j, pr, pc, a))
-        r0, r1 = max(0, pr - fh + 1), min(hv, pr + fh)
-        c0, c1 = max(0, pc - fw + 1), min(wv, pc + fw)
-        maps[:, r0:r1, c0:c1] -= a * table[
-            j,
-            :,
-            r0 - pr + fh - 1 : r1 - pr + fh - 1,
-            c0 - pc + fw - 1 : c1 - pc + fw - 1,
-        ]
-        if cached:
-            b0, b1 = r0 // fh, (r1 - 1) // fh + 1
-            cache[:, b0:b1] = _block_max(maps[:, b0 * fh : b1 * fh], starts[: b1 - b0])
-    return np.array(steps, dtype=ACTIVATION)
-
-
-def _block_max(maps: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Max magnitude of each block of each map; block i of a map starts at
-    flat offset starts[i] and runs to the next start (the last one may be
-    short). Taken as max(max, -min) per block, which is exact, so no |maps|
-    copy is made. maps is only read: a band of rows of a C-contiguous map
-    reshapes to a view, any other layout to a copy."""
-    flat = maps.reshape(maps.shape[0], -1)
-    top = np.maximum.reduceat(flat, starts, axis=1)
-    low = np.minimum.reduceat(flat, starts, axis=1)
-    return np.maximum(top, np.negative(low, out=low), out=top)
+    if not inplace:
+        maps[...] = work
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) -> SparseCode:

@@ -35,6 +35,9 @@ class PipelineConfig:
     image_size: int = 64
 
     def __post_init__(self) -> None:
+        for name in ("layer1", "layer2"):
+            if not isinstance(getattr(self, name), TrainConfig):
+                raise ConfigError(f"{name} must be a TrainConfig, got {getattr(self, name)!r}")
         check_count("pool_size", self.pool_size)
         check_count("image_size", self.image_size)
         size, h1, w1 = self.image_size, self.layer1.filter_height, self.layer1.filter_width

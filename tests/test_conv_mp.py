@@ -49,8 +49,8 @@ def shifted_inner_product(fi, fj, sr, sc):
 
 
 def oracle_greedy_steps(maps, table, max_steps, tolerance=0.0):
-    """The pursuit loop as a full-map rescan every step: the reference that
-    greedy_steps must match bit for bit on either of its paths."""
+    """The pursuit loop in numpy, a full-map rescan every step: the reference
+    that greedy_steps, the C loop, must match bit for bit."""
     k, hv, wv = maps.shape
     fh = (table.shape[2] + 1) // 2
     fw = (table.shape[3] + 1) // 2
@@ -71,18 +71,6 @@ def oracle_greedy_steps(maps, table, max_steps, tolerance=0.0):
             c0 - pc + fw - 1 : c1 - pc + fw - 1,
         ]
     return activations
-
-
-# "auto" lets greedy_steps choose its path from the map shape; the other two
-# force the direct scan or the block-max cache on every shape.
-PATHS = {"auto": None, "direct": float("inf"), "cached": float("-inf")}
-
-
-@pytest.fixture(params=sorted(PATHS))
-def path(request, monkeypatch):
-    if PATHS[request.param] is not None:
-        monkeypatch.setattr(conv_mp, "CACHE_MIN_SKIPPED", PATHS[request.param])
-    return request.param
 
 
 def run_both(maps, table, q, tolerance=0.0):
@@ -389,7 +377,7 @@ class TestConvMpEncode:
             assert abs(now - (prev - a * a)) <= 1e-8 * e0
             prev = now
 
-    def test_maps_do_not_drift_over_long_pursuits(self, path):
+    def test_maps_do_not_drift_over_long_pursuits(self):
         # q is over 5x the map area (22 x 22 per filter) in one call
         rng = np.random.default_rng(38)
         bank = random_bank(rng, 2, 1, 3, 3)
@@ -459,9 +447,8 @@ class TestConvMpEncode:
 
 
 class TestGreedyStepsMatchesOracle:
-    # (k, channels, h_f, w_f, h, w); the first two skip fewer entries than
-    # CACHE_MIN_SKIPPED per step, the last two more, so "auto" covers both
-    # paths. h_v is not a multiple of h_f in all but the first.
+    # (k, channels, h_f, w_f, h, w): small, layer-2-like, wide and tall
+    # maps; h_v and w_v are not multiples of any tile side in all but one.
     SHAPES = [
         (3, 1, 3, 3, 14, 12),
         (2, 3, 4, 2, 17, 11),
@@ -470,7 +457,7 @@ class TestGreedyStepsMatchesOracle:
     ]
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_random_shapes_are_bit_identical(self, path, shape):
+    def test_random_shapes_are_bit_identical(self, shape):
         k, c, fh, fw, h, w = shape
         rng = np.random.default_rng(sum(shape))
         bank = random_bank(rng, k, c, fh, fw)
@@ -480,26 +467,7 @@ class TestGreedyStepsMatchesOracle:
         assert got == want
         assert np.array_equal(got_maps, want_maps)
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_selection_follows_the_map_shape(self, monkeypatch, shape):
-        k, c, fh, fw, h, w = shape
-        hv, wv = h - fh + 1, w - fw + 1
-        refreshes = []
-
-        def counting_block_max(*args):
-            refreshes.append(1)
-            return real_block_max(*args)
-
-        real_block_max = conv_mp._block_max
-        monkeypatch.setattr(conv_mp, "_block_max", counting_block_max)
-        rng = np.random.default_rng(44)
-        bank = random_bank(rng, k, c, fh, fw)
-        greedy_steps(correlate(bank, rng.normal(size=(c, h, w))), build_shift_gram(bank), 5)
-        # one step skips k * w_v * (h_v - 3 * h_f) entries of the full rescan
-        cached = k * wv * (hv - 3 * fh) > conv_mp.CACHE_MIN_SKIPPED
-        assert len(refreshes) == (1 + 5 if cached else 0)
-
-    def test_tolerance_stop_is_bit_identical(self, path):
+    def test_tolerance_stop_is_bit_identical(self):
         rng = np.random.default_rng(40)
         bank = random_bank(rng, 4, 1, 6, 6)
         maps = correlate(bank, rng.normal(size=(1, 120, 90)))
@@ -509,7 +477,24 @@ class TestGreedyStepsMatchesOracle:
         assert got == want
         assert np.array_equal(got_maps, want_maps)
 
-    def test_all_zero_maps_take_no_step(self, path):
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_pursuits_longer_than_one_block_are_bit_identical(self, monkeypatch, stop):
+        # each block of STEP_BLOCK steps is one call of the C loop
+        monkeypatch.setattr(conv_mp, "STEP_BLOCK", 7)
+        rng = np.random.default_rng(47)
+        bank = random_bank(rng, 3, 1, 4, 4)
+        table = build_shift_gram(bank)
+        maps = correlate(bank, rng.normal(size=(1, 30, 40)))
+        # just under the first 28 peaks of a full pursuit: a stop in the fifth block
+        peaks = [abs(act.coefficient) for act in oracle_greedy_steps(maps.copy(), table, 28)]
+        tolerance = np.nextafter(min(peaks), 0) if stop else 0
+        for q in (6, 7, 8, 14, 60):
+            got, got_maps, want, want_maps = run_both(maps, table, q, tolerance)
+            assert got == want
+            assert np.array_equal(got_maps, want_maps)
+        assert 28 <= len(want) < 35 if stop else len(want) == 60
+
+    def test_all_zero_maps_take_no_step(self):
         rng = np.random.default_rng(41)
         bank = random_bank(rng, 3, 2, 4, 4)
         maps = np.zeros((3, 90, 70))
@@ -521,17 +506,20 @@ class TestGreedyStepsMatchesOracle:
         [
             # equal magnitude in two filters: the lower filter index wins
             ({(2, 5, 5): 3.0, (1, 40, 9): -3.0}, (1, 40, 9)),
-            # equal magnitude in two blocks of one filter: the earlier block wins
+            # equal magnitude far apart in one map: the earlier row wins
             ({(0, 30, 2): 3.0, (0, 3, 20): 3.0}, (0, 3, 20)),
-            # +v and -v inside one block: the row-major first wins
+            # +v and -v close together: the row-major first wins
             ({(1, 9, 8): 3.0, (1, 10, 1): -3.0}, (1, 9, 8)),
             ({(1, 9, 8): -3.0, (1, 9, 2): 3.0}, (1, 9, 2)),
+            # across tiles of one tile row, whatever the tile shape: a later
+            # column on an earlier row wins
+            ({(0, 14, 1): 3.0, (0, 13, 44): -3.0, (0, 12, 90): 3.0}, (0, 12, 90)),
         ],
     )
-    def test_planted_exact_ties_break_like_the_oracle(self, path, plant, first):
+    def test_planted_exact_ties_break_like_the_oracle(self, plant, first):
         rng = np.random.default_rng(42)
         bank = random_bank(rng, 3, 1, 4, 4)
-        maps = rng.uniform(-1.0, 1.0, size=(3, 60, 50))
+        maps = rng.uniform(-1.0, 1.0, size=(3, 60, 97))
         for idx, v in plant.items():
             maps[idx] = v
         got, got_maps, want, want_maps = run_both(maps, build_shift_gram(bank), 60)
@@ -539,7 +527,22 @@ class TestGreedyStepsMatchesOracle:
         assert got == want
         assert np.array_equal(got_maps, want_maps)
 
-    def test_non_contiguous_maps_are_updated_in_place(self, path):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ties_that_windows_keep_creating_break_like_the_oracle(self, seed):
+        """Maps of -1, 0 and 1 and a sparse table of -1, 0 and 1 keep every
+        value a small integer, so exact ties at the top arise at every step:
+        between tiles, and between a window's new values and the peaks it
+        left alone, or lowered."""
+        rng = np.random.default_rng(seed)
+        k, hv, wv = int(rng.integers(1, 4)), int(rng.integers(20, 80)), int(rng.integers(20, 120))
+        maps = rng.integers(-1, 2, size=(k, hv, wv)).astype(float)
+        table = rng.integers(-1, 2, size=(k, k, 5, 5)) * (rng.random((k, k, 5, 5)) < 0.05)
+        table[range(k), range(k), 2, 2] = 1  # each step zeroes the entry it takes
+        got, got_maps, want, want_maps = run_both(maps, table.astype(float), 300)
+        assert got == want
+        assert got_maps.tobytes() == want_maps.tobytes()
+
+    def test_non_contiguous_maps_are_updated_in_place(self):
         rng = np.random.default_rng(43)
         bank = random_bank(rng, 8, 1, 8, 8)
         table = build_shift_gram(bank)
@@ -556,48 +559,12 @@ class TestGreedyStepsMatchesOracle:
             assert np.array_equal(view, want_maps)
         assert np.all(storage[:, :, 1::2] == 0.0)
 
-
-def abs_block_max_oracle(maps, starts):
-    """The np.abs-based block max that _block_max's max(max, -min) replaced."""
-    return np.maximum.reduceat(np.abs(maps).reshape(maps.shape[0], -1), starts, axis=1)
-
-
-class TestBlockMax:
-    # 3 maps of 14x5 in blocks of 4 rows: the last block has 2 rows
-    STARTS = np.arange(0, 14 * 5, 4 * 5)
-
-    @pytest.mark.parametrize(
-        "plant",
-        [
-            {(1, 5, 2): 7.0, (1, 6, 0): -7.0},  # +v and -v in one block
-            {(1, 5, 2): 6.0, (1, 6, 0): -7.0},  # the negative one is larger
-            {(0, 13, 4): -9.0},  # in the short last block
-        ],
-    )
-    def test_planted_values_match_the_abs_oracle(self, plant):
-        maps = np.random.default_rng(45).uniform(-1.0, 1.0, size=(3, 14, 5))
-        for idx, v in plant.items():
-            maps[idx] = v
-        got = conv_mp._block_max(maps, self.STARTS)
-        assert got.shape == (3, 4)
-        assert np.array_equal(got, abs_block_max_oracle(maps, self.STARTS))
-
-    def test_signed_zeros_match_the_abs_oracle(self):
-        maps = np.zeros((3, 14, 5))
-        maps[0] = -0.0  # a map of negative zeros
-        maps[1, ::2] = -0.0  # mixed signed zeros
-        maps[2, 12:] = -0.0  # the short last block
-        maps[2, 0, 0] = -0.5
-        got = conv_mp._block_max(maps, self.STARTS)
-        assert np.array_equal(got, abs_block_max_oracle(maps, self.STARTS))
-
-    def test_bands_of_any_layout_match_the_abs_oracle(self):
-        maps = np.random.default_rng(46).normal(size=(3, 14, 5))
-        for view in (maps, maps[:, 4:12], np.asfortranarray(maps)[:, 4:12], maps[:, :, ::-1]):
-            starts = self.STARTS[: -(-view.shape[1] // 4)]
-            assert np.array_equal(
-                conv_mp._block_max(view, starts), abs_block_max_oracle(view, starts)
-            )
+    def test_a_table_that_does_not_fit_the_maps_is_rejected(self):
+        maps = np.ones((3, 10, 10))
+        for shape in [(2, 2, 3, 3), (3, 3, 4, 3), (3, 2, 3, 3)]:
+            with pytest.raises(ConfigError, match="shift table"):
+                greedy_steps(maps, np.zeros(shape), 5)
+        assert np.all(maps == 1.0)
 
 
 class TestToeplitzExpand:

@@ -3,8 +3,11 @@
 Hypothesis draws a bank and image shape (k, c, h_f, w_f, h, w), a step
 budget q, a stopping tolerance and a data seed, with the parser fuzzers'
 settings (derandomized, no example database). Sizes stay small: the largest
-explicit dictionary is 432 x 243 floats, under 1 MB.
+explicit dictionary is 432 x 243 floats, under 1 MB. The C pursuit loop is
+checked against its numpy oracle on larger maps too, up to 16 x 249 x 249.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +18,14 @@ from hypothesis import strategies as st  # noqa: E402
 # Importing the parser fuzzers also moves Hypothesis's storage out of the tree.
 from test_parser_fuzz import FUZZ  # noqa: E402
 
+from blas_threads import lines_at_1_and_2_blas_threads  # noqa: E402
 from codes import records  # noqa: E402
-from convmp import conv_mp  # noqa: E402
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps  # noqa: E402
 from convmp.core import SparseCode, normalize_filters, reconstruct, residual_energy  # noqa: E402
 from oracles import mp_encode, toeplitz_expand  # noqa: E402
+from test_conv_mp import oracle_greedy_steps  # noqa: E402
 
-PROPERTY = settings(FUZZ, max_examples=150)  # keeps the five properties near 2 s
+PROPERTY = settings(FUZZ, max_examples=150)  # keeps the four small properties near 2 s
 
 
 @st.composite
@@ -85,19 +89,89 @@ def test_maintained_maps_equal_a_fresh_correlation(case):
     assert np.max(np.abs(maps - correlate(bank, residual))) <= 1e-8
 
 
-@PROPERTY
-@given(case=instances())
-def test_cached_and_direct_argmax_agree_exactly(case):
-    # Each path is forced the way test_conv_mp's path fixture forces it.
-    runs = []
-    for threshold in (float("inf"), float("-inf")):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(conv_mp, "CACHE_MIN_SKIPPED", threshold)
-            steps, maps = pursue(*case)
-        runs.append((records(steps), maps))
-    (direct, direct_maps), (cached, cached_maps) = runs
-    assert direct == cached
-    assert np.array_equal(direct_maps, cached_maps)
+@st.composite
+def pursuits(draw):
+    """(maps, table, q, tolerance, layout) for greedy_steps and its oracle.
+
+    The maps are a unit-norm bank's correlations of a normal image, with its
+    shift table, at one of five geometries: small; wide, up to 256x256
+    images and 16 filters of 8x8 (encode256's shape); tall and thin; 1x1
+    filters on images down to 1x1 (the maps oracles.mp_encode_gram makes);
+    and layer 2's 16 filters of 8 channels. Or they are -v, 0 and v, with a
+    table of -1, 0 and 1, dense or sparse, whose centre diagonal is 1, so
+    exact ties keep arising. On top: maybe all zeros, maybe up to four planted peaks of one
+    magnitude, a tolerance from zero to the largest magnitude, and a layout
+    (C order, Fortran order, a strided view or a transposed copy).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["small", "wide", "tall", "1x1", "layer2", "integer"]))
+    if kind == "integer":
+        k, hv, wv = draw(st.integers(1, 4)), draw(st.integers(1, 80)), draw(st.integers(1, 80))
+        fh, fw = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        maps = rng.integers(-1, 2, size=(k, hv, wv)) * draw(st.sampled_from([1.0, 4.0]))
+        shape, density = (k, k, 2 * fh - 1, 2 * fw - 1), draw(st.sampled_from([0.05, 0.2, 1.0]))
+        table = (rng.integers(-1, 2, size=shape) * (rng.random(shape) < density)).astype(float)
+        table[range(k), range(k), fh - 1, fw - 1] = 1.0
+    else:
+        k, c, fh, fw, extra_h, extra_w = {
+            "small": (3, 3, 5, 5, 12, 12),
+            "wide": (16, 1, 8, 8, 248, 248),
+            "tall": (4, 2, 6, 3, 300, 3),
+            "1x1": (16, 8, 1, 1, 6, 6),
+            "layer2": (16, 8, 4, 4, 6, 6),
+        }[kind]
+        # each limit itself half the time, so the largest shapes do come up
+        k, c, fh, fw, extra_h, extra_w = (
+            draw(st.integers(least, most) | st.just(most))
+            for least, most in zip((1, 1, 1, 1, 0, 0), (k, c, fh, fw, extra_h, extra_w))
+        )
+        h, w = fh + extra_h, fw + extra_w
+        bank = normalize_filters(rng.normal(size=(k, c, fh, fw)))
+        maps, table = correlate(bank, rng.normal(size=(c, h, w))), build_shift_gram(bank)
+    if draw(st.booleans()) and draw(st.booleans()):
+        maps[...] = 0.0
+    peak = float(np.abs(maps).max()) + 1.0
+    for _ in range(draw(st.integers(0, 4))):
+        where = tuple(int(rng.integers(n)) for n in maps.shape)
+        maps[where] = peak * draw(st.sampled_from([1.0, -1.0]))
+    tolerance = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])) * float(np.abs(maps).max())
+    layout = draw(st.sampled_from(["C", "F", "strided", "transposed"]))
+    return maps, table, draw(st.integers(1, 60)), tolerance, layout
+
+
+def in_layout(maps, layout):
+    """A copy of maps in the given memory layout."""
+    if layout == "C":
+        return maps.copy()
+    if layout == "F":
+        return np.asfortranarray(maps)
+    if layout == "strided":
+        storage = np.zeros((*maps.shape[:2], 2 * maps.shape[2]))
+        storage[:, :, ::2] = maps
+        return storage[:, :, ::2]
+    return maps.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+
+
+@settings(FUZZ, max_examples=100)
+@given(case=pursuits())
+def test_greedy_steps_matches_the_oracle_bit_for_bit(case):
+    maps, table, q, tolerance, layout = case
+    want_maps = maps.copy()
+    want = oracle_greedy_steps(want_maps, table, q, tolerance)
+    got_maps = in_layout(maps, layout)
+    assert records(greedy_steps(got_maps, table, q, tolerance)) == want
+    assert got_maps.tobytes() == want_maps.tobytes()
+
+
+def test_greedy_steps_matches_the_oracle_at_1_and_2_blas_threads():
+    # the maps come from correlate, so each child draws them at its own count
+    script = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import test_invariants\n"
+        "test_invariants.test_greedy_steps_matches_the_oracle_bit_for_bit()\n"
+        "print('matched')\n"
+    )
+    assert lines_at_1_and_2_blas_threads(script) == [["matched"], ["matched"]]
 
 
 @PROPERTY

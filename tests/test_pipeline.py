@@ -258,6 +258,13 @@ class TestRunTwoLayer:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             small_cfg(**overrides)
 
+    @pytest.mark.parametrize("field", ["layer1", "layer2"])
+    @pytest.mark.parametrize("value", [None, {"num_filters": 2}, "TrainConfig"],
+                             ids=["none", "dict", "str"])
+    def test_a_layer_that_is_not_a_train_config_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a TrainConfig, got "):
+            small_cfg(**{field: value})
+
     def test_replace_rechecks_the_geometry(self):
         cfg = small_cfg()
         with pytest.raises(ConfigError, match="give 1x1 pooled maps"):
