@@ -4,11 +4,12 @@ Each map is cut into TH x TW tiles (the last row and column of tiles may be
 short). For every tile the cache holds its peak: the largest magnitude and
 where it first occurs in row-major order. Each (filter, tile row) also holds
 the best peak of its tiles, so a step's argmax reads k * tile-rows entries,
-not the maps. A window update leaves the tiles it did not touch alone. A
-touched tile whose peak it lowered becomes stale: its entry is then only an
-upper bound, and the tile is rescanned when that bound reaches the top of
-the argmax. Most stale tiles never do, so most steps rescan nothing beyond
-the window.
+not the maps. A tile can be stale instead: its entry is then only an upper
+bound, and the tile is rescanned when that bound reaches the top of the
+argmax. Every tile starts stale, with its exact peak magnitude, so the first
+scan finds no positions; a window update leaves the tiles it did not touch
+alone and makes stale a touched tile whose peak it lowered. Most stale tiles
+never reach the top, so most steps rescan nothing beyond the window.
 
 The bits are numpy's: the update is m = m - (a * t), two roundings, as
 `maps -= a * table[...]` does (build with -ffp-contract=off, so no fused
@@ -127,9 +128,11 @@ ptrdiff_t pursue(double *maps, ptrdiff_t k, ptrdiff_t hv, ptrdiff_t wv, const do
         free(rows);
         return -1;
     }
+    /* every tile starts stale, with its exact peak magnitude as the bound */
     for (ptrdiff_t i = 0; i < k * nty; i++) {
+        const double *map = maps + i / nty * area;
         for (ptrdiff_t tx = 0; tx < ntx; tx++)
-            tiles[i * ntx + tx] = scan(tile(maps + i / nty * area, hv, wv, i % nty, tx));
+            tiles[i * ntx + tx] = (Peak){top(tile(map, hv, wv, i % nty, tx)), -1, tx};
         rows[i] = best_of(tiles + i * ntx, ntx);
     }
     ptrdiff_t n = 0;

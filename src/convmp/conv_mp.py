@@ -15,7 +15,8 @@ of the peak magnitude of each 16x32 tile of each map, and of the best tile
 of each (filter, tile row), so a step's argmax reads k * h_v/16 entries.
 A window update rescans only the part of each tile it touched; a tile
 whose peak it lowered is marked stale and rescanned only if its old peak
-comes up as the largest again. The C loop keeps numpy's bits: the update
+comes up as the largest again (every tile starts stale, so the first scan
+finds magnitudes, not positions). The C loop keeps numpy's bits: the update
 is m - (a * t), with no fused multiply-add, and ties go to the lowest
 filter, then row-major position, as np.abs(maps).argmax() picks them.
 The steps come out as one core.ACTIVATION array, the form a SparseCode holds.

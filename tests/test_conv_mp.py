@@ -494,12 +494,15 @@ class TestGreedyStepsMatchesOracle:
             assert np.array_equal(got_maps, want_maps)
         assert 28 <= len(want) < 35 if stop else len(want) == 60
 
-    def test_all_zero_maps_take_no_step(self):
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_maps_take_no_step(self, zero):
         rng = np.random.default_rng(41)
         bank = random_bank(rng, 3, 2, 4, 4)
-        maps = np.zeros((3, 90, 70))
+        maps = np.full((3, 90, 70), zero)
+        maps[1, ::2] = 0.0  # signed zeros mixed
+        before = maps.tobytes()
         assert records(greedy_steps(maps, build_shift_gram(bank), 10)) == []
-        assert np.all(maps == 0.0)
+        assert maps.tobytes() == before
 
     @pytest.mark.parametrize(
         "plant, first",

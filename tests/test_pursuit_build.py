@@ -140,11 +140,13 @@ def test_an_unwritable_package_builds_into_a_private_user_cache(tmp_path, rebuil
     package = fresh_package(tmp_path)
     monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
     access = os.access
-    # the tests may run as root, which may write anywhere, so the package
-    # directory is made unwritable by answering for it
-    monkeypatch.setattr(
-        os, "access", lambda path, mode: False if Path(path).parent == package else access(path, mode)
-    )
+
+    def no_writes_in_the_package(path, mode):
+        # the tests may run as root, which may write anywhere, so the
+        # package directory is made unwritable by answering for it
+        return Path(path).parent != package and access(path, mode)
+
+    monkeypatch.setattr(os, "access", no_writes_in_the_package)
     library = _pursuit._library()
     assert library.parent == tmp_path / "user-cache" / "convmp"
     assert library.parent.stat().st_mode & 0o777 == 0o700
