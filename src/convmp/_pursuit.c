@@ -1,40 +1,52 @@
 /* The pursuit loop of conv_mp.greedy_steps, run over a per-tile max cache.
 
-Each map is cut into TH x TW tiles (the last row and column of tiles may be
-short). For every tile the cache holds its peak: the largest magnitude and
-where it first occurs in row-major order. Each (filter, tile row) also holds
-the best peak of its tiles, so a step's argmax reads k * tile-rows entries,
-not the maps. A tile can be stale instead: its entry is then only an upper
-bound, and the tile is rescanned when that bound reaches the top of the
-argmax. Every tile starts stale, with its exact peak magnitude, so the first
-scan finds no positions; a window update leaves the tiles it did not touch
-alone and makes stale a touched tile whose peak it lowered. Most stale tiles
-never reach the top, so most steps rescan nothing beyond the window.
+The maps are stored filter-innermost, (hv, wv, k), and the shift table
+(k, th, tw, k) with the updated filter innermost, so one window row of a
+step is one contiguous run of the maps and of the table. The maps are cut
+into TH x TW tiles of positions, each covering all k filters (the last row
+and column of tiles may be short). For every tile the cache holds its peak:
+the largest magnitude and its key, the flat index (filter, row, col) of
+its first occurrence in that order. Each tile row also holds the best peak
+of its tiles, so a step's argmax reads h_v / TH entries, not the maps. A
+tile can be stale instead: its entry is then only an upper bound, and the
+tile is rescanned when that bound reaches the top of the argmax. Every
+tile starts stale, with its exact peak magnitude, so the first scan finds
+no positions; a window update takes the maximum of each tile part it
+updates in the same pass, leaves the tiles it did not touch alone and
+makes stale a touched tile whose peak it lowered. Most stale tiles never
+reach the top, so most steps rescan nothing beyond the window.
 
 The bits are numpy's: the update is m = m - (a * t), two roundings, as
 `maps -= a * table[...]` does (build with -ffp-contract=off, so no fused
-multiply-add), and the argmax takes the largest |v|, then the lowest flat
-position (filter, then row-major), as np.abs(maps).argmax() does. Peaks are
-compared by value, then by position, because a later tile of one tile row
-can hold an equal peak on an earlier map row; a stale bound wins a tie, so
-a tie is never settled by a bound.
+multiply-add; where SSE2 is there, as on every x86-64, the update and the
+scans run two lanes at a time, with the same roundings and maxima), and
+the argmax takes the largest |v|, then the lowest key, as
+np.abs(maps).argmax() does on (k, hv, wv) maps. Peaks are compared by
+value, then by key, because another tile can hold an equal peak in a lower
+filter; a stale bound has a negative key, so it wins a tie, and a tie is
+never settled by a bound. The first scan reads every entry, so it also
+rejects maps that hold a NaN or an infinity.
 */
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#define TH 16
-#define TW 32
+#define TH 4
+#define TW 8
 #define MIN(a, b) ((a) < (b) ? (a) : (b))
 #define MAX(a, b) ((a) > (b) ? (a) : (b))
 
-/* A tile's peak, or with r < 0 a stale tile's upper bound; c then names
-   the tile column. */
+/* A tile's peak: its magnitude and key, or with key = -1 - tx a stale
+   tile's upper bound, tx naming the tile column. */
 typedef struct {
     double v;
-    ptrdiff_t r, c;
+    ptrdiff_t key;
 } Peak;
 
 /* One step, laid out like core.ACTIVATION (three np.intp, one float64). */
@@ -43,59 +55,122 @@ typedef struct {
     double coefficient;
 } Step;
 
-/* A region of one map: rows [r0, r1), columns [c0, c1). */
+/* Positions [r0, r1) x [c0, c1) of the (hv, wv, k) maps, all filters. */
 typedef struct {
-    const double *map;
-    ptrdiff_t wv, r0, r1, c0, c1;
+    const double *maps;
+    ptrdiff_t k, hv, wv, r0, r1, c0, c1;
 } Region;
 
-static int beats(Peak a, Peak b)
-{
-    return a.v > b.v || (a.v == b.v && (a.r < b.r || (a.r == b.r && a.c < b.c)));
-}
+static int beats(Peak a, Peak b) { return a.v > b.v || (a.v == b.v && a.key < b.key); }
 
-/* The largest magnitude in the region, on four independent lanes so that
-   the compiler can vectorize it; -1 if the region is empty. */
-static double top(Region g)
+#ifdef __SSE2__
+/* The larger of two lanes. _mm_max_pd(v, m) is v > m ? v : m in each lane,
+   the scalar loops' maximum, and the lanes round as the scalar code does. */
+static inline double lanes_max(__m128d v)
 {
-    double m0 = -1.0, m1 = -1.0, m2 = -1.0, m3 = -1.0;
+    double lane[2];
+    _mm_storeu_pd(lane, v);
+    return MAX(lane[0], lane[1]);
+}
+#endif
+
+/* The largest magnitude in the region, -1 if it is empty. *check gathers
+   x - x over the entries: 0, or NaN once an entry is a NaN or infinite. */
+static inline double top(Region g, double *check)
+{
+    double m = -1.0, z = 0.0;
+    const ptrdiff_t n = (g.c1 - g.c0) * g.k;
+#ifdef __SSE2__
+    const __m128d sign = _mm_set1_pd(-0.0);
+    __m128d m0 = _mm_set1_pd(-1.0), m1 = m0, z0 = _mm_setzero_pd(), z1 = z0;
+#endif
     for (ptrdiff_t r = g.r0; r < g.r1; r++) {
-        const double *row = g.map + r * g.wv;
-        ptrdiff_t c = g.c0;
-        for (; c + 4 <= g.c1; c += 4) {
-            double v0 = fabs(row[c]), v1 = fabs(row[c + 1]);
-            double v2 = fabs(row[c + 2]), v3 = fabs(row[c + 3]);
-            m0 = v0 > m0 ? v0 : m0;
-            m1 = v1 > m1 ? v1 : m1;
-            m2 = v2 > m2 ? v2 : m2;
-            m3 = v3 > m3 ? v3 : m3;
+        const double *run = g.maps + (r * g.wv + g.c0) * g.k;
+        ptrdiff_t x = 0;
+#ifdef __SSE2__
+        for (; x + 4 <= n; x += 4) {
+            const __m128d v0 = _mm_andnot_pd(sign, _mm_loadu_pd(run + x));
+            const __m128d v1 = _mm_andnot_pd(sign, _mm_loadu_pd(run + x + 2));
+            m0 = _mm_max_pd(v0, m0);
+            m1 = _mm_max_pd(v1, m1);
+            z0 = _mm_add_pd(z0, _mm_sub_pd(v0, v0));
+            z1 = _mm_add_pd(z1, _mm_sub_pd(v1, v1));
         }
-        for (; c < g.c1; c++) {
-            double v = fabs(row[c]);
-            m0 = v > m0 ? v : m0;
+#endif
+        for (; x < n; x++) {
+            const double v = fabs(run[x]);
+            m = v > m ? v : m;
+            z += v - v;
         }
     }
-    m0 = m1 > m0 ? m1 : m0;
-    m2 = m3 > m2 ? m3 : m2;
-    return m2 > m0 ? m2 : m0;
+#ifdef __SSE2__
+    m = MAX(m, lanes_max(_mm_max_pd(m0, m1)));
+    double zs[2];
+    _mm_storeu_pd(zs, _mm_add_pd(z0, z1));
+    z += zs[0] + zs[1];
+#endif
+    *check += z;
+    return m;
 }
 
-/* The first entry of the region, row-major, whose magnitude is v. */
+/* Subtract a * t from the n entries at m, in place; the largest magnitude
+   among the new values, or -1 if n is 0. */
+static inline double update_top(double *m, const double *t, ptrdiff_t n, double a)
+{
+    double top = -1.0;
+    ptrdiff_t x = 0;
+#ifdef __SSE2__
+    const __m128d av = _mm_set1_pd(a), sign = _mm_set1_pd(-0.0);
+    __m128d m0 = _mm_set1_pd(-1.0), m1 = m0;
+    for (; x + 4 <= n; x += 4) {
+        const __m128d u0 = _mm_sub_pd(_mm_loadu_pd(m + x), _mm_mul_pd(av, _mm_loadu_pd(t + x)));
+        const __m128d u1 =
+            _mm_sub_pd(_mm_loadu_pd(m + x + 2), _mm_mul_pd(av, _mm_loadu_pd(t + x + 2)));
+        _mm_storeu_pd(m + x, u0);
+        _mm_storeu_pd(m + x + 2, u1);
+        m0 = _mm_max_pd(_mm_andnot_pd(sign, u0), m0);
+        m1 = _mm_max_pd(_mm_andnot_pd(sign, u1), m1);
+    }
+    top = lanes_max(_mm_max_pd(m0, m1));
+#endif
+    for (; x < n; x++) {
+        m[x] = m[x] - a * t[x];
+        const double v = fabs(m[x]);
+        top = v > top ? v : top;
+    }
+    return top;
+}
+
+/* The entry of the region with the lowest key whose magnitude is v. */
 static Peak locate(Region g, double v)
 {
-    for (ptrdiff_t r = g.r0; r < g.r1; r++)
-        for (ptrdiff_t c = g.c0; c < g.c1; c++)
-            if (fabs(g.map[r * g.wv + c]) == v)
-                return (Peak){v, r, c};
-    return (Peak){v, g.r0, g.c0}; /* not reached for a v from top(g) */
+    for (ptrdiff_t i = 0; i < g.k; i++)
+        for (ptrdiff_t r = g.r0; r < g.r1; r++)
+            for (ptrdiff_t c = g.c0; c < g.c1; c++)
+                if (fabs(g.maps[(r * g.wv + c) * g.k + i]) == v)
+                    return (Peak){v, (i * g.hv + r) * g.wv + c};
+    return (Peak){v, 0}; /* not reached for a v from top(g) */
 }
 
-static Peak scan(Region g) { return locate(g, top(g)); }
-
-/* The tile at tile row ty, tile column tx of a map. */
-static Region tile(const double *map, ptrdiff_t hv, ptrdiff_t wv, ptrdiff_t ty, ptrdiff_t tx)
+/* Whether the position of a key lies in the region. */
+static int inside(Region g, ptrdiff_t key)
 {
-    return (Region){map, wv, ty * TH, MIN(hv, ty * TH + TH), tx * TW, MIN(wv, tx * TW + TW)};
+    const ptrdiff_t r = key % (g.hv * g.wv) / g.wv, c = key % g.wv;
+    return r >= g.r0 && r < g.r1 && c >= g.c0 && c < g.c1;
+}
+
+static Peak scan(Region g)
+{
+    double unused = 0.0;
+    return locate(g, top(g, &unused));
+}
+
+/* The tile at tile row ty, tile column tx. */
+static Region tile(const double *maps, ptrdiff_t k, ptrdiff_t hv, ptrdiff_t wv, ptrdiff_t ty,
+                   ptrdiff_t tx)
+{
+    return (Region){maps, k, hv, wv, ty * TH, MIN(hv, ty * TH + TH), tx * TW,
+                    MIN(wv, tx * TW + TW)};
 }
 
 /* The best of the ntx tile peaks at t. */
@@ -108,11 +183,12 @@ static Peak best_of(const Peak *t, ptrdiff_t ntx)
     return best;
 }
 
-/* Run at most max_steps pursuit steps on the C-contiguous (k, hv, wv) maps,
-   in place, with the C-contiguous (k, k, 2fh-1, 2fw-1) shift table; stop
-   early once the peak magnitude is at most tolerance. Writes the steps to
-   out and returns their count, or -1 if the cache cannot be allocated. The
-   maps must be finite. */
+/* Run at most max_steps pursuit steps on the C-contiguous (hv, wv, k) maps,
+   in place, with the C-contiguous (k, 2fh-1, 2fw-1, k) shift table, whose
+   [j, dr, dc, i] is conv_mp.build_shift_gram's [j, i, dr, dc]; stop early
+   once the peak magnitude is at most tolerance. Writes the steps to out and
+   returns their count; -1 if the cache cannot be allocated, -2 if the maps
+   hold a NaN or an infinity. */
 ptrdiff_t pursue(double *maps, ptrdiff_t k, ptrdiff_t hv, ptrdiff_t wv, const double *table,
                  ptrdiff_t fh, ptrdiff_t fw, ptrdiff_t max_steps, double tolerance, Step *out)
 {
@@ -120,74 +196,84 @@ ptrdiff_t pursue(double *maps, ptrdiff_t k, ptrdiff_t hv, ptrdiff_t wv, const do
     const ptrdiff_t nty = (hv + TH - 1) / TH, ntx = (wv + TW - 1) / TW;
     if (k * area == 0 || max_steps <= 0)
         return 0;
-    /* tiles[(j * nty + ty) * ntx + tx]; rows[j * nty + ty] the best of a tile row */
-    Peak *tiles = malloc(sizeof(Peak) * k * nty * ntx);
-    Peak *rows = malloc(sizeof(Peak) * k * nty);
-    if (!tiles || !rows) {
+    /* tiles[ty * ntx + tx]; rows[ty] the best of a tile row; tops[tx] the
+       largest new magnitude in each tile column of a window */
+    Peak *tiles = malloc(sizeof(Peak) * nty * ntx);
+    Peak *rows = malloc(sizeof(Peak) * nty);
+    double *tops = malloc(sizeof(double) * ntx);
+    if (!tiles || !rows || !tops) {
         free(tiles);
         free(rows);
+        free(tops);
         return -1;
     }
     /* every tile starts stale, with its exact peak magnitude as the bound */
-    for (ptrdiff_t i = 0; i < k * nty; i++) {
-        const double *map = maps + i / nty * area;
+    double check = 0.0;
+    for (ptrdiff_t ty = 0; ty < nty; ty++) {
         for (ptrdiff_t tx = 0; tx < ntx; tx++)
-            tiles[i * ntx + tx] = (Peak){top(tile(map, hv, wv, i % nty, tx)), -1, tx};
-        rows[i] = best_of(tiles + i * ntx, ntx);
+            tiles[ty * ntx + tx] = (Peak){top(tile(maps, k, hv, wv, ty, tx), &check), -1 - tx};
+        rows[ty] = best_of(tiles + ty * ntx, ntx);
     }
-    ptrdiff_t n = 0;
-    for (; n < max_steps; n++) {
-        /* the first tile row holding the top value; rescan it while its best is stale */
-        ptrdiff_t bi;
+    ptrdiff_t n = check == 0.0 ? 0 : -2;
+    for (; n >= 0 && n < max_steps; n++) {
+        /* the best tile row; rescan its best tile while that is stale */
+        ptrdiff_t by;
         for (;;) {
-            bi = 0;
-            double v = rows[0].v;
-            for (ptrdiff_t i = 1; i < k * nty; i++)
-                if (rows[i].v > v) {
-                    v = rows[i].v;
-                    bi = i;
-                }
-            if (rows[bi].r >= 0)
+            by = 0;
+            for (ptrdiff_t ty = 1; ty < nty; ty++)
+                if (beats(rows[ty], rows[by]))
+                    by = ty;
+            if (rows[by].key >= 0)
                 break;
-            const ptrdiff_t tx = rows[bi].c;
-            tiles[bi * ntx + tx] = scan(tile(maps + bi / nty * area, hv, wv, bi % nty, tx));
-            rows[bi] = best_of(tiles + bi * ntx, ntx);
+            const ptrdiff_t tx = -1 - rows[by].key;
+            tiles[by * ntx + tx] = scan(tile(maps, k, hv, wv, by, tx));
+            rows[by] = best_of(tiles + by * ntx, ntx);
         }
-        const ptrdiff_t j = bi / nty, pr = rows[bi].r, pc = rows[bi].c;
-        const double a = maps[j * area + pr * wv + pc];
+        const ptrdiff_t j = rows[by].key / area, pr = rows[by].key % area / wv,
+                        pc = rows[by].key % wv;
+        const double a = maps[(pr * wv + pc) * k + j];
+        if (!(fabs(a) <= DBL_MAX)) { /* a window update overflowed */
+            n = -2;
+            break;
+        }
         if (fabs(a) <= tolerance)
             break;
         out[n] = (Step){j, pr, pc, a};
         const ptrdiff_t r0 = MAX(0, pr - fh + 1), r1 = MIN(hv, pr + fh);
         const ptrdiff_t c0 = MAX(0, pc - fw + 1), c1 = MIN(wv, pc + fw);
-        for (ptrdiff_t i = 0; i < k; i++) {
-            double *map = maps + i * area;
-            /* table[j, i] from the window's first row and column */
-            const double *t = table + ((j * k + i) * th + r0 - pr + fh - 1) * tw + c0 - pc + fw - 1;
-            for (ptrdiff_t r = r0; r < r1; r++, t += tw)
-                for (ptrdiff_t c = c0; c < c1; c++)
-                    map[r * wv + c] = map[r * wv + c] - a * t[c - c0];
-            for (ptrdiff_t ty = r0 / TH; ty <= (r1 - 1) / TH; ty++) {
-                Peak *p = tiles + (i * nty + ty) * ntx;
-                for (ptrdiff_t tx = c0 / TW; tx <= (c1 - 1) / TW; tx++) {
-                    const Region g = tile(map, hv, wv, ty, tx);
-                    const Region u = {map, wv, MAX(r0, g.r0), MIN(r1, g.r1), MAX(c0, g.c0),
-                                      MIN(c1, g.c1)};
-                    const double v = top(u);
-                    if (p[tx].r < 0) {
-                        p[tx].v = MAX(p[tx].v, v);
-                    } else if (v > p[tx].v || (v == p[tx].v && beats(locate(u, v), p[tx]))) {
-                        p[tx] = locate(u, v);
-                    } else if (p[tx].r >= u.r0 && p[tx].r < u.r1 && p[tx].c >= u.c0 &&
-                               p[tx].c < u.c1) {
-                        p[tx] = (Peak){p[tx].v, -1, tx}; /* updated and no longer the peak */
-                    }
+        const ptrdiff_t tx0 = c0 / TW, tx1 = (c1 - 1) / TW;
+        for (ptrdiff_t ty = r0 / TH; ty <= (r1 - 1) / TH; ty++) {
+            const ptrdiff_t ur0 = MAX(r0, ty * TH), ur1 = MIN(r1, ty * TH + TH);
+            for (ptrdiff_t tx = tx0; tx <= tx1; tx++)
+                tops[tx] = -1.0;
+            for (ptrdiff_t r = ur0; r < ur1; r++) {
+                double *run = maps + (r * wv + c0) * k;
+                /* table[j, :, :, :] from the window's row r and column c0 */
+                const double *t = table + ((j * th + r - pr + fh - 1) * tw + c0 - pc + fw - 1) * k;
+                for (ptrdiff_t tx = tx0; tx <= tx1; tx++) {
+                    const ptrdiff_t s0 = MAX(c0, tx * TW) - c0, s1 = MIN(c1, tx * TW + TW) - c0;
+                    const double v = update_top(run + s0 * k, t + s0 * k, (s1 - s0) * k, a);
+                    tops[tx] = MAX(tops[tx], v);
                 }
-                rows[i * nty + ty] = best_of(p, ntx);
             }
+            Peak *p = tiles + ty * ntx;
+            for (ptrdiff_t tx = tx0; tx <= tx1; tx++) {
+                const Region u = {maps, k, hv, wv, ur0, ur1, MAX(c0, tx * TW),
+                                  MIN(c1, tx * TW + TW)};
+                const double v = tops[tx];
+                if (p[tx].key < 0) {
+                    p[tx].v = MAX(p[tx].v, v);
+                } else if (v > p[tx].v || (v == p[tx].v && beats(locate(u, v), p[tx]))) {
+                    p[tx] = locate(u, v);
+                } else if (inside(u, p[tx].key)) {
+                    p[tx] = (Peak){p[tx].v, -1 - tx}; /* updated and no longer the peak */
+                }
+            }
+            rows[ty] = best_of(p, ntx);
         }
     }
     free(tiles);
     free(rows);
+    free(tops);
     return n;
 }

@@ -7,6 +7,7 @@ It goes into this package's __pycache__, as bytecode does, or into a
 per-user cache directory (mode 0700) when that is not writable. A build
 writes a temporary file and installs it with os.replace, so processes
 racing to build it are safe; then the builds of other hashes are removed.
+A cached build that does not load is built again, once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,16 @@ class BuildError(RuntimeError):
 def pursue():
     """The C function pursue(maps, k, hv, wv, table, fh, fw, max_steps,
     tolerance, out) from _pursuit.c, building the library if needed."""
-    fn = ctypes.CDLL(str(_library())).pursue
+    library = _library()
+    try:
+        loaded = ctypes.CDLL(str(library))
+    except OSError:  # a cached build that does not load: cut short, or for another C library
+        library = _build(library)
+        try:
+            loaded = ctypes.CDLL(str(library))
+        except OSError as exc:
+            raise BuildError(f"the rebuilt pursuit library does not load: {exc}") from exc
+    fn = loaded.pursue
     size, pointer = ctypes.c_ssize_t, ctypes.c_void_p
     fn.argtypes = [pointer, size, size, size, pointer, size, size, size, ctypes.c_double, pointer]
     fn.restype = size

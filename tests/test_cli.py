@@ -41,6 +41,7 @@ from convmp.model_io import (
     load_image,
     save_bank,
     save_code,
+    save_float_image,
     save_image,
 )
 from convmp.pipeline import run_two_layer, seeded
@@ -245,6 +246,18 @@ class TestEncodeReconstruct:
         out = capsys.readouterr().out
         assert "final_energy=0 " in out
         assert records(load_code(code_path)) == []
+
+    def test_an_image_whose_correlations_overflow_exits_3_and_writes_nothing(self, tmp_path,
+                                                                             capsys):
+        # every entry is finite, but each 4x4 window sums to 4e308: the maps are infinite
+        save_float_image(np.full((1, 20, 20), 1e308), tmp_path / "huge.f64")
+        save_bank(np.full((4, 1, 4, 4), 0.25), tmp_path / "m.bank")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["encode", "--model", str(tmp_path / "m.bank"), "--image",
+                         str(tmp_path / "huge.f64"), "--q", "5",
+                         "--out", str(tmp_path / "c.code")]) == 3
+        assert "NaN or an infinity" in capsys.readouterr().err
+        assert not (tmp_path / "c.code").exists()
 
     def test_encode_dim_mismatch_is_config_error(self, trained_model, tmp_path):
         _, model = trained_model
@@ -659,6 +672,17 @@ class TestBench:
         report = run_bench((24, 24), 2, (5, 5), [4, 8, 16], repeat=3, seed=0)
         assert len(report["ratios"]) == 2
         assert len(report["per_step_ns"]) == 3
+
+    def test_run_bench_times_maps_in_the_layout_encode_updates_in_place(self, monkeypatch):
+        layouts, pursue = [], cli.greedy_steps
+
+        def spy(maps, *args):
+            layouts.append(maps.transpose(1, 2, 0).flags.c_contiguous)
+            return pursue(maps, *args)
+
+        monkeypatch.setattr(cli, "greedy_steps", spy)
+        run_bench((24, 24), 2, (5, 5), [4, 8], repeat=2, seed=0)
+        assert layouts == [True] * 5  # the warm-up, then two q values per repeat
 
     def test_bad_q_list_is_config_error(self):
         assert main(["bench", "--q", "50,abc"]) == 2

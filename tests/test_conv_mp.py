@@ -9,7 +9,7 @@ from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_s
 from blas_threads import lines_at_1_and_2_blas_threads
 from codes import Activation, records
 from convmp.core import (
-    ConfigError, SparseCode, normalize_filters, reconstruct, residual_energy,
+    ConfigError, DataError, SparseCode, normalize_filters, reconstruct, residual_energy,
 )
 from oracles import gram_matrix, mp_encode, toeplitz_expand
 
@@ -124,18 +124,19 @@ class TestCorrelate:
         "shape, n_bands, cols",
         [
             # (k, c, h_f, w_f, h, w); bands from CORRELATE_BAND_SAMPLES = 2**15,
+            # which holds a band's unfolded rows and its GEMM results together,
             # column segments from CORRELATE_CHUNK_MACS = 2**18
-            ((3, 2, 5, 4, 60, 70), 1, 67),  # all 56 map rows in one band
-            ((8, 1, 16, 16, 64, 64), 2, 49),  # 26-row bands over 49 rows: a 23-row tail
-            ((16, 1, 8, 8, 256, 256), 28, 249),  # 9-row bands over 249 rows: a 6-row tail
-            ((8, 2, 7, 16, 147, 139), 71, 124),  # 2-row bands over 141 rows: a 1-row tail
+            ((3, 2, 5, 4, 44, 70), 1, 67),  # all 40 map rows in one band
+            ((8, 1, 16, 16, 64, 64), 3, 49),  # 17-row bands over 49 rows: a 15-row tail
+            ((16, 1, 8, 8, 256, 256), 83, 249),  # 3-row bands over 249 rows
+            ((8, 2, 7, 16, 147, 139), 141, 124),  # one-row bands
             ((1, 1, 12, 12, 187, 218), 88, 207),  # k=1 is a GEMV per map row
             ((1, 1, 11, 13, 187, 198), 59, 186),  # 4-row GEMV chunks differed here at 2+ BLAS threads
             ((1024, 8, 16, 16, 24, 16), 1, 1),  # one-column maps, one window over budget
             ((16, 3, 19, 19, 32, 80), 14, 15),  # h_f rows over the band budget, a row over
             # the GEMM budget: one-row bands, 15-window row segments, 5 per row
         ],
-        ids=["one-band", "two-bands", "many-bands", "multichannel", "k1", "k1-threaded",
+        ids=["one-band", "three-bands", "many-bands", "multichannel", "k1", "k1-threaded",
              "window-over-budget", "row-over-budget"],
     )
     def test_each_map_row_is_its_own_gemm(self, monkeypatch, shape, n_bands, cols):
@@ -148,29 +149,37 @@ class TestCorrelate:
         windows = sliding_window_view(image, (fh, fw), axis=(1, 2)).transpose(1, 3, 0, 4, 2)
         windows = windows.reshape(hv, fh * c * fw, wv)
         weights_dyx = bank.transpose(0, 2, 1, 3).reshape(k, -1)
-        matmul, outs = np.matmul, []
+        matmul, gemms = np.matmul, []
 
-        def spy(a, b, out):  # record where each batched matmul writes
-            outs.append((out.ctypes.data, out.shape))
-            return matmul(a, b, out=out)
+        def spy(a, b, out):  # record each batched matmul's windows, result and buffers
+            matmul(a, b, out=out)
+            gemms.append((b.copy(), out.copy(), b.base, out.base, out.ctypes.data))
 
         monkeypatch.setattr(np, "matmul", spy)
         got = correlate(bank, image)
         monkeypatch.undo()
-        assert got.flags.c_contiguous
-        base = got.ctypes.data
+        assert got.shape == (k, hv, wv)
+        assert got.transpose(1, 2, 0).flags.c_contiguous  # stored (h_v, w_v, k)
         cover = np.zeros((hv, wv), dtype=int)
         bands = set()
-        for start, (n_rows, n_filters, n_cols) in outs:
-            r0, c0 = divmod((start - base) // got.itemsize, wv)
+        for stack, result, band, buffer, start in gemms:
+            # each GEMM writes a (rows, k, w_v) buffer: n_rows map rows from column c0
+            n_rows, n_filters, n_cols = result.shape
+            rows, c0 = buffer.shape[0], (start - buffer.ctypes.data) // buffer.itemsize
+            assert buffer.shape == (rows, k, wv) and 0 <= c0 < wv
+            assert band.size + buffer.size <= conv_mp.CORRELATE_BAND_SAMPLES or rows == 1
+            # the band's first map row is the one whose window the stack starts with
+            (r0,) = np.flatnonzero((windows[:, :, c0] == stack[0, :, 0]).all(axis=1))
             bands.add(r0)
             assert n_filters == k
             assert n_cols == min(cols, wv - c0)
             assert n_cols * weights_dyx.size <= conv_mp.CORRELATE_CHUNK_MACS or n_cols == 1
             cover[r0 : r0 + n_rows, c0 : c0 + n_cols] += 1
-            for r in range(r0, r0 + n_rows):
+            for i, r in enumerate(range(r0, r0 + n_rows)):
                 window = np.ascontiguousarray(windows[r, :, c0 : c0 + n_cols])
-                assert np.array_equal(got[:, r, c0 : c0 + n_cols], weights_dyx @ window)
+                assert np.array_equal(stack[i], window)
+                assert np.array_equal(result[i], weights_dyx @ window)
+                assert np.array_equal(got[:, r, c0 : c0 + n_cols], result[i])
         assert len(bands) == n_bands
         assert np.all(cover == 1)
 
@@ -190,9 +199,10 @@ class TestCorrelate:
         assert peak - maps.nbytes < 8 * 2**20
 
     def test_working_set_at_train_shape_is_under_1_mib(self):
-        # train's default shape (k8, 16x16 filters, 64x64 images): a band
-        # copies 41 unfolded rows, 0.26 MB. Chunks of at least 2**21
-        # multiply-adds unfolded 21 rows of windows, 2.1 MB.
+        # train's default shape (k8, 16x16 filters, 64x64 images): a 17-row
+        # band copies 32 unfolded rows and holds 17 rows of GEMM results,
+        # 0.25 MB. Chunks of at least 2**21 multiply-adds unfolded 21 rows of
+        # windows, 2.1 MB.
         rng = np.random.default_rng(26)
         bank = rng.normal(size=(8, 1, 16, 16))
         image = rng.normal(size=(1, 64, 64))
@@ -205,9 +215,10 @@ class TestCorrelate:
         assert peak - maps.nbytes < 2**20
 
     def test_one_band_copy_is_alive_at_a_time(self):
-        # encode256's shape: each 9-row band copies 16 unfolded rows, a
-        # (16, 1, 8, 249) array of 249 KiB. Copying the next band while the
-        # previous one is still held makes the working set 498 KiB.
+        # encode256's shape: each 3-row band copies 10 unfolded rows, a
+        # (10, 1, 8, 249) array, and its GEMMs write a (3, 16, 249) array:
+        # 249 KiB together. Copying the next band while the previous one is
+        # still held makes the working set 498 KiB.
         rng = np.random.default_rng(26)
         bank = rng.normal(size=(16, 1, 8, 8))
         image = rng.normal(size=(1, 256, 256))
@@ -507,8 +518,10 @@ class TestGreedyStepsMatchesOracle:
     @pytest.mark.parametrize(
         "plant, first",
         [
-            # equal magnitude in two filters: the lower filter index wins
+            # equal magnitude in two filters: the lower filter index wins,
+            # at one position and from a later tile row
             ({(2, 5, 5): 3.0, (1, 40, 9): -3.0}, (1, 40, 9)),
+            ({(2, 17, 30): -3.0, (0, 17, 30): 3.0, (1, 17, 30): 3.0}, (0, 17, 30)),
             # equal magnitude far apart in one map: the earlier row wins
             ({(0, 30, 2): 3.0, (0, 3, 20): 3.0}, (0, 3, 20)),
             # +v and -v close together: the row-major first wins
@@ -545,6 +558,24 @@ class TestGreedyStepsMatchesOracle:
         assert got == want
         assert got_maps.tobytes() == want_maps.tobytes()
 
+    def test_correlates_maps_are_updated_where_they_lie(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        bank = random_bank(rng, 4, 1, 5, 5)
+        table = build_shift_gram(bank)
+        maps = correlate(bank, rng.normal(size=(1, 30, 40)))
+        want_maps = maps.copy()
+        want = oracle_greedy_steps(want_maps, table, 25)
+        loop, seen = conv_mp.pursue(), []
+
+        def spy(work, *args):  # the address the C loop updates
+            seen.append(work)
+            return loop(work, *args)
+
+        monkeypatch.setattr(conv_mp, "pursue", lambda: spy)
+        assert records(greedy_steps(maps, table, 25)) == want
+        assert seen == [maps.ctypes.data]
+        assert np.array_equal(maps, want_maps)
+
     def test_non_contiguous_maps_are_updated_in_place(self):
         rng = np.random.default_rng(43)
         bank = random_bank(rng, 8, 1, 8, 8)
@@ -561,6 +592,29 @@ class TestGreedyStepsMatchesOracle:
             assert records(greedy_steps(view, table, 80)) == want
             assert np.array_equal(view, want_maps)
         assert np.all(storage[:, :, 1::2] == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_maps_holding_a_nan_or_an_infinity_are_a_data_error(self, bad):
+        rng = np.random.default_rng(44)
+        bank = random_bank(rng, 2, 1, 3, 3)
+        maps = correlate(bank, rng.normal(size=(1, 11, 13)))
+        maps[1, 7, 3] = bad
+        before = maps.tobytes()
+        with pytest.raises(DataError, match="NaN or an infinity"):
+            greedy_steps(maps, build_shift_gram(bank), 5)
+        assert maps.tobytes() == before  # the first scan stops before any step
+
+    def test_a_window_update_that_overflows_is_a_data_error(self):
+        # the first step, +big at (0, 0, 0), subtracts big from its right
+        # neighbour -big, which overflows to -inf; the second step meets it
+        big = 1.7e308
+        maps = np.zeros((2, 4, 5))
+        maps[0, 0, :2] = big, -big
+        table = np.zeros((2, 2, 3, 3))
+        table[[0, 1], [0, 1], 1, 1] = 1.0
+        table[0, 0, 1, 2] = 1.0
+        with pytest.raises(DataError, match="NaN or an infinity"):
+            greedy_steps(maps, table, 5)
 
     def test_a_table_that_does_not_fit_the_maps_is_rejected(self):
         maps = np.ones((3, 10, 10))

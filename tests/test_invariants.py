@@ -91,7 +91,8 @@ def test_maintained_maps_equal_a_fresh_correlation(case):
 
 @st.composite
 def pursuits(draw):
-    """(maps, table, q, tolerance, layout) for greedy_steps and its oracle.
+    """(maps, table, q, tolerance) for greedy_steps and its oracle, in the
+    layouts greedy_steps is given.
 
     The maps are a unit-norm bank's correlations of a normal image, with its
     shift table, at one of five geometries: small; wide, up to 256x256
@@ -99,9 +100,14 @@ def pursuits(draw):
     filters on images down to 1x1 (the maps oracles.mp_encode_gram makes);
     and layer 2's 16 filters of 8 channels. Or they are -v, 0 and v, with a
     table of -1, 0 and 1, dense or sparse, whose centre diagonal is 1, so
-    exact ties keep arising. On top: maybe all zeros, maybe up to four planted peaks of one
-    magnitude, a tolerance from zero to the largest magnitude, and a layout
-    (C order, Fortran order, a strided view or a transposed copy).
+    exact ties keep arising. On top: maybe all zeros, maybe up to four planted
+    peaks of one magnitude, each at a new position, at the last one's
+    position in another filter, or a tile side or two away from it in any
+    filter, so ties arise across filters at one position and across tiles;
+    and a tolerance from zero to the largest magnitude. The maps come in
+    correlate's own layout (filter-innermost, updated where they lie), C or
+    Fortran order, a strided view or a transposed copy, and the table as
+    build_shift_gram's filter-innermost view or in C order.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["small", "wide", "tall", "1x1", "layer2", "integer"]))
@@ -131,18 +137,32 @@ def pursuits(draw):
     if draw(st.booleans()) and draw(st.booleans()):
         maps[...] = 0.0
     peak = float(np.abs(maps).max()) + 1.0
+    where = None
     for _ in range(draw(st.integers(0, 4))):
-        where = tuple(int(rng.integers(n)) for n in maps.shape)
+        move = draw(st.sampled_from(["new", "same", (0, 8), (4, 0), (-4, 8), (8, -16)]))
+        if where is None or move == "new":
+            where = tuple(int(rng.integers(n)) for n in maps.shape)
+        else:
+            dr, dc = (0, 0) if move == "same" else move
+            _, hv, wv = maps.shape
+            where = (int(rng.integers(maps.shape[0])), min(max(where[1] + dr, 0), hv - 1),
+                     min(max(where[2] + dc, 0), wv - 1))
         maps[where] = peak * draw(st.sampled_from([1.0, -1.0]))
     tolerance = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])) * float(np.abs(maps).max())
-    layout = draw(st.sampled_from(["C", "F", "strided", "transposed"]))
-    return maps, table, draw(st.integers(1, 60)), tolerance, layout
+    maps = in_layout(maps, draw(st.sampled_from(["correlate", "C", "F", "strided", "transposed"])))
+    if draw(st.booleans()):
+        table = np.ascontiguousarray(table.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    else:
+        table = np.ascontiguousarray(table)
+    return maps, table, draw(st.integers(1, 60)), tolerance
 
 
 def in_layout(maps, layout):
     """A copy of maps in the given memory layout."""
+    if layout == "correlate":
+        return np.ascontiguousarray(maps.transpose(1, 2, 0)).transpose(2, 0, 1)
     if layout == "C":
-        return maps.copy()
+        return np.ascontiguousarray(maps)
     if layout == "F":
         return np.asfortranarray(maps)
     if layout == "strided":
@@ -155,12 +175,11 @@ def in_layout(maps, layout):
 @settings(FUZZ, max_examples=100)
 @given(case=pursuits())
 def test_greedy_steps_matches_the_oracle_bit_for_bit(case):
-    maps, table, q, tolerance, layout = case
+    maps, table, q, tolerance = case
     want_maps = maps.copy()
     want = oracle_greedy_steps(want_maps, table, q, tolerance)
-    got_maps = in_layout(maps, layout)
-    assert records(greedy_steps(got_maps, table, q, tolerance)) == want
-    assert got_maps.tobytes() == want_maps.tobytes()
+    assert records(greedy_steps(maps, table, q, tolerance)) == want
+    assert maps.tobytes() == want_maps.tobytes()
 
 
 def test_greedy_steps_matches_the_oracle_at_1_and_2_blas_threads():

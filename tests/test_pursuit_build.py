@@ -18,8 +18,9 @@ import pytest
 import convmp
 from convmp import _pursuit
 from convmp.cli import main
-from convmp.conv_mp import build_shift_gram, correlate
-from convmp.core import SparseCode, normalize_filters
+from codes import records
+from convmp.conv_mp import build_shift_gram, correlate, greedy_steps
+from convmp.core import DataError, SparseCode, normalize_filters
 from convmp.model_io import save_bank, save_code, save_float_image
 from test_conv_mp import oracle_greedy_steps
 
@@ -152,3 +153,48 @@ def test_an_unwritable_package_builds_into_a_private_user_cache(tmp_path, rebuil
     assert library.parent.stat().st_mode & 0o777 == 0o700
     assert _pursuit._library() == library  # found, not rebuilt
     assert not (package / "__pycache__").exists() or not any((package / "__pycache__").iterdir())
+
+
+def test_a_cached_library_that_does_not_load_is_rebuilt(tmp_path, rebuild, monkeypatch):
+    package = fresh_package(tmp_path)
+    monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
+    library = _pursuit._library()
+    library.write_bytes(b"\x7fE")  # cut short: dlopen says "file too short"
+    rng = np.random.default_rng(61)
+    bank = normalize_filters(rng.normal(size=(3, 1, 4, 4)))
+    maps, table = correlate(bank, rng.normal(size=(1, 20, 24))), build_shift_gram(bank)
+    want_maps = maps.copy()
+    want = oracle_greedy_steps(want_maps, table, Q)
+    assert records(greedy_steps(maps, table, Q)) == want
+    assert np.array_equal(maps, want_maps)
+    assert list((package / "__pycache__").glob("_pursuit-*")) == [library]
+    assert library.stat().st_size > 2
+
+
+def test_a_rebuilt_library_that_still_does_not_load_is_a_build_error(tmp_path, rebuild,
+                                                                      monkeypatch):
+    # -c makes an object file, which builds but does not load
+    package = fresh_package(tmp_path)
+    monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
+    monkeypatch.setattr(_pursuit, "FLAGS", ("-O3", "-fPIC", "-c", "-ffp-contract=off"))
+    with pytest.raises(_pursuit.BuildError, match="rebuilt pursuit library does not load"):
+        _pursuit.pursue()
+
+
+def test_the_portable_loop_without_sse2_gives_the_oracles_steps(tmp_path, rebuild, monkeypatch):
+    # on x86-64 the loop takes two lanes at a time; -U__SSE2__ builds the
+    # scalar loops that other targets run
+    package = fresh_package(tmp_path)
+    monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
+    monkeypatch.setattr(_pursuit, "FLAGS", (*_pursuit.FLAGS, "-U__SSE2__"))
+    rng = np.random.default_rng(62)
+    bank = normalize_filters(rng.normal(size=(5, 2, 4, 3)))
+    table = build_shift_gram(bank)
+    for maps in (correlate(bank, rng.normal(size=(2, 41, 37))),
+                 rng.integers(-1, 2, size=(5, 38, 35)).astype(float)):
+        want_maps = maps.copy()
+        want = oracle_greedy_steps(want_maps, table, 3 * Q)
+        assert records(greedy_steps(maps, table, 3 * Q)) == want
+        assert maps.tobytes() == want_maps.tobytes()
+    with pytest.raises(DataError, match="NaN or an infinity"):
+        greedy_steps(np.full((5, 9, 9), np.nan), table, Q)
