@@ -118,21 +118,21 @@ def build_shift_gram(bank) -> np.ndarray:
     k, c, fh, fw = bank.shape
     th, tw = 2 * fh - 1, 2 * fw - 1
     storage = np.empty((k, th, tw, k))
-    table = storage.transpose(0, 3, 1, 2)
     canvas = np.zeros((c, 3 * fh - 2, 3 * fw - 2))
     for j in range(k):
         canvas[:, fh - 1 : 2 * fh - 1, fw - 1 : 2 * fw - 1] = bank[j]
-        # Correlating filter i over the centered canvas scans shifts in
-        # reverse order, hence the double flip.
-        table[:, j] = correlate(bank, canvas)[:, ::-1, ::-1]
+        # filter i correlated over filter j centred on the canvas is
+        # table[j, i] at every shift, and correlate stores it i-innermost too
+        storage[j] = correlate(bank, canvas).transpose(1, 2, 0)
+    table = storage.transpose(0, 3, 1, 2)
     # Mirror one triangle onto the other so the symmetry holds bit-exactly:
-    # the lower pairs from the upper, each diagonal block's second half from its first.
-    lower, upper = np.tril_indices(k, -1)
-    table[lower, upper] = table[upper, lower, ::-1, ::-1]
+    # the upper pairs from the lower, each diagonal block's first half from its second.
+    upper, lower = np.triu_indices(k, 1)
+    table[upper, lower] = table[lower, upper, ::-1, ::-1]
     s_i, _, s_dc, s_j = storage.strides
     diagonal = as_strided(storage, (k, th * tw), (s_i + s_j, s_dc))
     n = th * tw
-    diagonal[:, n // 2 + 1 :] = diagonal[:, : n // 2][:, ::-1]
+    diagonal[:, : n // 2] = diagonal[:, n // 2 + 1 :][:, ::-1]
     return table
 
 
