@@ -1,4 +1,4 @@
-"""Build and load _pursuit.c, the compiled pursuit loop, on first use.
+"""Build and load _native.c, the compiled kernels, on first use.
 
 The library is built with the C compiler Python was built with (sysconfig's
 CC) and named by a hash of the source, the flags, the compiler setting and
@@ -6,8 +6,9 @@ the platform tag, so an edited source or another Python gets its own build.
 It goes into this package's __pycache__, as bytecode does, or into a
 per-user cache directory (mode 0700) when that is not writable. A build
 writes a temporary file and installs it with os.replace, so processes
-racing to build it are safe; then the builds of other hashes are removed.
-A cached build that does not load is built again, once.
+racing to build it are safe; then the builds of other hashes, and those of
+the library's old name, _pursuit, are removed. A cached build that does not
+load is built again, once.
 """
 
 from __future__ import annotations
@@ -21,40 +22,45 @@ from pathlib import Path
 
 # The compiler command; None means the one Python was built with.
 CC = None
-# No -ffast-math or -march=native: the steps must keep numpy's bits everywhere.
+# No -ffast-math or -march=native: the kernels must give the same bits everywhere.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-SOURCE = Path(__file__).with_name("_pursuit.c")
+SOURCE = Path(__file__).with_name("_native.c")
+# the return codes of power
+POWER_CONVERGED, POWER_CAPPED, POWER_ZERO, POWER_NON_FINITE = range(4)
 
 
 class BuildError(RuntimeError):
-    """The compiled pursuit loop could not be built."""
+    """The compiled kernels could not be built."""
 
 
 @functools.cache
-def pursue():
-    """The C function pursue(maps, k, hv, wv, table, fh, fw, max_steps,
-    tolerance, out) from _pursuit.c, building the library if needed."""
-    library = _library()
+def library() -> ctypes.CDLL:
+    """The loaded library, building it if needed, with its two entry points
+    declared: pursue(maps, k, hv, wv, table, fh, fw, max_steps, tolerance,
+    out) and power(rows, n, dim, v, y, max_iter, tolerance, iterations)."""
+    path = _library()
     try:
-        loaded = ctypes.CDLL(str(library))
+        loaded = ctypes.CDLL(str(path))
     except OSError:  # a cached build that does not load: cut short, or for another C library
-        library = _build(library)
+        path = _build(path)
         try:
-            loaded = ctypes.CDLL(str(library))
+            loaded = ctypes.CDLL(str(path))
         except OSError as exc:
-            raise BuildError(f"the rebuilt pursuit library does not load: {exc}") from exc
-    fn = loaded.pursue
-    size, pointer = ctypes.c_ssize_t, ctypes.c_void_p
-    fn.argtypes = [pointer, size, size, size, pointer, size, size, size, ctypes.c_double, pointer]
-    fn.restype = size
-    return fn
+            raise BuildError(f"the rebuilt native library does not load: {exc}") from exc
+    size, pointer, double = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    loaded.pursue.argtypes = [pointer, size, size, size, pointer, size, size, size, double, pointer]
+    loaded.pursue.restype = size
+    loaded.power.argtypes = [pointer, size, size, pointer, pointer, size, double,
+                             ctypes.POINTER(size)]
+    loaded.power.restype = ctypes.c_int
+    return loaded
 
 
 def _library() -> Path:
     # zlib, not hashlib: numpy has loaded zlib already, while hashlib maps
     # OpenSSL, ≈3.5 MB of resident memory for one 32-bit name
     key = zlib.crc32(SOURCE.read_bytes() + repr((FLAGS, CC, EXTENSION_SUFFIXES[0])).encode())
-    name = f"_pursuit-{key:08x}.so"
+    name = f"_native-{key:08x}.so"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "convmp"
     places = [SOURCE.parent / "__pycache__", cache]
     for place in places:
@@ -67,7 +73,7 @@ def _library() -> Path:
             continue
         if os.access(place, os.W_OK):
             return _build(place / name)
-    raise BuildError(f"no writable directory for the pursuit library among {places}")
+    raise BuildError(f"no writable directory for the native library among {places}")
 
 
 def _build(target: Path) -> Path:
@@ -88,11 +94,11 @@ def _build(target: Path) -> Path:
         failure = f"could not start: {exc}"
     if failure:
         os.unlink(tmp)
-        raise BuildError(f"building the pursuit library failed: {shlex.join(command)} {failure}")
+        raise BuildError(f"building the native library failed: {shlex.join(command)} {failure}")
     # readable like the source, as bytecode is (the linker kept mkstemp's 0600)
     os.chmod(tmp, SOURCE.stat().st_mode & 0o777)
     os.replace(tmp, target)
-    for stale in target.parent.glob("_pursuit-*.so"):
+    for stale in [*target.parent.glob("_native-*.so"), *target.parent.glob("_pursuit-*.so")]:
         if stale != target:
             stale.unlink(missing_ok=True)
     return target

@@ -14,7 +14,7 @@ have the same bits at 1 and 2 BLAS threads.
 The maps are (k, h_v, w_v) arrays stored filter-innermost, as (h_v, w_v, k),
 and the shift table is stored (k, 2*h_f-1, 2*w_f-1, k), so one window row
 of a step is one contiguous run of the maps and of the table. The pursuit
-loop runs in C (_pursuit.c, built on first use) off a cache of the peak
+loop runs in C (_native.c, built on first use) off a cache of the peak
 magnitude of each tile of 4x8 positions, all filters, and of the best tile
 of each tile row, so a step's argmax reads h_v/4 entries. A window update
 takes the maximum of each tile part it updates in the same pass; a tile
@@ -25,6 +25,10 @@ loop keeps numpy's bits: the update is m - (a * t), with no fused
 multiply-add, and ties go to the lowest filter, then row-major position,
 as np.abs(maps).argmax() picks them. The steps come out as one
 core.ACTIVATION array, the form a SparseCode holds.
+
+An encoding sweep checks its bank once: prepare_bank returns a
+core.PreparedBank, which correlate, build_shift_gram, conv_mp_encode (with
+the bank's own table) and core.reconstruct take without checking it again.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._pursuit import pursue
+from ._native import library
 from .core import (
-    ACTIVATION, UNIT_NORM_ATOL, ConfigError, DataError, SparseCode, as_bank, as_image,
-    check_count, check_tolerance,
+    ACTIVATION, UNIT_NORM_ATOL, ConfigError, DataError, PreparedBank, SparseCode, as_bank,
+    as_image, check_count, check_tolerance,
 )
 
 # Most steps per call of the C loop, which holds them in one buffer; a longer
@@ -68,8 +72,10 @@ def correlate(bank, image) -> np.ndarray:
     band multiplies the bank by each of them into a (rows, k, w_v) buffer:
     one GEMM per map row, or per column segment when a row holds more than
     CORRELATE_CHUNK_MACS multiply-adds. The band's results are then copied,
-    transposed, into the storage.
+    transposed, into the storage. A PreparedBank's weights are used as they
+    are. Maps that overflow hold infinities, which greedy_steps rejects.
     """
+    weights = bank.weights if isinstance(bank, PreparedBank) else None
     bank = as_bank(bank, unit_norm=False)
     img = as_image(image)
     k, c, fh, fw = bank.shape
@@ -81,7 +87,8 @@ def correlate(bank, image) -> np.ndarray:
     hv, wv = h - fh + 1, w - fw + 1
     sc, sh, sw = img.strides
     unfold = as_strided(img, (h, c, fw, wv), (sh, sc, sw, sw), writeable=False)
-    weights = bank.transpose(0, 2, 1, 3).reshape(k, -1)
+    if weights is None:
+        weights = _weights(bank)
     # a band of n map rows copies n + h_f - 1 unfolded rows of c * w_f * w_v
     # samples, and its GEMMs write n * k * w_v
     unfolded = c * fw * wv
@@ -94,14 +101,33 @@ def correlate(bank, image) -> np.ndarray:
     s_row, _, s_dx, s_x = band.strides
     stack = np.ndarray((rows, fh * c * fw, wv), buffer=band, strides=(s_row, s_dx, s_x))
     storage = np.empty((hv, wv, k))
-    for r0 in range(0, hv, rows):
-        n = min(rows, hv - r0)
-        band[: n + fh - 1] = unfold[r0 : r0 + n + fh - 1]
-        for c0 in range(0, wv, cols):
-            span = slice(c0, c0 + cols)
-            np.matmul(weights, stack[:n, :, span], out=gemms[:n, :, span])
-        storage[r0 : r0 + n] = gemms[:n].transpose(0, 2, 1)
+    # an overflow is reported by the pursuit's first scan, under any warning filter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, hv, rows):
+            n = min(rows, hv - r0)
+            band[: n + fh - 1] = unfold[r0 : r0 + n + fh - 1]
+            for c0 in range(0, wv, cols):
+                span = slice(c0, c0 + cols)
+                np.matmul(weights, stack[:n, :, span], out=gemms[:n, :, span])
+            storage[r0 : r0 + n] = gemms[:n].transpose(0, 2, 1)
     return storage.transpose(2, 0, 1)
+
+
+def _weights(bank: np.ndarray) -> np.ndarray:
+    """correlate's GEMM operand: each filter's taps in (dy, channel, dx) order."""
+    return bank.transpose(0, 2, 1, 3).reshape(len(bank), -1)
+
+
+def prepare_bank(bank) -> PreparedBank:
+    """Check a bank once, unit norm included, and derive correlate's weights
+    and the shift table from it once, for the calls of one encoding sweep.
+    A PreparedBank is returned as it is."""
+    if isinstance(bank, PreparedBank):
+        return bank
+    checked = as_bank(bank)
+    prepared = PreparedBank(checked, _weights(checked))
+    prepared.table = build_shift_gram(prepared)
+    return prepared
 
 
 def build_shift_gram(bank) -> np.ndarray:
@@ -114,13 +140,15 @@ def build_shift_gram(bank) -> np.ndarray:
     with offsets counted from the center. The table is a view of
     (k, 2*h_f-1, 2*w_f-1, k) storage, the order greedy_steps reads.
     """
-    bank = as_bank(bank, unit_norm=False)
-    k, c, fh, fw = bank.shape
+    checked = as_bank(bank, unit_norm=False)
+    if not isinstance(bank, PreparedBank):  # correlate takes a PreparedBank as it is
+        bank = checked
+    k, c, fh, fw = checked.shape
     th, tw = 2 * fh - 1, 2 * fw - 1
     storage = np.empty((k, th, tw, k))
     canvas = np.zeros((c, 3 * fh - 2, 3 * fw - 2))
     for j in range(k):
-        canvas[:, fh - 1 : 2 * fh - 1, fw - 1 : 2 * fw - 1] = bank[j]
+        canvas[:, fh - 1 : 2 * fh - 1, fw - 1 : 2 * fw - 1] = checked[j]
         # filter i correlated over filter j centred on the canvas is
         # table[j, i] at every shift, and correlate stores it i-innermost too
         storage[j] = correlate(bank, canvas).transpose(1, 2, 0)
@@ -160,7 +188,7 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndar
     correlations of the bank with the implied residual. Maps that hold a
     NaN or an infinity, or overflow to one, raise DataError.
 
-    The loop runs in C (_pursuit.c, built on first use) off a cache of
+    The loop runs in C (_native.c, built on first use) off a cache of
     per-tile max magnitudes, with numpy's bits: see the module docstring.
     Writable float64 maps stored as correlate stores them, (h_v, w_v, k)
     in C order, are updated where they lie; any other layout is copied in
@@ -178,7 +206,7 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndar
     blocks = []
     while True:
         out = np.empty(max(0, min(max_steps, STEP_BLOCK)), ACTIVATION)
-        n = pursue()(
+        n = library().pursue(
             work.ctypes.data, k, hv, wv, table.ctypes.data, fh, fw, out.size, float(tolerance),
             out.ctypes.data,
         )
@@ -201,14 +229,19 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     """Greedily encode an image with at most q activations.
 
     table must be build_shift_gram(bank); another bank's raises ConfigError.
-    The image is correlated with the bank once (correlate validates it);
-    afterwards the correlation maps are maintained through table lookups.
+    A PreparedBank with its own table skips these checks, which it passed
+    when it was made. The image is correlated with the bank once (correlate
+    validates it); afterwards the correlation maps are maintained through
+    table lookups.
     """
-    bank = as_bank(bank)
+    prepared = isinstance(bank, PreparedBank) and table is bank.table
+    if not prepared:
+        bank = as_bank(bank)
     check_count("q", q)
     check_tolerance(residual_tolerance)
-    table = np.asarray(table)
-    _check_table(bank, table)
+    if not prepared:
+        table = np.asarray(table)
+        _check_table(bank, table)
     maps = correlate(bank, image)
     activations = greedy_steps(maps, table, q, residual_tolerance)
     c, h, w = np.shape(image)

@@ -106,8 +106,29 @@ def as_image(arr, name: str = "image") -> np.ndarray:
     return a
 
 
+@dataclass(eq=False)
+class PreparedBank:
+    """A filter bank checked once, unit norm included, for the calls of one
+    encoding sweep (conv_mp.prepare_bank makes one): the checked array,
+    correlate's (k, h_f*c*w_f) weights with taps in (dy, channel, dx) order,
+    and the bank's shift table. as_bank returns its array unchecked, so the
+    functions that take a bank skip the checks it passed; the array must not
+    change while it is in use."""
+
+    array: np.ndarray
+    weights: np.ndarray
+    table: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.array.shape
+
+
 def as_bank(arr, name: str = "bank", unit_norm: bool = True) -> np.ndarray:
-    """Validate an array as a (count, channels, h_f, w_f) filter bank."""
+    """Validate an array as a (count, channels, h_f, w_f) filter bank; a
+    PreparedBank's array passed these checks when it was made."""
+    if isinstance(arr, PreparedBank):
+        return arr.array
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 4:
         raise DataError(f"{name} must have shape (count, channels, h_f, w_f), got {a.shape}")

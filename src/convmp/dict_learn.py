@@ -1,13 +1,14 @@
 """Alternating dictionary learning: encode with convolutional pursuit, then
 update each filter as the top principal direction of its activated patches.
 
-init_filters checks the corpus once, where it enters. One epoch encodes
-every image with the current bank (encode_all builds its shift table),
-then sweeps the filters in ascending index order (Gauss-Seidel: each
-update sees residuals reflecting the ones before it). For a filter j,
-every image location where j is active contributes the patch the filter is
-trying to explain: the residual patch plus j's own contribution there,
-i.e. the data minus all other activations. The filter becomes the dominant
+init_filters checks the corpus once, where it enters. One epoch checks
+the current bank once (conv_mp.prepare_bank, which also builds its shift
+table), encodes and reconstructs every image with it, then sweeps the
+filters in ascending index order (Gauss-Seidel: each update sees
+residuals reflecting the ones before it). For a filter j, every image
+location where j is active contributes the patch the filter is trying to
+explain: the residual patch plus j's own contribution there, i.e. the
+data minus all other activations. The filter becomes the dominant
 singular direction of those patches, its coefficients are re-projected
 onto it, and the residuals are repaired in place so they stay equal to
 image minus reconstruction. Codes are not rewritten: the next epoch
@@ -22,7 +23,7 @@ scatters, np.add.at then np.subtract.at. Each sample takes its updates in
 the order a loop over the positions would apply them, so the repair gives
 that loop's bits. The principal direction comes from power iteration on
 the (n, dim) patch rows themselves, two matrix-vector products per step,
-so no Gram matrix is formed.
+so no Gram matrix is formed; the loop runs in C (_native.c's power).
 
 The alternation is not guaranteed to decrease the energy (the encoding
 subproblem is not convex); TrainStats records per-epoch energy so the
@@ -31,14 +32,16 @@ typical decrease is observable.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .conv_mp import build_shift_gram, conv_mp_encode
+from . import _native
+from .conv_mp import conv_mp_encode, prepare_bank
 from .core import DataError, TrainConfig, as_image, reconstruct, window_offsets
 
 logger = logging.getLogger(__name__)
@@ -46,12 +49,10 @@ logger = logging.getLogger(__name__)
 _REDRAW_LIMIT = 100
 _SIGN_TIE_ATOL = 1e-12
 # power iteration of pca_top_component: relative residual tolerance, iteration
-# cap, the seed of its start vector, and the most entries of one row block
+# cap, and the seed of its start vectors
 _PCA_TOL = 1e-10
 _PCA_MAX_ITER = 10_000
 _PCA_SEED = 0
-_PCA_BLOCK_ENTRIES = 460_799
-_TINY = np.finfo(np.float64).tiny
 
 @dataclass
 class TrainStats:
@@ -81,7 +82,11 @@ def _draw_unit_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.n
         r = int(rng.integers(img.shape[1] - fh + 1))
         c = int(rng.integers(img.shape[2] - fw + 1))
         patch = img[:, r : r + fh, c : c + fw]
-        norm = float(np.sqrt(np.sum(patch * patch)))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            norm = float(np.sqrt(np.sum(patch * patch)))
+        if not math.isfinite(norm):
+            raise DataError(f"the norm of a {fh}x{fw} corpus patch overflows float64; "
+                            "scale the corpus down")
         if norm > 0.0:
             return patch / norm
     raise DataError(
@@ -164,16 +169,31 @@ def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     return -v if d < 0 else v
 
 
+def _unit_normal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.normal(size=dim)
+    v /= math.sqrt(v @ v)
+    return v
+
+
+@functools.lru_cache(maxsize=16)
+def _pca_start(dim: int) -> np.ndarray:
+    """The first start vector of pca_top_component, drawn once per dim (read-only)."""
+    v = _unit_normal(np.random.default_rng(_PCA_SEED), dim)
+    v.flags.writeable = False
+    return v
+
+
 def pca_top_component(patches, prev=None) -> np.ndarray:
     """Top left singular direction of the stacked (uncentered) patches.
 
     patches is an (n, dim) array or a sequence of n equal-shape finite
-    patches; the result has one patch's shape. Power iteration from a
-    seeded start runs on rows^T rows without forming it: each step is two
-    matrix-vector products per block of at most _PCA_BLOCK_ENTRIES (or one
-    patch), (block @ v) @ block, summed in block order. numpy's bundled
-    OpenBLAS threads only larger products, so the bits do not depend on
-    the BLAS thread count. It stops when the relative residual
+    patches; the result has one patch's shape. Power iteration runs on
+    rows^T rows without forming it, in C (_native.c's power): each step is
+    y = sum of (row . v) row, with dot products summed in 8 fixed lanes, so
+    no BLAS routine runs and the bits do not depend on the BLAS build or
+    thread count. It starts from a seeded unit normal vector; a start whose
+    step gives y = 0 (it lies in the rows' nullspace) is replaced by the
+    next draw of the same stream. It stops when the relative residual
     |y - lam v| / lam falls to _PCA_TOL; reaching the iteration cap first
     is logged as a warning. The sign is chosen to keep a nonnegative inner
     product with prev when one is given; on a near-zero tie (or without
@@ -182,32 +202,27 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
     mats = np.asarray(patches, dtype=np.float64)
     if len(mats) == 0:
         raise DataError("cannot take the principal direction of an empty patch set")
-    rows = mats.reshape(len(mats), -1)  # (n, dim)
-    if not np.all(np.isfinite(rows)):
+    rows = np.ascontiguousarray(mats.reshape(len(mats), -1))  # (n, dim)
+    if not np.isfinite(rows).all():
         raise DataError("patches must be finite (found NaN or Inf)")
-    if not np.any(rows):
+    if not rows.any():
         raise DataError("all patches are zero; dead filter")
-    dim = rows.shape[1]
-    step = max(1, _PCA_BLOCK_ENTRIES // dim)
-    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
-
-    rng = np.random.default_rng(_PCA_SEED)
-    norm = 0.0
-    for _ in range(_PCA_MAX_ITER):
-        if norm == 0.0:  # the first step, or a restart after a start in the nullspace
-            v = rng.normal(size=dim)
-            v /= math.sqrt(v @ v)
-        y = reduce(np.add, ((block @ v) @ block for block in blocks))
-        lam = float(v @ y)
-        norm = math.sqrt(y @ y)
-        if norm == 0.0:
-            continue
-        d = y - lam * v
-        res = math.sqrt(d @ d)
-        v = y / norm
-        if res <= _PCA_TOL * max(lam, _TINY):
+    n, dim = rows.shape
+    v, y = _pca_start(dim).copy(), np.empty(dim)
+    budget, steps, rng = _PCA_MAX_ITER, ctypes.c_ssize_t(), None
+    while True:
+        status = _native.library().power(rows.ctypes.data, n, dim, v.ctypes.data, y.ctypes.data,
+                                         budget, _PCA_TOL, ctypes.byref(steps))
+        budget -= steps.value
+        if status != _native.POWER_ZERO or not budget:
             break
-    else:
+        if rng is None:  # a stream at the draw after _pca_start's
+            rng = np.random.default_rng(_PCA_SEED)
+            rng.normal(size=dim)
+        v = _unit_normal(rng, dim)
+    if status == _native.POWER_NON_FINITE:
+        raise DataError("the patches' products overflow float64; scale the corpus down")
+    if status != _native.POWER_CONVERGED:
         logger.warning("power iteration hit its cap of %d iterations unconverged", _PCA_MAX_ITER)
     prev_flat = None if prev is None else np.asarray(prev, dtype=np.float64).ravel()
     v = _fix_sign(v, prev_flat)
@@ -260,9 +275,11 @@ def update_filter(
 
 
 def encode_all(bank, images, q: int, tolerance: float = 0.0):
-    """Encode every image in order, on the calling thread, off one shift table of the bank."""
-    table = build_shift_gram(bank)
-    return [conv_mp_encode(bank, table, im, q, tolerance) for im in images]
+    """Encode every image in order, on the calling thread, off one check of
+    the bank and one shift table (conv_mp.prepare_bank; a PreparedBank is
+    used as it is)."""
+    bank = prepare_bank(bank)
+    return [conv_mp_encode(bank, bank.table, im, q, tolerance) for im in images]
 
 
 def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, TrainStats]:
@@ -282,9 +299,12 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
     rng = np.random.default_rng([cfg.seed, 1])  # reinit draws, distinct stream
 
     for epoch in range(cfg.epochs):
-        codes = encode_all(bank, imgs, cfg.sparsity, cfg.residual_tolerance)
+        # checked once for the sweep's encodes and reconstructions; the
+        # filter updates below change bank, so the next epoch prepares it again
+        prepared = prepare_bank(bank)
+        codes = encode_all(prepared, imgs, cfg.sparsity, cfg.residual_tolerance)
         for im, code, view in zip(imgs, codes, views):
-            np.subtract(im, reconstruct(code, bank), out=view)
+            np.subtract(im, reconstruct(code, prepared), out=view)
 
         energy = float(sum(np.sum(np.square(r)) for r in views))
         filters = np.concatenate([code.activations["filter_index"] for code in codes])

@@ -149,3 +149,37 @@ def toeplitz_expand(bank, image_dims) -> np.ndarray:
                 out[:, col] = canvas.ravel()
                 col += 1
     return out
+
+
+def power_iteration(rows, prev=None, tol: float = 1e-10, max_iter: int = 10_000, seed: int = 0):
+    """The top right singular vector of the (n, dim) rows by numpy power
+    iteration, the loop pca_top_component ran before it moved into C.
+
+    It starts from the same seeded draws (the next one after a start whose
+    step gives y = 0), stops on the same relative residual and applies the
+    same sign rule: a nonnegative inner product with prev, or, on a tie
+    within 1e-12 or without prev, a positive first nonzero entry. Its sums
+    run in BLAS's order, not in the compiled loop's lanes, so it is a
+    tolerance oracle, not a bit oracle. Returns (vector, converged).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    norm, converged = 0.0, False
+    for _ in range(max_iter):
+        if norm == 0.0:
+            v = rng.normal(size=rows.shape[1])
+            v /= np.sqrt(v @ v)
+        y = (rows @ v) @ rows
+        lam, norm = float(v @ y), float(np.sqrt(y @ y))
+        if norm == 0.0:
+            continue
+        d = y - lam * v
+        v = y / norm
+        if np.sqrt(d @ d) <= tol * max(lam, np.finfo(np.float64).tiny):
+            converged = True
+            break
+    d = 0.0 if prev is None else float(v @ np.ravel(prev))
+    if abs(d) <= 1e-12:
+        nonzero = v[v != 0]
+        d = nonzero[0] if nonzero.size else 0.0
+    return (-v if d < 0 else v), converged

@@ -47,6 +47,15 @@ from convmp.model_io import (
 from convmp.pipeline import run_two_layer, seeded
 
 
+def cli_with_warnings_as_errors(*argv):
+    """`python -W error -m convmp.cli ARGV` on this checkout's convmp."""
+    src = str(Path(convmp.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "convmp.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def write_pgm_corpus(directory, n, size, seed):
     rng = np.random.default_rng(seed)
     directory.mkdir(parents=True, exist_ok=True)
@@ -114,6 +123,21 @@ class TestTrain:
         manifest = (model.parent / (model.name + ".manifest.txt")).read_text()
         assert "command=train" in manifest
         assert "seed=4" in manifest
+
+    def test_a_corpus_whose_patch_norms_overflow_exits_3_with_warnings_as_errors(self,
+                                                                                tmp_path):
+        # every sample is finite, but a 4x4 patch's sum of squares is about 1e401
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(8)
+        for i in range(2):
+            save_float_image(1e200 * rng.normal(size=(1, 24, 24)), corpus / f"img{i}.f64")
+        proc = cli_with_warnings_as_errors("train", "--corpus", corpus, "--out",
+                                           tmp_path / "m.bank", "--k", 2, "--filter", "4x4",
+                                           "--q", 3, "--epochs", 1)
+        assert proc.returncode == 3, proc.stderr
+        assert "norm of a 4x4 corpus patch overflows float64" in proc.stderr
+        assert not (tmp_path / "m.bank").exists()
 
     def test_manifest_records_every_setting_in_flag_order(self, trained_model):
         corpus, model = trained_model
@@ -252,11 +276,20 @@ class TestEncodeReconstruct:
         # every entry is finite, but each 4x4 window sums to 4e308: the maps are infinite
         save_float_image(np.full((1, 20, 20), 1e308), tmp_path / "huge.f64")
         save_bank(np.full((4, 1, 4, 4), 0.25), tmp_path / "m.bank")
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["encode", "--model", str(tmp_path / "m.bank"), "--image",
-                         str(tmp_path / "huge.f64"), "--q", "5",
-                         "--out", str(tmp_path / "c.code")]) == 3
+        assert main(["encode", "--model", str(tmp_path / "m.bank"), "--image",
+                     str(tmp_path / "huge.f64"), "--q", "5",
+                     "--out", str(tmp_path / "c.code")]) == 3
         assert "NaN or an infinity" in capsys.readouterr().err
+        assert not (tmp_path / "c.code").exists()
+
+    def test_an_overflowing_encode_exits_3_with_warnings_as_errors(self, tmp_path):
+        save_float_image(np.full((1, 20, 20), 1e308), tmp_path / "huge.f64")
+        save_bank(np.full((4, 1, 4, 4), 0.25), tmp_path / "m.bank")
+        proc = cli_with_warnings_as_errors("encode", "--model", tmp_path / "m.bank", "--image",
+                                           tmp_path / "huge.f64", "--q", 5,
+                                           "--out", tmp_path / "c.code")
+        assert proc.returncode == 3, proc.stderr
+        assert "NaN or an infinity" in proc.stderr
         assert not (tmp_path / "c.code").exists()
 
     def test_encode_dim_mismatch_is_config_error(self, trained_model, tmp_path):

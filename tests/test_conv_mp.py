@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -565,13 +566,13 @@ class TestGreedyStepsMatchesOracle:
         maps = correlate(bank, rng.normal(size=(1, 30, 40)))
         want_maps = maps.copy()
         want = oracle_greedy_steps(want_maps, table, 25)
-        loop, seen = conv_mp.pursue(), []
+        loop, seen = conv_mp.library().pursue, []
 
         def spy(work, *args):  # the address the C loop updates
             seen.append(work)
             return loop(work, *args)
 
-        monkeypatch.setattr(conv_mp, "pursue", lambda: spy)
+        monkeypatch.setattr(conv_mp, "library", lambda: types.SimpleNamespace(pursue=spy))
         assert records(greedy_steps(maps, table, 25)) == want
         assert seen == [maps.ctypes.data]
         assert np.array_equal(maps, want_maps)

@@ -5,16 +5,20 @@ import pytest
 
 from blas_threads import lines_at_1_and_2_blas_threads
 from codes import Activation, records
-from convmp import dict_learn
+from convmp import conv_mp, core, dict_learn
+from convmp.conv_mp import build_shift_gram, conv_mp_encode, prepare_bank
 from convmp.core import (
+    ConfigError,
     DataError,
     SparseCode,
     TrainConfig,
+    normalize_filters,
     reconstruct,
     residual_energy,
 )
 from convmp.dict_learn import (
     collect_activated_patches,
+    encode_all,
     filter_windows,
     init_filters,
     pca_top_component,
@@ -139,6 +143,11 @@ class TestInitFilters:
         with pytest.raises(DataError, match="image 1 has 2 channels"):
             init_filters(images, make_cfg())
 
+    def test_a_patch_whose_norm_overflows_is_a_data_error(self):
+        # each sample is finite, but a 3x3 patch's sum of squares is 9e400
+        with pytest.raises(DataError, match="norm of a 3x3 corpus patch overflows"):
+            init_filters([np.full((1, 6, 6), 1e200)], make_cfg())
+
 
 class TestCollectActivatedPatches:
     def test_perfect_single_atom_image(self):
@@ -262,6 +271,13 @@ class TestPcaTopComponent:
         with pytest.raises(ValueError, match="dead"):
             pca_top_component([np.zeros((1, 2, 2))])
 
+    def test_products_that_overflow_are_a_data_error(self, caplog):
+        # finite rows whose row . v overflows in the first step
+        rows = np.full((4, 9), 1e300)
+        with pytest.raises(DataError, match="products overflow"):
+            pca_top_component(rows)
+        assert caplog.records == []
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_patch(self, bad, caplog):
         patches = np.random.default_rng(62).normal(size=(20, 9))
@@ -284,14 +300,12 @@ class TestPcaTopComponent:
         np.testing.assert_allclose(pca_top_component(rows), unit([b, -a]) * np.sign(b),
                                    rtol=0, atol=1e-12)
 
-    def test_sets_over_the_block_limit_have_the_same_bits_at_1_and_2_blas_threads(self):
-        # Each set holds more than _PCA_BLOCK_ENTRIES entries (450 x 1024 is
-        # OpenBLAS's threshold itself), so it runs as row blocks summed in
-        # order. Its first column is scaled up, so the top direction is well
-        # separated and a few iterations converge. With one product over the
-        # whole set, all three differed.
+    def test_large_sets_have_the_same_bits_at_1_and_2_blas_threads(self):
+        # The sets a row-blocked numpy refit had to split, 450 x 1024 being
+        # OpenBLAS's own threading threshold; the compiled loop calls no BLAS
+        # routine at any size. Each set's first column is scaled up, so the
+        # top direction is well separated and a few iterations converge.
         sets = [(11544, 68), (500, 1024), (450, 1024)]
-        assert min(n * dim for n, dim in sets) > dict_learn._PCA_BLOCK_ENTRIES
         script = (
             "import hashlib\n"
             "import numpy as np\n"
@@ -620,6 +634,53 @@ class TestFilterWindows:
         empty = [SparseCode(3, 6, 6), SparseCode(3, 5, 7)]
         [(index, coefs)] = windows_of(empty, 1, 2, 2)
         assert index.shape == (0, 12) and coefs.shape == (0,)
+
+
+class TestEncodeAll:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Counts of the bank's unit-norm checks (as_bank's filter norms) and
+        of the shift-table checks, from here on."""
+        counts = {"unit norm": 0, "table": 0}
+        norms, check_table = core.filter_norms, conv_mp._check_table
+
+        def counted_norms(bank):
+            counts["unit norm"] += 1
+            return norms(bank)
+
+        def counted_check_table(bank, table):
+            counts["table"] += 1
+            return check_table(bank, table)
+
+        monkeypatch.setattr(core, "filter_norms", counted_norms)
+        monkeypatch.setattr(conv_mp, "_check_table", counted_check_table)
+        return counts
+
+    def test_the_bank_is_checked_once_per_sweep_not_once_per_image(self, checks):
+        rng = np.random.default_rng(70)
+        bank = np.stack([unit(f) for f in rng.normal(size=(3, 2, 4, 4))])
+        images = [rng.normal(size=(2, 12, 13)) for _ in range(5)]
+        codes = encode_all(bank, images, 6)
+        # the table is built from the checked bank, so it needs no check
+        assert checks == {"unit norm": 1, "table": 0}
+        train(images, TrainConfig(3, 4, 4, 6, epochs=2, seed=1))
+        assert checks == {"unit norm": 3, "table": 0}  # one more per epoch
+        # the codes of encoding each image alone, which checks everything each time
+        table = build_shift_gram(bank)
+        alone = [conv_mp_encode(bank, table, image, 6) for image in images]
+        assert [records(c) for c in codes] == [records(c) for c in alone]
+        assert checks == {"unit norm": 8, "table": 5}
+
+    def test_a_prepared_bank_with_another_table_is_checked(self):
+        rng = np.random.default_rng(71)
+        bank, other = (normalize_filters(rng.normal(size=(2, 1, 3, 3))) for _ in range(2))
+        with pytest.raises(ConfigError, match="does not match the bank"):
+            conv_mp_encode(prepare_bank(bank), build_shift_gram(other), np.ones((1, 6, 6)), 2)
+
+    def test_a_bank_off_unit_norm_is_rejected_once(self):
+        bank = 2 * normalize_filters(np.random.default_rng(72).normal(size=(2, 1, 3, 3)))
+        with pytest.raises(DataError, match="filter 0 has norm 2"):
+            encode_all(bank, [np.ones((1, 6, 6))], 2)
 
 
 class TestTrain:

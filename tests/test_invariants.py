@@ -4,7 +4,8 @@ Hypothesis draws a bank and image shape (k, c, h_f, w_f, h, w), a step
 budget q, a stopping tolerance and a data seed, with the parser fuzzers'
 settings (derandomized, no example database). Sizes stay small: the largest
 explicit dictionary is 432 x 243 floats, under 1 MB. The C pursuit loop is
-checked against its numpy oracle on larger maps too, up to 16 x 249 x 249.
+checked against its numpy oracle on larger maps too, up to 16 x 249 x 249,
+and the C power iteration of the filter refit against its numpy oracle.
 """
 
 from pathlib import Path
@@ -22,7 +23,8 @@ from blas_threads import lines_at_1_and_2_blas_threads  # noqa: E402
 from codes import records  # noqa: E402
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps  # noqa: E402
 from convmp.core import SparseCode, normalize_filters, reconstruct, residual_energy  # noqa: E402
-from oracles import mp_encode, toeplitz_expand  # noqa: E402
+from convmp.dict_learn import pca_top_component  # noqa: E402
+from oracles import mp_encode, power_iteration, toeplitz_expand  # noqa: E402
 from test_conv_mp import oracle_greedy_steps  # noqa: E402
 
 PROPERTY = settings(FUZZ, max_examples=150)  # keeps the four small properties near 2 s
@@ -198,3 +200,20 @@ def test_greedy_steps_matches_the_oracle_at_1_and_2_blas_threads():
 def test_shift_table_is_reflection_symmetric(case):
     table = build_shift_gram(case[0])
     assert np.array_equal(table, table.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+
+
+@PROPERTY
+@given(n=st.integers(1, 60), dim=st.integers(1, 70), scale=st.integers(-30, 30),
+       with_prev=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_compiled_power_iteration_matches_the_numpy_oracle(n, dim, scale, with_prev, seed):
+    # standard normal rows times a power of two, with the first column
+    # stretched so the top direction stands clear of the next one
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, dim)) * 2.0**scale
+    rows[:, 0] *= 1.5
+    prev = rng.normal(size=dim) if with_prev else None
+    want, converged = power_iteration(rows, prev)
+    assert converged
+    got = pca_top_component(rows, prev=prev)
+    assert float(got @ want) >= 1 - 1e-8  # aligned, and the same sign
+    assert abs(float(got @ got) - 1.0) <= 1e-12

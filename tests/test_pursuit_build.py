@@ -1,4 +1,4 @@
-"""The compiled pursuit loop's build: on first use, into the package's
+"""The compiled kernels' build: on first use, into the package's
 __pycache__ or a per-user cache, safe under racing processes, and a clear
 error when no compiler runs.
 
@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import convmp
-from convmp import _pursuit
+from convmp import _native
 from convmp.cli import main
 from codes import records
 from convmp.conv_mp import build_shift_gram, correlate, greedy_steps
 from convmp.core import DataError, SparseCode, normalize_filters
+from convmp.dict_learn import pca_top_component
 from convmp.model_io import save_bank, save_code, save_float_image
 from test_conv_mp import oracle_greedy_steps
 
@@ -74,19 +75,22 @@ def test_importing_the_cli_builds_nothing_and_loads_no_build_tools(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "\n"
-    assert list(package.glob("__pycache__/_pursuit-*")) == []
+    assert list(package.glob("__pycache__/_native-*")) == []
 
 
 def test_the_first_encode_builds_the_library_and_gives_the_oracles_bytes(inputs):
     package = fresh_package(inputs)
     (package / "__pycache__").mkdir()
-    stale = package / "__pycache__" / "_pursuit-00000000.so"
+    stale = package / "__pycache__" / "_native-00000000.so"
     stale.write_bytes(b"an earlier build")
+    old_name = package / "__pycache__" / "_pursuit-00000000.so"
+    old_name.write_bytes(b"a build under the library's old name")
     finish(start_encode(inputs, "first.code"))
     assert (inputs / "first.code").read_bytes() == (inputs / "oracle.code").read_bytes()
-    # the new build replaced the one of another hash; nothing else was written
-    (library,) = (package / "__pycache__").glob("_pursuit-*")
-    assert library.name != stale.name and library.suffix == ".so"
+    # the new build replaced the one of another hash and the old name's;
+    # nothing else was written
+    (library,) = (package / "__pycache__").glob("*.so")
+    assert library.name.startswith("_native-") and library.name != stale.name
     assert not (inputs / "user-cache").exists()
 
 
@@ -97,7 +101,7 @@ def test_two_processes_racing_a_cold_build_both_succeed(inputs):
         finish(child)
     for i in range(2):
         assert (inputs / f"race{i}.code").read_bytes() == (inputs / "oracle.code").read_bytes()
-    assert [path.suffix for path in (package / "__pycache__").glob("_pursuit-*")] == [".so"]
+    assert [path.suffix for path in (package / "__pycache__").glob("_native-*")] == [".so"]
 
 
 @pytest.fixture
@@ -106,40 +110,40 @@ def rebuild(tmp_path, monkeypatch):
     loader settings take effect and later tests load the usual one again;
     the per-user cache is one under tmp_path."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "user-cache"))
-    _pursuit.pursue.cache_clear()
+    _native.library.cache_clear()
     yield
-    _pursuit.pursue.cache_clear()
+    _native.library.cache_clear()
 
 
 def test_a_missing_compiler_is_a_named_error_without_a_traceback(
     inputs, rebuild, monkeypatch, capsys
 ):
-    monkeypatch.setattr(_pursuit, "CC", "convmp-no-such-compiler -O0")
-    before = sorted((_pursuit.SOURCE.parent / "__pycache__").glob("_pursuit-*"))
+    monkeypatch.setattr(_native, "CC", "convmp-no-such-compiler -O0")
+    before = sorted((_native.SOURCE.parent / "__pycache__").glob("_native-*"))
     assert main(encode_argv(inputs, "failed.code")) == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal error: building the pursuit library failed: "
+    assert err.startswith("internal error: building the native library failed: "
                           "convmp-no-such-compiler -O0 -O3 -fPIC -shared -ffp-contract=off ")
     assert "could not start" in err
     assert "Traceback" not in err
     assert not (inputs / "failed.code").exists()
     # a failed build leaves no file behind and removes no other build
-    assert sorted((_pursuit.SOURCE.parent / "__pycache__").glob("_pursuit-*")) == before
+    assert sorted((_native.SOURCE.parent / "__pycache__").glob("_native-*")) == before
 
 
 def test_a_compiler_error_quotes_the_compilers_stderr(tmp_path, rebuild, monkeypatch):
-    source = tmp_path / "_pursuit.c"
+    source = tmp_path / "_native.c"
     source.write_text("this is not C\n")
-    monkeypatch.setattr(_pursuit, "SOURCE", source)
-    with pytest.raises(_pursuit.BuildError, match=r"(?s)exited [1-9].*this is not C"):
-        _pursuit.pursue()
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["__pycache__", "_pursuit.c"]
+    monkeypatch.setattr(_native, "SOURCE", source)
+    with pytest.raises(_native.BuildError, match=r"(?s)exited [1-9].*this is not C"):
+        _native.library()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["__pycache__", "_native.c"]
     assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
 def test_an_unwritable_package_builds_into_a_private_user_cache(tmp_path, rebuild, monkeypatch):
     package = fresh_package(tmp_path)
-    monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
+    monkeypatch.setattr(_native, "SOURCE", package / "_native.c")
     access = os.access
 
     def no_writes_in_the_package(path, mode):
@@ -148,17 +152,17 @@ def test_an_unwritable_package_builds_into_a_private_user_cache(tmp_path, rebuil
         return Path(path).parent != package and access(path, mode)
 
     monkeypatch.setattr(os, "access", no_writes_in_the_package)
-    library = _pursuit._library()
+    library = _native._library()
     assert library.parent == tmp_path / "user-cache" / "convmp"
     assert library.parent.stat().st_mode & 0o777 == 0o700
-    assert _pursuit._library() == library  # found, not rebuilt
+    assert _native._library() == library  # found, not rebuilt
     assert not (package / "__pycache__").exists() or not any((package / "__pycache__").iterdir())
 
 
 def test_a_cached_library_that_does_not_load_is_rebuilt(tmp_path, rebuild, monkeypatch):
     package = fresh_package(tmp_path)
-    monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
-    library = _pursuit._library()
+    monkeypatch.setattr(_native, "SOURCE", package / "_native.c")
+    library = _native._library()
     library.write_bytes(b"\x7fE")  # cut short: dlopen says "file too short"
     rng = np.random.default_rng(61)
     bank = normalize_filters(rng.normal(size=(3, 1, 4, 4)))
@@ -167,7 +171,7 @@ def test_a_cached_library_that_does_not_load_is_rebuilt(tmp_path, rebuild, monke
     want = oracle_greedy_steps(want_maps, table, Q)
     assert records(greedy_steps(maps, table, Q)) == want
     assert np.array_equal(maps, want_maps)
-    assert list((package / "__pycache__").glob("_pursuit-*")) == [library]
+    assert list((package / "__pycache__").glob("_native-*")) == [library]
     assert library.stat().st_size > 2
 
 
@@ -175,18 +179,18 @@ def test_a_rebuilt_library_that_still_does_not_load_is_a_build_error(tmp_path, r
                                                                       monkeypatch):
     # -c makes an object file, which builds but does not load
     package = fresh_package(tmp_path)
-    monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
-    monkeypatch.setattr(_pursuit, "FLAGS", ("-O3", "-fPIC", "-c", "-ffp-contract=off"))
-    with pytest.raises(_pursuit.BuildError, match="rebuilt pursuit library does not load"):
-        _pursuit.pursue()
+    monkeypatch.setattr(_native, "SOURCE", package / "_native.c")
+    monkeypatch.setattr(_native, "FLAGS", ("-O3", "-fPIC", "-c", "-ffp-contract=off"))
+    with pytest.raises(_native.BuildError, match="rebuilt native library does not load"):
+        _native.library()
 
 
 def test_the_portable_loop_without_sse2_gives_the_oracles_steps(tmp_path, rebuild, monkeypatch):
     # on x86-64 the loop takes two lanes at a time; -U__SSE2__ builds the
     # scalar loops that other targets run
     package = fresh_package(tmp_path)
-    monkeypatch.setattr(_pursuit, "SOURCE", package / "_pursuit.c")
-    monkeypatch.setattr(_pursuit, "FLAGS", (*_pursuit.FLAGS, "-U__SSE2__"))
+    monkeypatch.setattr(_native, "SOURCE", package / "_native.c")
+    monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, "-U__SSE2__"))
     rng = np.random.default_rng(62)
     bank = normalize_filters(rng.normal(size=(5, 2, 4, 3)))
     table = build_shift_gram(bank)
@@ -198,3 +202,23 @@ def test_the_portable_loop_without_sse2_gives_the_oracles_steps(tmp_path, rebuil
         assert maps.tobytes() == want_maps.tobytes()
     with pytest.raises(DataError, match="NaN or an infinity"):
         greedy_steps(np.full((5, 9, 9), np.nan), table, Q)
+
+
+def test_the_sse2_and_portable_power_iterations_give_the_dispatched_bits(tmp_path, rebuild,
+                                                                         monkeypatch):
+    # the usual build takes one AVX-512F register where the CPU has it and
+    # four SSE2 pairs on other x86-64; -DCONVMP_NO_AVX512F builds the SSE2
+    # pairs alone and -U__SSE2__ the plain C that other targets run. Sets
+    # with a dim of 8 or more, and not a multiple of 8, run whole lanes and a tail.
+    rng = np.random.default_rng(63)
+    sets = [rng.normal(size=shape) for shape in
+            [(1, 1), (3, 7), (9, 13), (17, 128), (40, 256), (300, 61), (25, 8)]]
+    prev = [None, None, rng.normal(size=13), None, rng.normal(size=256), None, None]
+    dispatched = [pca_top_component(rows, p).tobytes() for rows, p in zip(sets, prev)]
+    package = fresh_package(tmp_path)
+    monkeypatch.setattr(_native, "SOURCE", package / "_native.c")
+    usual = _native.FLAGS
+    for flag in ("-DCONVMP_NO_AVX512F", "-U__SSE2__"):
+        monkeypatch.setattr(_native, "FLAGS", (*usual, flag))
+        _native.library.cache_clear()
+        assert [pca_top_component(rows, p).tobytes() for rows, p in zip(sets, prev)] == dispatched
