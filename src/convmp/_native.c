@@ -35,20 +35,20 @@ power runs pca_top_component's loop on the (n, dim) patch rows: y = sum of
 (row . v) row, each entry of y summed in row order; lam = v . y; v = y / |y|;
 stop once the residual |y - lam v| is at most the tolerance times lam. Every
 dot product sums x[i] * y[i] into 8 lanes, lane i mod 8, in index order from
-0, then folds them ((0+1)+(2+3))+((4+5)+(6+7)); the products and sums of
-each lane do not depend on how many lanes run at once, so one AVX-512F
-register (where the CPU has it, checked at run time), four SSE2 pairs (on
-other x86-64) and plain C (elsewhere) give the same bits. No BLAS routine
-runs, so neither does a BLAS build or thread count change them.
+0, then folds them ((0+1)+(2+3))+((4+5)+(6+7)). The loop is plain C, whose
+lanes the compiler may run side by side but not reorder; it is built twice,
+for the baseline target (two-lane SSE2 on x86-64) and for AVX-512F (one
+register per dot product), and a run-time CPU check picks the second where
+the CPU has it. Both give the same bits, and no BLAS routine runs, so
+neither does a BLAS build or thread count change them.
 */
 
 #ifdef __SSE2__
 #include <emmintrin.h>
 #endif
-/* the AVX-512F lanes of power; -DCONVMP_NO_AVX512F leaves them out */
-#if defined(__SSE2__) && defined(__GNUC__) && !defined(CONVMP_NO_AVX512F)
-#define AVX512F_LANES
-#include <immintrin.h>
+/* power's AVX-512F build; -DCONVMP_NO_AVX512F leaves it out */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(CONVMP_NO_AVX512F)
+#define AVX512F_BUILD
 #endif
 #include <float.h>
 #include <math.h>
@@ -303,24 +303,19 @@ ptrdiff_t pursue(double *maps, ptrdiff_t k, ptrdiff_t hv, ptrdiff_t wv, const do
 /* power's return codes; dict_learn.pca_top_component mirrors them. */
 enum { POWER_CONVERGED, POWER_CAPPED, POWER_ZERO, POWER_NON_FINITE };
 
-typedef double (*Dot)(const double *, const double *, ptrdiff_t);
+#define INLINE static inline __attribute__((always_inline))
 
-static double fold(const double *lane)
+/* The fold of x . y's 8 lanes, from i on: the entries past the last whole 8
+   add into their lanes first. */
+INLINE double finish(double *lane, const double *x, const double *y, ptrdiff_t i, ptrdiff_t n)
 {
+    for (ptrdiff_t l = 0; i + l < n; l++)
+        lane[l] += x[i + l] * y[i + l];
     return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
            ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-/* The lanes of x . y past the last whole 8 entries, from i on, then their fold. */
-static inline double finish(double *lane, const double *x, const double *y, ptrdiff_t i,
-                            ptrdiff_t n)
-{
-    for (ptrdiff_t l = 0; i + l < n; l++)
-        lane[l] += x[i + l] * y[i + l];
-    return fold(lane);
-}
-
-static double dot_portable(const double *x, const double *y, ptrdiff_t n)
+INLINE double dot(const double *x, const double *y, ptrdiff_t n)
 {
     double lane[8] = {0.0};
     ptrdiff_t i = 0;
@@ -330,126 +325,41 @@ static double dot_portable(const double *x, const double *y, ptrdiff_t n)
     return finish(lane, x, y, i, n);
 }
 
-#ifdef __SSE2__
-static double dot_sse2(const double *x, const double *y, ptrdiff_t n)
-{
-    __m128d a[4] = {_mm_setzero_pd(), _mm_setzero_pd(), _mm_setzero_pd(), _mm_setzero_pd()};
-    ptrdiff_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        for (int p = 0; p < 4; p++)
-            a[p] = _mm_add_pd(a[p], _mm_mul_pd(_mm_loadu_pd(x + i + 2 * p),
-                                               _mm_loadu_pd(y + i + 2 * p)));
-    double lane[8];
-    for (int p = 0; p < 4; p++)
-        _mm_storeu_pd(lane + 2 * p, a[p]);
-    return finish(lane, x, y, i, n);
-}
-#endif
-
-/* y = the sum of (row . v) row over the n rows, each entry summed in row order. */
-static inline void gather_with(Dot dot, const double *rows, ptrdiff_t n, ptrdiff_t dim,
-                               const double *v, double *y)
-{
-    for (ptrdiff_t d = 0; d < dim; d++)
-        y[d] = 0.0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        const double *row = rows + i * dim;
-        const double t = dot(row, v, dim);
-        for (ptrdiff_t d = 0; d < dim; d++)
-            y[d] += t * row[d];
-    }
-}
-
-typedef void (*Gather)(const double *, ptrdiff_t, ptrdiff_t, const double *, double *);
-
-static void gather_portable(const double *rows, ptrdiff_t n, ptrdiff_t dim, const double *v,
-                            double *y)
-{
-    gather_with(dot_portable, rows, n, dim, v, y);
-}
-
-#ifdef __SSE2__
-static void gather_sse2(const double *rows, ptrdiff_t n, ptrdiff_t dim, const double *v,
-                        double *y)
-{
-    gather_with(dot_sse2, rows, n, dim, v, y);
-}
-#endif
-
-#ifdef AVX512F_LANES
-__attribute__((target("avx512f"))) static double dot_avx512f(const double *x, const double *y,
-                                                             ptrdiff_t n)
-{
-    __m512d a = _mm512_setzero_pd();
-    ptrdiff_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        a = _mm512_add_pd(a, _mm512_mul_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i)));
-    double lane[8];
-    _mm512_storeu_pd(lane, a);
-    return finish(lane, x, y, i, n);
-}
-
-/* gather_with(dot_avx512f, ...), four rows at a time: one register holds a
-   whole dot product, so the four rows' dot products run side by side rather
-   than each waiting on its own additions; then each entry of y takes the
+/* y = the sum of (row . v) row over the n rows, each entry summed in row
+   order. Four rows at a time: their dot products run side by side rather
+   than each waiting on its own additions, then each entry of y takes the
    four rows in order. */
-__attribute__((target("avx512f"))) static void gather_avx512f(const double *rows, ptrdiff_t n,
-                                                              ptrdiff_t dim, const double *v,
-                                                              double *y)
+INLINE void gather(const double *rows, ptrdiff_t n, ptrdiff_t dim, const double *v, double *y)
 {
     for (ptrdiff_t d = 0; d < dim; d++)
         y[d] = 0.0;
     ptrdiff_t i = 0;
     for (; i + 4 <= n; i += 4) {
         const double *r = rows + i * dim;
-        __m512d a[4];
-        for (int k = 0; k < 4; k++)
-            a[k] = _mm512_setzero_pd();
+        double lane[4][8] = {{0.0}};
         ptrdiff_t d = 0;
-        for (; d + 8 <= dim; d += 8) {
-            const __m512d vd = _mm512_loadu_pd(v + d);
+        for (; d + 8 <= dim; d += 8)
             for (int k = 0; k < 4; k++)
-                a[k] = _mm512_add_pd(a[k], _mm512_mul_pd(_mm512_loadu_pd(r + k * dim + d), vd));
-        }
-        double t[4], lane[8];
-        for (int k = 0; k < 4; k++) {
-            _mm512_storeu_pd(lane, a[k]);
-            t[k] = finish(lane, r + k * dim, v, d, dim);
-        }
+                for (int l = 0; l < 8; l++)
+                    lane[k][l] += r[k * dim + d + l] * v[d + l];
+        double t[4];
+        for (int k = 0; k < 4; k++)
+            t[k] = finish(lane[k], r + k * dim, v, d, dim);
         for (d = 0; d < dim; d++)
             y[d] = (((y[d] + t[0] * r[d]) + t[1] * r[dim + d]) + t[2] * r[2 * dim + d]) +
                    t[3] * r[3 * dim + d];
     }
     for (; i < n; i++) { /* the last n mod 4 rows */
-        const double *r = rows + i * dim, t = dot_avx512f(r, v, dim);
+        const double *r = rows + i * dim, t = dot(r, v, dim);
         for (ptrdiff_t d = 0; d < dim; d++)
             y[d] += t * r[d];
     }
 }
-#endif
 
-/* Run at most max_iter steps of power iteration on the C-contiguous (n, dim)
-   rows from the unit vector v, with y as dim entries of scratch; stop once
-   |y - lam v| <= tolerance * max(lam, DBL_MIN). v takes the last step's
-   y / |y| and *iterations the steps run. Returns POWER_CONVERGED, or
-   POWER_CAPPED after max_iter steps; POWER_ZERO, v untouched, if a step's y
-   is zero (v lies in the rows' nullspace); POWER_NON_FINITE if a product
-   overflows. */
-int power(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, double *y,
-          ptrdiff_t max_iter, double tolerance, ptrdiff_t *iterations)
+/* power's loop; power runs it built for the baseline target or for AVX-512F. */
+INLINE int iterate(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, double *y,
+                   ptrdiff_t max_iter, double tolerance, ptrdiff_t *iterations)
 {
-    Dot dot = dot_portable;
-    Gather gather = gather_portable;
-#ifdef __SSE2__
-    dot = dot_sse2;
-    gather = gather_sse2;
-#endif
-#ifdef AVX512F_LANES
-    if (__builtin_cpu_supports("avx512f")) {
-        dot = dot_avx512f;
-        gather = gather_avx512f;
-    }
-#endif
     *iterations = 0;
     while (*iterations < max_iter) {
         ++*iterations;
@@ -468,4 +378,30 @@ int power(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, double *y,
             return POWER_CONVERGED;
     }
     return POWER_CAPPED;
+}
+
+#ifdef AVX512F_BUILD
+__attribute__((target("avx512f"))) static int
+iterate_avx512f(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, double *y,
+                ptrdiff_t max_iter, double tolerance, ptrdiff_t *iterations)
+{
+    return iterate(rows, n, dim, v, y, max_iter, tolerance, iterations);
+}
+#endif
+
+/* Run at most max_iter steps of power iteration on the C-contiguous (n, dim)
+   rows from the unit vector v, with y as dim entries of scratch; stop once
+   |y - lam v| <= tolerance * max(lam, DBL_MIN). v takes the last step's
+   y / |y| and *iterations the steps run. Returns POWER_CONVERGED, or
+   POWER_CAPPED after max_iter steps; POWER_ZERO, v untouched, if a step's y
+   is zero (v lies in the rows' nullspace); POWER_NON_FINITE if a product
+   overflows. */
+int power(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, double *y,
+          ptrdiff_t max_iter, double tolerance, ptrdiff_t *iterations)
+{
+#ifdef AVX512F_BUILD
+    if (__builtin_cpu_supports("avx512f"))
+        return iterate_avx512f(rows, n, dim, v, y, max_iter, tolerance, iterations);
+#endif
+    return iterate(rows, n, dim, v, y, max_iter, tolerance, iterations);
 }

@@ -27,8 +27,9 @@ as np.abs(maps).argmax() picks them. The steps come out as one
 core.ACTIVATION array, the form a SparseCode holds.
 
 An encoding sweep checks its bank once: prepare_bank returns a
-core.PreparedBank, which correlate, build_shift_gram, conv_mp_encode (with
-the bank's own table) and core.reconstruct take without checking it again.
+core.PreparedBank, read-only copies of the bank, its correlate weights and
+its shift table, which correlate, build_shift_gram, conv_mp_encode (with
+the bank's own table) and core.reconstruct take without checking again.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from ._native import library
 from .core import (
-    ACTIVATION, UNIT_NORM_ATOL, ConfigError, DataError, PreparedBank, SparseCode, as_bank,
-    as_image, check_count, check_tolerance,
+    ACTIVATION, UNIT_NORM_ATOL, CheckedBank, ConfigError, DataError, PreparedBank, SparseCode,
+    as_bank, as_image, check_count, check_tolerance,
 )
 
 # Most steps per call of the C loop, which holds them in one buffer; a longer
@@ -72,10 +73,10 @@ def correlate(bank, image) -> np.ndarray:
     band multiplies the bank by each of them into a (rows, k, w_v) buffer:
     one GEMM per map row, or per column segment when a row holds more than
     CORRELATE_CHUNK_MACS multiply-adds. The band's results are then copied,
-    transposed, into the storage. A PreparedBank's weights are used as they
+    transposed, into the storage. A CheckedBank's weights are used as they
     are. Maps that overflow hold infinities, which greedy_steps rejects.
     """
-    weights = bank.weights if isinstance(bank, PreparedBank) else None
+    weights = bank.weights if isinstance(bank, CheckedBank) else None
     bank = as_bank(bank, unit_norm=False)
     img = as_image(image)
     k, c, fh, fw = bank.shape
@@ -121,13 +122,16 @@ def _weights(bank: np.ndarray) -> np.ndarray:
 def prepare_bank(bank) -> PreparedBank:
     """Check a bank once, unit norm included, and derive correlate's weights
     and the shift table from it once, for the calls of one encoding sweep.
-    A PreparedBank is returned as it is."""
+    All three are read-only and copied from bank, so changing bank later
+    does not reach them. A PreparedBank is returned as it is."""
     if isinstance(bank, PreparedBank):
         return bank
-    checked = as_bank(bank)
-    prepared = PreparedBank(checked, _weights(checked))
-    prepared.table = build_shift_gram(prepared)
-    return prepared
+    array = as_bank(bank).copy()
+    weights = _weights(array)
+    table = build_shift_gram(CheckedBank(array, weights))
+    for a in (array, weights, table):
+        a.flags.writeable = False
+    return PreparedBank(array, weights, table)
 
 
 def build_shift_gram(bank) -> np.ndarray:
@@ -140,15 +144,13 @@ def build_shift_gram(bank) -> np.ndarray:
     with offsets counted from the center. The table is a view of
     (k, 2*h_f-1, 2*w_f-1, k) storage, the order greedy_steps reads.
     """
-    checked = as_bank(bank, unit_norm=False)
-    if not isinstance(bank, PreparedBank):  # correlate takes a PreparedBank as it is
-        bank = checked
-    k, c, fh, fw = checked.shape
+    filters = as_bank(bank, unit_norm=False)
+    k, c, fh, fw = filters.shape
     th, tw = 2 * fh - 1, 2 * fw - 1
     storage = np.empty((k, th, tw, k))
     canvas = np.zeros((c, 3 * fh - 2, 3 * fw - 2))
     for j in range(k):
-        canvas[:, fh - 1 : 2 * fh - 1, fw - 1 : 2 * fw - 1] = checked[j]
+        canvas[:, fh - 1 : 2 * fh - 1, fw - 1 : 2 * fw - 1] = filters[j]
         # filter i correlated over filter j centred on the canvas is
         # table[j, i] at every shift, and correlate stores it i-innermost too
         storage[j] = correlate(bank, canvas).transpose(1, 2, 0)
@@ -234,14 +236,12 @@ def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) 
     validates it); afterwards the correlation maps are maintained through
     table lookups.
     """
-    prepared = isinstance(bank, PreparedBank) and table is bank.table
-    if not prepared:
+    if not (isinstance(bank, PreparedBank) and table is bank.table):
         bank = as_bank(bank)
-    check_count("q", q)
-    check_tolerance(residual_tolerance)
-    if not prepared:
         table = np.asarray(table)
         _check_table(bank, table)
+    check_count("q", q)
+    check_tolerance(residual_tolerance)
     maps = correlate(bank, image)
     activations = greedy_steps(maps, table, q, residual_tolerance)
     c, h, w = np.shape(image)

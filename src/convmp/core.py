@@ -106,28 +106,34 @@ def as_image(arr, name: str = "image") -> np.ndarray:
     return a
 
 
-@dataclass(eq=False)
-class PreparedBank:
-    """A filter bank checked once, unit norm included, for the calls of one
-    encoding sweep (conv_mp.prepare_bank makes one): the checked array,
-    correlate's (k, h_f*c*w_f) weights with taps in (dy, channel, dx) order,
-    and the bank's shift table. as_bank returns its array unchecked, so the
-    functions that take a bank skip the checks it passed; the array must not
-    change while it is in use."""
+@dataclass(frozen=True, eq=False)
+class CheckedBank:
+    """A filter bank that passed as_bank's checks, unit norm included
+    (conv_mp.prepare_bank makes one): a read-only copy of the array, and
+    correlate's (k, h_f*c*w_f) weights with taps in (dy, channel, dx) order.
+    as_bank returns its array unchecked, so the functions that take a bank
+    skip the checks it passed."""
 
     array: np.ndarray
     weights: np.ndarray
-    table: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedBank(CheckedBank):
+    """A CheckedBank with its shift table, for the calls of one encoding
+    sweep; conv_mp.conv_mp_encode takes this table without checking it."""
+
+    table: np.ndarray
+
+
 def as_bank(arr, name: str = "bank", unit_norm: bool = True) -> np.ndarray:
     """Validate an array as a (count, channels, h_f, w_f) filter bank; a
-    PreparedBank's array passed these checks when it was made."""
-    if isinstance(arr, PreparedBank):
+    CheckedBank's array passed these checks when it was made."""
+    if isinstance(arr, CheckedBank):
         return arr.array
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 4:

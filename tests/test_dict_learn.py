@@ -677,6 +677,19 @@ class TestEncodeAll:
         with pytest.raises(ConfigError, match="does not match the bank"):
             conv_mp_encode(prepare_bank(bank), build_shift_gram(other), np.ones((1, 6, 6)), 2)
 
+    def test_a_prepared_bank_holds_read_only_copies(self):
+        rng = np.random.default_rng(73)
+        bank = normalize_filters(rng.normal(size=(2, 1, 3, 3)))  # weights: a view, one channel
+        image = rng.normal(size=(1, 8, 9))
+        prepared = prepare_bank(bank)
+        want = records(conv_mp_encode(bank, build_shift_gram(bank), image, 4))
+        bank[0] = -bank[0]  # as train's filter updates do, after the sweep
+        assert records(conv_mp_encode(prepared, prepared.table, image, 4)) == want
+        for a in (prepared.array, prepared.weights, prepared.table):
+            assert not a.flags.writeable
+        with pytest.raises(AttributeError):
+            prepared.table = build_shift_gram(bank)
+
     def test_a_bank_off_unit_norm_is_rejected_once(self):
         bank = 2 * normalize_filters(np.random.default_rng(72).normal(size=(2, 1, 3, 3)))
         with pytest.raises(DataError, match="filter 0 has norm 2"):

@@ -204,12 +204,13 @@ def test_the_portable_loop_without_sse2_gives_the_oracles_steps(tmp_path, rebuil
         greedy_steps(np.full((5, 9, 9), np.nan), table, Q)
 
 
-def test_the_sse2_and_portable_power_iterations_give_the_dispatched_bits(tmp_path, rebuild,
-                                                                         monkeypatch):
-    # the usual build takes one AVX-512F register where the CPU has it and
-    # four SSE2 pairs on other x86-64; -DCONVMP_NO_AVX512F builds the SSE2
-    # pairs alone and -U__SSE2__ the plain C that other targets run. Sets
-    # with a dim of 8 or more, and not a multiple of 8, run whole lanes and a tail.
+def test_the_baseline_and_scalar_power_iterations_give_the_dispatched_bits(tmp_path, rebuild,
+                                                                           monkeypatch):
+    # the usual build runs the AVX-512F build of the loop where the CPU has
+    # it; -DCONVMP_NO_AVX512F leaves only the baseline build (two-lane SSE2
+    # on x86-64), and -fno-tree-vectorize makes that one lane at a time. Sets
+    # with a dim of 8 or more, and not a multiple of 8, run whole lanes and a
+    # tail; row counts that are not a multiple of 4 run the last rows alone.
     rng = np.random.default_rng(63)
     sets = [rng.normal(size=shape) for shape in
             [(1, 1), (3, 7), (9, 13), (17, 128), (40, 256), (300, 61), (25, 8)]]
@@ -218,7 +219,7 @@ def test_the_sse2_and_portable_power_iterations_give_the_dispatched_bits(tmp_pat
     package = fresh_package(tmp_path)
     monkeypatch.setattr(_native, "SOURCE", package / "_native.c")
     usual = _native.FLAGS
-    for flag in ("-DCONVMP_NO_AVX512F", "-U__SSE2__"):
-        monkeypatch.setattr(_native, "FLAGS", (*usual, flag))
+    for flags in (("-DCONVMP_NO_AVX512F",), ("-DCONVMP_NO_AVX512F", "-fno-tree-vectorize")):
+        monkeypatch.setattr(_native, "FLAGS", (*usual, *flags))
         _native.library.cache_clear()
         assert [pca_top_component(rows, p).tobytes() for rows, p in zip(sets, prev)] == dispatched
