@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 configuration error (core.ConfigError), 3 data
 error (core.DataError, OSError, or MemoryError from an input too large to
 hold), 4 internal error. The library raises the typed errors; main only
 maps them. Batch commands check their flags and corpus before any output,
-then write a key=value manifest of the settings that run (a pipeline seed
-already turned into layer seeds); re-running with the same inputs and
+and write a key=value manifest of the settings that ran (a pipeline seed
+already turned into layer seeds) last, after every other output, so a
+manifest marks a finished run. Re-running with the same inputs and
 manifest reproduces the outputs bit for bit: a pipeline manifest passed as
 --config, or a train manifest's entries passed as train's flags.
 """
@@ -142,17 +143,6 @@ def cmd_preprocess(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     paths = _find_corpus(in_dir, list_images)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(
-        out_dir / "manifest.txt",
-        {
-            "command": "preprocess",
-            "in": in_dir,
-            "out": out_dir,
-            "size": args.size,
-            "pascal_crop": args.pascal_crop,
-            "seed": args.seed,
-        },
-    )
     rng = np.random.default_rng(args.seed) if args.pascal_crop else None
     done = failed = 0
     for path in paths:
@@ -168,6 +158,17 @@ def cmd_preprocess(args) -> int:
     logger.info("preprocessed %d images (%d skipped)", done, failed)
     if done == 0:
         raise DataError("every input image failed to preprocess")
+    _write_manifest(
+        out_dir / "manifest.txt",
+        {
+            "command": "preprocess",
+            "in": in_dir,
+            "out": out_dir,
+            "size": args.size,
+            "pascal_crop": args.pascal_crop,
+            "seed": args.seed,
+        },
+    )
     return 0
 
 
@@ -178,13 +179,13 @@ def cmd_train(args) -> int:
     paths = _find_corpus(Path(args.corpus), list_float_images, list_images)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    bank, stats = train([_load_any_image(p) for p in paths], cfg)
+    save_bank(bank, out)
+    write_lines(Path(str(out) + ".stats.txt"), stats.lines())
     _write_manifest(
         Path(str(out) + ".manifest.txt"),
         {"command": "train", "corpus": args.corpus, "out": out, **_train_entries(cfg)},
     )
-    bank, stats = train([_load_any_image(p) for p in paths], cfg)
-    save_bank(bank, out)
-    write_lines(Path(str(out) + ".stats.txt"), stats.lines())
     logger.info("wrote %s", out)
     return 0
 
@@ -192,8 +193,7 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     bank = load_bank(args.model)
     image = _load_any_image(Path(args.image))
-    table = build_shift_gram(bank)
-    code = conv_mp_encode(bank, table, image, args.q, args.tolerance)
+    code = conv_mp_encode(bank, image, args.q, args.tolerance)
     save_code(code, args.out)
     initial = float(np.sum(np.square(image)))
     final = residual_energy(image, code, bank)
@@ -276,17 +276,17 @@ def cmd_pipeline(args) -> int:
     paths = _find_corpus(Path(args.corpus), list_images)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"command": "pipeline", "corpus": args.corpus, "out": out,
-                "image_size": cfg.image_size, "pool": cfg.pool_size}
-    manifest.update(_train_entries(cfg.layer1, "layer1."))
-    manifest.update(_train_entries(cfg.layer2, "layer2."))
-    _write_manifest(out / "manifest.txt", manifest)
     # one raw image at a time: run_two_layer prepares each as it takes it
     bank1, bank2, stats = run_two_layer(map(load_image, paths), cfg)
     for name, bank in (("layer1", bank1), ("layer2", bank2)):
         save_bank(bank, out / f"{name}.bank")
         render_filter_grid(bank, out / f"{name}_filters.pgm", cell_scale=args.scale)
     write_stats(stats, out / "stats.txt")
+    manifest = {"command": "pipeline", "corpus": args.corpus, "out": out,
+                "image_size": cfg.image_size, "pool": cfg.pool_size}
+    manifest.update(_train_entries(cfg.layer1, "layer1."))
+    manifest.update(_train_entries(cfg.layer2, "layer2."))
+    _write_manifest(out / "manifest.txt", manifest)
     logger.info("pipeline outputs in %s", out)
     return 0
 

@@ -28,8 +28,9 @@ core.ACTIVATION array, the form a SparseCode holds.
 
 An encoding sweep checks its bank once: prepare_bank returns a
 core.PreparedBank, read-only copies of the bank, its correlate weights and
-its shift table, which correlate, build_shift_gram, conv_mp_encode (with
-the bank's own table) and core.reconstruct take without checking again.
+its shift table, which correlate, build_shift_gram, conv_mp_encode and
+core.reconstruct take without checking again. conv_mp_encode takes no
+table: it prepares the bank it is given, so the table always is the bank's.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ._native import library
 from .core import (
-    ACTIVATION, UNIT_NORM_ATOL, CheckedBank, ConfigError, DataError, PreparedBank, SparseCode,
+    ACTIVATION, CheckedBank, ConfigError, DataError, PreparedBank, SparseCode,
     as_bank, as_image, check_count, check_tolerance,
 )
 
@@ -166,18 +167,6 @@ def build_shift_gram(bank) -> np.ndarray:
     return table
 
 
-def _check_table(bank: np.ndarray, table: np.ndarray) -> None:
-    """Reject a table of another shape or bank: its zero shifts hold the bank's Gram matrix."""
-    k, _, fh, fw = bank.shape
-    expect = (k, k, 2 * fh - 1, 2 * fw - 1)
-    if table.shape != expect:
-        raise ConfigError(f"shift table shape {table.shape} is not the bank's {expect}")
-    weights = bank.reshape(k, -1)
-    drift = np.abs(table[:, :, fh - 1, fw - 1] - weights @ weights.T)
-    if not np.all(drift <= UNIT_NORM_ATOL):  # also rejects NaN
-        raise ConfigError("shift table does not match the bank; stale or corrupt table")
-
-
 def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndarray:
     """Run the post-correlation pursuit loop, updating maps in place.
 
@@ -227,22 +216,19 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndar
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def conv_mp_encode(bank, table, image, q: int, residual_tolerance: float = 0.0) -> SparseCode:
+def conv_mp_encode(bank, image, q: int, residual_tolerance: float = 0.0) -> SparseCode:
     """Greedily encode an image with at most q activations.
 
-    table must be build_shift_gram(bank); another bank's raises ConfigError.
-    A PreparedBank with its own table skips these checks, which it passed
-    when it was made. The image is correlated with the bank once (correlate
+    The bank is checked and its shift table built by prepare_bank; a
+    PreparedBank is used as it is, so a sweep over many images pays for
+    both once. The image is correlated with the bank once (correlate
     validates it); afterwards the correlation maps are maintained through
-    table lookups.
+    the table's lookups.
     """
-    if not (isinstance(bank, PreparedBank) and table is bank.table):
-        bank = as_bank(bank)
-        table = np.asarray(table)
-        _check_table(bank, table)
+    bank = prepare_bank(bank)
     check_count("q", q)
     check_tolerance(residual_tolerance)
     maps = correlate(bank, image)
-    activations = greedy_steps(maps, table, q, residual_tolerance)
+    activations = greedy_steps(maps, bank.table, q, residual_tolerance)
     c, h, w = np.shape(image)
     return SparseCode(c, h, w, activations)

@@ -125,7 +125,7 @@ class CheckedBank:
 @dataclass(frozen=True, eq=False)
 class PreparedBank(CheckedBank):
     """A CheckedBank with its shift table, for the calls of one encoding
-    sweep; conv_mp.conv_mp_encode takes this table without checking it."""
+    sweep; conv_mp.conv_mp_encode uses it as it is."""
 
     table: np.ndarray
 

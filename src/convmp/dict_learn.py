@@ -276,10 +276,10 @@ def update_filter(
 
 def encode_all(bank, images, q: int, tolerance: float = 0.0):
     """Encode every image in order, on the calling thread, off one check of
-    the bank and one shift table (conv_mp.prepare_bank; a PreparedBank is
-    used as it is)."""
+    the bank and one shift table: the bank is prepared once here
+    (conv_mp.prepare_bank; a PreparedBank is used as it is), not per image."""
     bank = prepare_bank(bank)
-    return [conv_mp_encode(bank, bank.table, im, q, tolerance) for im in images]
+    return [conv_mp_encode(bank, im, q, tolerance) for im in images]
 
 
 def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, TrainStats]:

@@ -5,8 +5,10 @@ atoms. Besides the plain greedy loop, a bookkeeping variant is provided
 that correlates the dictionary with the signal only once and afterwards
 updates the correlation vector through Gram-matrix rows. The plain variant
 doubles as the oracle backend for the convolutional encoder's equivalence
-tests (see toeplitz_expand). No user path runs this module, so it lives
-with the tests, not in the convmp package.
+tests (see toeplitz_expand). The filter refit's power iteration has two
+oracles: power_iteration, to a tolerance, and power_bits, bit for bit. No
+user path runs this module, so it lives with the tests, not in the convmp
+package.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from convmp._native import POWER_CAPPED, POWER_CONVERGED, POWER_NON_FINITE, POWER_ZERO
 from convmp.conv_mp import greedy_steps
 from convmp.core import UNIT_NORM_ATOL, ConfigError, DataError, as_bank
 
@@ -183,3 +186,47 @@ def power_iteration(rows, prev=None, tol: float = 1e-10, max_iter: int = 10_000,
         nonzero = v[v != 0]
         d = nonzero[0] if nonzero.size else 0.0
     return (-v if d < 0 else v), converged
+
+
+def _dot8(x, y) -> np.ndarray:
+    """x . y over the last axis as _native.c's power sums it: x[i] * y[i]
+    into 8 lanes, lane i mod 8, each summed in index order from 0.0, then
+    folded ((0+1)+(2+3))+((4+5)+(6+7)). The products are laid out after
+    one block of zeros (so each lane starts at +0.0, not at its first
+    product) and padded with zeros, which leave a lane's sum unchanged;
+    cumsum adds the blocks in order."""
+    products = x * y
+    lead, dim = products.shape[:-1], products.shape[-1]
+    blocks = np.zeros((*lead, (dim + 15) // 8 * 8))
+    blocks[..., 8 : 8 + dim] = products
+    lane = np.cumsum(blocks.reshape(*lead, -1, 8), axis=-2)[..., -1, :]
+    return (((lane[..., 0] + lane[..., 1]) + (lane[..., 2] + lane[..., 3]))
+            + ((lane[..., 4] + lane[..., 5]) + (lane[..., 6] + lane[..., 7])))
+
+
+def power_bits(rows, v, max_iter: int, tolerance: float):
+    """_native.c's power in numpy, bit for bit: at most max_iter steps of
+    power iteration on the (n, dim) rows from the unit vector v. A step is
+    t = rows . v in _dot8's lanes, y = 0 + t_0 row_0 + t_1 row_1 + ... added
+    row by row, lam = v . y, norm = |y|, then the residual |y - lam v| and
+    v = y / norm; it stops once the residual is at most tolerance times
+    max(lam, the smallest normal double). Returns (status, v, iterations)
+    with power's status codes; a zero or non-finite step leaves v as it was.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
+    head = np.zeros((1, rows.shape[1]))  # y starts at +0.0, as power's does
+    for step in range(1, max_iter + 1):
+        t = _dot8(rows, v)
+        y = np.cumsum(np.concatenate([head, t[:, None] * rows]), axis=0)[-1]
+        lam, norm = _dot8(v, y), np.sqrt(_dot8(y, y))
+        if not norm <= np.finfo(np.float64).max:
+            return POWER_NON_FINITE, v, step
+        if norm == 0.0:
+            return POWER_ZERO, v, step
+        d = y - lam * v
+        residual = np.sqrt(_dot8(d, d))
+        v = y / norm
+        if residual <= tolerance * max(lam, np.finfo(np.float64).tiny):
+            return POWER_CONVERGED, v, step
+    return POWER_CAPPED, v, max_iter

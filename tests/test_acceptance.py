@@ -42,7 +42,7 @@ def test_criterion_1_toeplitz_oracle_equivalence():
         bank = random_bank(rng, k, 1, fh, fw)
         image = rng.normal(size=(1, h, w))
 
-        code = conv_mp_encode(bank, build_shift_gram(bank), image, q)
+        code = conv_mp_encode(bank, image, q)
         flat = mp_encode(toeplitz_expand(bank, (h, w)), image.ravel(), q)
         hv, wv = h - fh + 1, w - fw + 1
         expect = [(j // (hv * wv), (j % (hv * wv)) // wv, j % wv) for j, _ in flat.steps]
@@ -83,7 +83,7 @@ def test_criterion_2_greedy_step_energy_identity():
     for _ in range(50):  # convolutional pursuit runs
         bank = random_bank(rng, int(rng.integers(1, 4)), 1, 3, 3)
         image = rng.normal(size=(1, 12, 12))
-        code = conv_mp_encode(bank, build_shift_gram(bank), image, q=8)
+        code = conv_mp_encode(bank, image, q=8)
         e0 = float(np.sum(image * image))
         prev = e0
         acts = records(code)
@@ -340,7 +340,7 @@ def test_criterion_9_reconstruction_energy_profile(tmp_path):
     from convmp.model_io import load_float_image
 
     image = load_float_image(next(iter(sorted(pre.glob("*.f64")))))
-    code = conv_mp_encode(bank, build_shift_gram(bank), image, q=40)
+    code = conv_mp_encode(bank, image, q=40)
     energies = [float(np.sum(image * image))]
     for n in range(1, len(code.activations) + 1):
         energies.append(

@@ -231,6 +231,45 @@ class TestCorpusAndThreadsBeforeOutput:
         assert not (tmp_path / "o").exists()
 
 
+class TestManifestIsWrittenLast:
+    """A batch command writes its manifest after its other outputs, so a run
+    that fails part way, after its checks passed, leaves no manifest."""
+
+    def test_a_failed_train_leaves_no_manifest(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(8)
+        for i in range(2):  # a 4x4 patch's sum of squares overflows
+            save_float_image(1e200 * rng.normal(size=(1, 24, 24)), corpus / f"img{i}.f64")
+        out = tmp_path / "o" / "m.bank"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out), "--k", "2",
+                     "--filter", "4x4", "--q", "3", "--epochs", "1"]) == 3
+        assert "overflows float64" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_a_failed_pipeline_leaves_no_manifest(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for i in range(3):  # contrast normalization leaves nothing to learn from
+            save_image(np.full((1, 24, 24), 0.5), raw / f"img{i}.pgm")
+        (tmp_path / "pipe.cfg").write_text(
+            "image_size=24\npool=4\nlayer1.k=2\nlayer1.filter=6x6\nlayer1.epochs=1\n"
+            "layer2.k=2\nlayer2.filter=2x2\nlayer2.epochs=1\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(raw), "--config", str(tmp_path / "pipe.cfg"),
+                     "--out", str(out)]) == 3
+        assert "nonzero 6x6 patch" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_a_failed_preprocess_leaves_no_manifest(self, tmp_path, capsys):
+        write_pgm_corpus(tmp_path / "raw", 2, 24, seed=0)
+        out = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(tmp_path / "raw"), "--out", str(out),
+                     "--pascal-crop", "--size", "64"]) == 3
+        assert "every input image failed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 def test_an_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     """Only an error outside the library's two types is an internal error."""
     def broken(path):

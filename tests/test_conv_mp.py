@@ -319,9 +319,8 @@ class TestConvMpEncode:
     def test_single_placement_recovered(self):
         rng = np.random.default_rng(27)
         bank = random_bank(rng, 3, 1, 5, 5)
-        table = build_shift_gram(bank)
         image = place(bank, 2, 4, 6, 16, 16, coeff=1.7)
-        code = conv_mp_encode(bank, table, image, q=1)
+        code = conv_mp_encode(bank, image, q=1)
         (act,) = records(code)
         assert (act.filter_index, act.row, act.col) == (2, 4, 6)
         assert act.coefficient == pytest.approx(1.7, abs=1e-12)
@@ -330,23 +329,21 @@ class TestConvMpEncode:
     def test_negative_placement_keeps_sign(self):
         rng = np.random.default_rng(28)
         bank = random_bank(rng, 2, 1, 3, 3)
-        table = build_shift_gram(bank)
         image = place(bank, 0, 1, 2, 8, 8, coeff=-1.0)
-        code = conv_mp_encode(bank, table, image, q=1)
+        code = conv_mp_encode(bank, image, q=1)
         assert records(code)[0].coefficient == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_image_gives_empty_code(self):
         rng = np.random.default_rng(29)
         bank = random_bank(rng, 2, 1, 3, 3)
-        code = conv_mp_encode(bank, build_shift_gram(bank), np.zeros((1, 6, 6)), q=5)
+        code = conv_mp_encode(bank, np.zeros((1, 6, 6)), q=5)
         assert records(code) == []
 
     def test_matches_toeplitz_oracle(self):
         rng = np.random.default_rng(30)
         bank = random_bank(rng, 3, 1, 5, 5)
-        table = build_shift_gram(bank)
         image = rng.normal(size=(1, 16, 16))
-        code = conv_mp_encode(bank, table, image, q=10)
+        code = conv_mp_encode(bank, image, q=10)
 
         dictionary = toeplitz_expand(bank, (16, 16))
         flat = mp_encode(dictionary, image.ravel(), q=10)
@@ -376,9 +373,8 @@ class TestConvMpEncode:
     def test_energy_drops_by_coefficient_squared(self):
         rng = np.random.default_rng(32)
         bank = random_bank(rng, 2, 2, 4, 4)
-        table = build_shift_gram(bank)
         image = rng.normal(size=(2, 12, 12))
-        code = conv_mp_encode(bank, table, image, q=15)
+        code = conv_mp_encode(bank, image, q=15)
         e0 = float(np.sum(image * image))
         prev = e0
         acts = records(code)
@@ -412,50 +408,40 @@ class TestConvMpEncode:
         calls = []
 
         def counting_as_image(arr, *args, **kwargs):
-            calls.append(1)
+            calls.append(arr)
             return real_as_image(arr, *args, **kwargs)
 
         real_as_image = conv_mp.as_image
         monkeypatch.setattr(conv_mp, "as_image", counting_as_image)
         rng = np.random.default_rng(39)
         bank = random_bank(rng, 2, 1, 3, 3)
-        table = build_shift_gram(bank)
-        calls.clear()
-        conv_mp_encode(bank, table, rng.normal(size=(1, 9, 9)), q=3)
-        assert len(calls) == 1
+        image = rng.normal(size=(1, 9, 9))
+        conv_mp_encode(bank, image, q=3)
+        # build_shift_gram's canvases pass through as_image too; the image once
+        assert sum(arr is image for arr in calls) == 1
 
     def test_residual_tolerance_stops_early(self):
         rng = np.random.default_rng(33)
         bank = random_bank(rng, 2, 1, 3, 3)
-        table = build_shift_gram(bank)
         image = place(bank, 1, 2, 2, 8, 8, coeff=0.5)
-        code = conv_mp_encode(bank, table, image, q=50, residual_tolerance=0.6)
+        code = conv_mp_encode(bank, image, q=50, residual_tolerance=0.6)
         assert records(code) == []
 
     def test_infinite_tolerance_stops_at_once_and_nan_is_rejected(self):
         rng = np.random.default_rng(35)
         bank = random_bank(rng, 2, 1, 3, 3)
-        table = build_shift_gram(bank)
         image = rng.normal(size=(1, 8, 8))
-        assert records(conv_mp_encode(bank, table, image, q=5, residual_tolerance=np.inf)) == []
+        assert records(conv_mp_encode(bank, image, q=5, residual_tolerance=np.inf)) == []
         with pytest.raises(ConfigError, match="residual_tolerance"):
-            conv_mp_encode(bank, table, image, q=5, residual_tolerance=np.nan)
+            conv_mp_encode(bank, image, q=5, residual_tolerance=np.nan)
 
-    def test_rejects_mismatched_table(self):
+    def test_an_old_style_call_with_a_table_is_rejected(self):
+        """The table comes from the bank alone, so it is no argument: a call
+        that still passes one reads the image as q."""
         rng = np.random.default_rng(34)
         bank = random_bank(rng, 2, 1, 3, 3)
-        other = build_shift_gram(random_bank(rng, 3, 1, 3, 3))
-        with pytest.raises(ConfigError, match="table"):
-            conv_mp_encode(bank, other, np.zeros((1, 6, 6)), q=1)
-
-    def test_rejects_a_stale_table(self):
-        """A table of another unit-norm bank of the same shape has a unit
-        center diagonal too; encoding off it would drift silently."""
-        rng = np.random.default_rng(36)
-        bank = random_bank(rng, 4, 1, 5, 5)
-        stale = build_shift_gram(random_bank(rng, 4, 1, 5, 5))
-        with pytest.raises(ConfigError, match="stale"):
-            conv_mp_encode(bank, stale, rng.normal(size=(1, 24, 24)), q=30)
+        with pytest.raises(ConfigError, match="q must be an integer"):
+            conv_mp_encode(bank, build_shift_gram(bank), np.zeros((1, 6, 6)), 1)
 
 
 class TestGreedyStepsMatchesOracle:

@@ -21,7 +21,7 @@ from convmp.core import (
     reconstruct,
     residual_energy,
 )
-from convmp.conv_mp import build_shift_gram, conv_mp_encode
+from convmp.conv_mp import conv_mp_encode
 
 
 def paste_oracle(code, bank):
@@ -300,7 +300,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="residual_tolerance"):
             TrainConfig(2, 3, 3, sparsity=5, epochs=1, residual_tolerance=tolerance)
         with pytest.raises(ConfigError, match="residual_tolerance"):
-            conv_mp_encode(bank, build_shift_gram(bank), np.ones((1, 4, 4)), 2, tolerance)
+            conv_mp_encode(bank, np.ones((1, 4, 4)), 2, tolerance)
 
     def test_accepts_a_numpy_integer_seed(self):
         assert TrainConfig(2, 3, 3, sparsity=5, epochs=1, seed=np.int64(7)).seed == 7
@@ -339,7 +339,7 @@ def _count_entry_points():
     kind of value). The CLI's parsed flags are passed as an argparse
     namespace; the HxW and --q text it parses is given as text."""
     from convmp.cli import _parse_dims, cmd_bench, cmd_pipeline, cmd_preprocess, cmd_train
-    from convmp.conv_mp import build_shift_gram, conv_mp_encode
+    from convmp.conv_mp import conv_mp_encode
     from convmp.model_io import render_filter_grid
     from convmp.pipeline import PipelineConfig, seeded
     from convmp.preprocess import avg_pool, resize
@@ -374,7 +374,7 @@ def _count_entry_points():
            lambda v, d, f=f: PipelineConfig(**layers, **{f: v}), "value")
           for f in ("pool_size", "image_size")),
         ("conv_mp_encode-q", "q", 1,
-         lambda v, d: conv_mp_encode(bank, build_shift_gram(bank), image, v), "value"),
+         lambda v, d: conv_mp_encode(bank, image, v), "value"),
         ("resize-out_h", "out_h", 1, lambda v, d: resize(image, v, 4), "value"),
         ("resize-out_w", "out_w", 1, lambda v, d: resize(image, 4, v), "value"),
         ("avg_pool-pool", "pool", 1, lambda v, d: avg_pool(image, v), "value"),

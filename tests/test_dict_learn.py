@@ -5,10 +5,9 @@ import pytest
 
 from blas_threads import lines_at_1_and_2_blas_threads
 from codes import Activation, records
-from convmp import conv_mp, core, dict_learn
+from convmp import core, dict_learn
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, prepare_bank
 from convmp.core import (
-    ConfigError,
     DataError,
     SparseCode,
     TrainConfig,
@@ -639,21 +638,15 @@ class TestFilterWindows:
 class TestEncodeAll:
     @pytest.fixture
     def checks(self, monkeypatch):
-        """Counts of the bank's unit-norm checks (as_bank's filter norms) and
-        of the shift-table checks, from here on."""
-        counts = {"unit norm": 0, "table": 0}
-        norms, check_table = core.filter_norms, conv_mp._check_table
+        """Counts of the bank's unit-norm checks (as_bank's filter norms), from here on."""
+        counts = {"unit norm": 0}
+        norms = core.filter_norms
 
         def counted_norms(bank):
             counts["unit norm"] += 1
             return norms(bank)
 
-        def counted_check_table(bank, table):
-            counts["table"] += 1
-            return check_table(bank, table)
-
         monkeypatch.setattr(core, "filter_norms", counted_norms)
-        monkeypatch.setattr(conv_mp, "_check_table", counted_check_table)
         return counts
 
     def test_the_bank_is_checked_once_per_sweep_not_once_per_image(self, checks):
@@ -661,30 +654,22 @@ class TestEncodeAll:
         bank = np.stack([unit(f) for f in rng.normal(size=(3, 2, 4, 4))])
         images = [rng.normal(size=(2, 12, 13)) for _ in range(5)]
         codes = encode_all(bank, images, 6)
-        # the table is built from the checked bank, so it needs no check
-        assert checks == {"unit norm": 1, "table": 0}
+        assert checks == {"unit norm": 1}
         train(images, TrainConfig(3, 4, 4, 6, epochs=2, seed=1))
-        assert checks == {"unit norm": 3, "table": 0}  # one more per epoch
-        # the codes of encoding each image alone, which checks everything each time
-        table = build_shift_gram(bank)
-        alone = [conv_mp_encode(bank, table, image, 6) for image in images]
+        assert checks == {"unit norm": 3}  # one more per epoch
+        # the codes of encoding each image alone, which prepares the bank each time
+        alone = [conv_mp_encode(bank, image, 6) for image in images]
         assert [records(c) for c in codes] == [records(c) for c in alone]
-        assert checks == {"unit norm": 8, "table": 5}
-
-    def test_a_prepared_bank_with_another_table_is_checked(self):
-        rng = np.random.default_rng(71)
-        bank, other = (normalize_filters(rng.normal(size=(2, 1, 3, 3))) for _ in range(2))
-        with pytest.raises(ConfigError, match="does not match the bank"):
-            conv_mp_encode(prepare_bank(bank), build_shift_gram(other), np.ones((1, 6, 6)), 2)
+        assert checks == {"unit norm": 8}
 
     def test_a_prepared_bank_holds_read_only_copies(self):
         rng = np.random.default_rng(73)
         bank = normalize_filters(rng.normal(size=(2, 1, 3, 3)))  # weights: a view, one channel
         image = rng.normal(size=(1, 8, 9))
         prepared = prepare_bank(bank)
-        want = records(conv_mp_encode(bank, build_shift_gram(bank), image, 4))
+        want = records(conv_mp_encode(bank, image, 4))
         bank[0] = -bank[0]  # as train's filter updates do, after the sweep
-        assert records(conv_mp_encode(prepared, prepared.table, image, 4)) == want
+        assert records(conv_mp_encode(prepared, image, 4)) == want
         for a in (prepared.array, prepared.weights, prepared.table):
             assert not a.flags.writeable
         with pytest.raises(AttributeError):

@@ -5,16 +5,18 @@ budget q, a stopping tolerance and a data seed, with the parser fuzzers'
 settings (derandomized, no example database). Sizes stay small: the largest
 explicit dictionary is 432 x 243 floats, under 1 MB. The C pursuit loop is
 checked against its numpy oracle on larger maps too, up to 16 x 249 x 249,
-and the C power iteration of the filter refit against its numpy oracle.
+and the C power iteration of the filter refit against two numpy oracles:
+one to a tolerance, and one that emulates its lanes bit for bit.
 """
 
+import ctypes
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 # Importing the parser fuzzers also moves Hypothesis's storage out of the tree.
 from test_parser_fuzz import FUZZ  # noqa: E402
@@ -23,8 +25,9 @@ from blas_threads import lines_at_1_and_2_blas_threads  # noqa: E402
 from codes import records  # noqa: E402
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps  # noqa: E402
 from convmp.core import SparseCode, normalize_filters, reconstruct, residual_energy  # noqa: E402
-from convmp.dict_learn import pca_top_component  # noqa: E402
-from oracles import mp_encode, power_iteration, toeplitz_expand  # noqa: E402
+from convmp._native import POWER_CONVERGED, library  # noqa: E402
+from convmp.dict_learn import _PCA_MAX_ITER, _PCA_TOL, _pca_start, pca_top_component  # noqa: E402
+from oracles import mp_encode, power_bits, power_iteration, toeplitz_expand  # noqa: E402
 from test_conv_mp import oracle_greedy_steps  # noqa: E402
 
 PROPERTY = settings(FUZZ, max_examples=150)  # keeps the four small properties near 2 s
@@ -60,7 +63,7 @@ def test_multichannel_pursuit_matches_the_toeplitz_oracle(case):
     _, _, fh, fw = bank.shape
     _, h, w = image.shape
     wv = w - fw + 1
-    got = records(conv_mp_encode(bank, build_shift_gram(bank), image, q, tolerance))
+    got = records(conv_mp_encode(bank, image, q, tolerance))
     want = mp_encode(toeplitz_expand(bank, (h, w)), image.ravel(), q).steps
     floor = 1e-6 * np.linalg.norm(image)
     for act, (column, a) in zip(got, want):
@@ -76,7 +79,7 @@ def test_multichannel_pursuit_matches_the_toeplitz_oracle(case):
 @given(case=instances())
 def test_energy_drops_by_the_squared_coefficients(case):
     bank, image, q, tolerance = case
-    code = conv_mp_encode(bank, build_shift_gram(bank), image, q, tolerance)
+    code = conv_mp_encode(bank, image, q, tolerance)
     initial = float(np.sum(image * image))
     drop = float(np.sum(code.activations["coefficient"] ** 2))
     assert abs(initial - drop - residual_energy(image, code, bank)) <= 1e-8 * initial
@@ -217,3 +220,27 @@ def test_the_compiled_power_iteration_matches_the_numpy_oracle(n, dim, scale, wi
     got = pca_top_component(rows, prev=prev)
     assert float(got @ want) >= 1 - 1e-8  # aligned, and the same sign
     assert abs(float(got @ got) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@example(n=3, dim=5, scale=0, seed=0)  # fewer rows than one gather of 4, a dim below 8
+@example(n=4, dim=8, scale=0, seed=1)  # one whole gather, one whole lane block
+@example(n=203, dim=139, scale=0, seed=2)  # 3 rows past the last gather, 3 entries past the lanes
+@given(n=st.integers(1, 300), dim=st.integers(1, 139), scale=st.integers(-30, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_compiled_power_iteration_has_the_bits_of_its_emulation(n, dim, scale, seed):
+    # the first column stretched 4x: a clear top direction keeps the steps to tens
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, dim)) * 2.0**scale
+    rows[:, 0] *= 4.0
+    start = _pca_start(dim)
+    status, want, steps = power_bits(rows, start, _PCA_MAX_ITER, _PCA_TOL)
+    assert status == POWER_CONVERGED
+    v, y, iterations = start.copy(), np.empty(dim), ctypes.c_ssize_t()
+    got = library().power(rows.ctypes.data, n, dim, v.ctypes.data, y.ctypes.data,
+                          _PCA_MAX_ITER, _PCA_TOL, ctypes.byref(iterations))
+    assert (got, iterations.value) == (status, steps)
+    assert v.tobytes() == want.tobytes()
+    # pca_top_component runs power from the same start, then makes the first nonzero entry positive
+    first = want[np.flatnonzero(want)[0]]
+    assert pca_top_component(rows).tobytes() == (-want if first < 0 else want).tobytes()
