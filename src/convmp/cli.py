@@ -5,11 +5,10 @@ Exit codes: 0 success, 2 configuration error (core.ConfigError), 3 data
 error (core.DataError, OSError, or MemoryError from an input too large to
 hold), 4 internal error. The library raises the typed errors; main only
 maps them. Batch commands check their flags and corpus before any output,
-and write a key=value manifest of the settings that ran (a pipeline seed
-already turned into layer seeds) last, after every other output, so a
-manifest marks a finished run. Re-running with the same inputs and
-manifest reproduces the outputs bit for bit: a pipeline manifest passed as
---config, or a train manifest's entries passed as train's flags.
+and write a manifest of the settings that ran (a pipeline seed already
+turned into layer seeds) last, after every other output, so a manifest
+marks a finished run. Configs, --config files and manifests go to text and
+back through convmp.config.
 """
 
 from __future__ import annotations
@@ -18,16 +17,14 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
+from . import __version__, config
+from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps, prepare_bank
 from .core import (
-    ConfigError, DataError, TrainConfig, check_count, normalize_filters, reconstruct,
-    residual_energy,
+    ConfigError, DataError, check_count, normalize_filters, reconstruct, residual_energy,
 )
 from .dict_learn import train
 from .model_io import (
@@ -37,7 +34,6 @@ from .model_io import (
     load_code,
     load_float_image,
     load_image,
-    read_text,
     render_filter_grid,
     save_bank,
     save_code,
@@ -45,7 +41,7 @@ from .model_io import (
     save_image,
     write_lines,
 )
-from .pipeline import PipelineConfig, run_two_layer, seeded, write_stats
+from .pipeline import run_two_layer, write_stats
 from .preprocess import prepare
 
 logger = logging.getLogger("convmp")
@@ -54,68 +50,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-# layer-1 training defaults: the train command's flags and the pipeline's
-# layer1.* config keys (seed, tolerance and min_activations as in TrainConfig)
-TRAIN_DEFAULTS = TrainConfig(
-    num_filters=8, filter_height=16, filter_width=16, sparsity=40, epochs=10
-)
-# TrainConfig's outside names in manifest order, each with its field(s): a train
-# flag (with - for _), a pipeline layerN.* key and a manifest entry. filter is HxW.
-TRAIN_NAMES = {
-    "k": ("num_filters",),
-    "filter": ("filter_height", "filter_width"),
-    "q": ("sparsity",),
-    "epochs": ("epochs",),
-    "seed": ("seed",),
-    "tolerance": ("residual_tolerance",),
-    "min_activations": ("min_activations",),
-}
-# a pipeline config's keys; a manifest's tool, command, corpus, out and threads
-# (written by older versions) are accepted and ignored, so that a manifest replays
-PIPELINE_KEYS = {
-    "image_size", "pool", "seed", "tool", "command", "corpus", "out", "threads",
-    *(f"layer{n}.{name}" for n in (1, 2) for name in TRAIN_NAMES),
-}
 THREADS_HELP = "an integer >= 1; has no effect (encoding is sequential) and is not recorded"
-
-
-def _parse_dims(text: str, flag: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    try:
-        h, w = (int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{flag} expects HxW, got {text!r}") from None
-    check_count(f"{flag} height", h)
-    check_count(f"{flag} width", w)
-    return h, w
-
-
-def _write_manifest(path: Path, entries: dict) -> None:
-    lines = [f"tool=convmp {__version__}"]
-    lines += [f"{key}={value}" for key, value in entries.items()]
-    write_lines(path, lines)
-
-
-def _train_entries(cfg: TrainConfig, prefix: str = "") -> dict:
-    """A TrainConfig's manifest entries, named like train's flags or, prefixed, layer keys."""
-    entries = {}
-    for name, fields in TRAIN_NAMES.items():
-        values = [getattr(cfg, field) for field in fields]
-        entries[prefix + name] = values[0] if len(values) == 1 else "x".join(map(str, values))
-    return entries
-
-
-def _train_config(values: dict, prefix: str = "", defaults=TRAIN_DEFAULTS) -> TrainConfig:
-    """A TrainConfig from train's flags, config keys under prefix, or a
-    manifest; a name that is absent keeps its default, and its type is the default's."""
-    settings = {}
-    for name, default in _train_entries(defaults).items():
-        key, fields = prefix + name, TRAIN_NAMES[name]
-        if len(fields) == 1:
-            settings[fields[0]] = _config_number(values, key, default, type(default))
-        else:
-            settings.update(zip(fields, _parse_dims(values.get(key, default), key)))
-    return TrainConfig(**settings)
 
 
 def _load_any_image(path: Path):
@@ -158,7 +93,7 @@ def cmd_preprocess(args) -> int:
     logger.info("preprocessed %d images (%d skipped)", done, failed)
     if done == 0:
         raise DataError("every input image failed to preprocess")
-    _write_manifest(
+    config.write(
         out_dir / "manifest.txt",
         {
             "command": "preprocess",
@@ -173,7 +108,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(vars(args))
+    cfg = config.train_config(vars(args))
     check_count("--threads", args.threads)
     # a preprocessed corpus: signed float sidecars before 8-bit images
     paths = _find_corpus(Path(args.corpus), list_float_images, list_images)
@@ -182,17 +117,18 @@ def cmd_train(args) -> int:
     bank, stats = train([_load_any_image(p) for p in paths], cfg)
     save_bank(bank, out)
     write_lines(Path(str(out) + ".stats.txt"), stats.lines())
-    _write_manifest(
+    config.write(
         Path(str(out) + ".manifest.txt"),
-        {"command": "train", "corpus": args.corpus, "out": out, **_train_entries(cfg)},
+        {"command": "train", "corpus": args.corpus, "out": out, **config.entries(cfg)},
     )
     logger.info("wrote %s", out)
     return 0
 
 
 def cmd_encode(args) -> int:
-    bank = load_bank(args.model)
     image = _load_any_image(Path(args.image))
+    # checked once: the encode and the reconstruction take the prepared bank as it is
+    bank = prepare_bank(load_bank(args.model))
     code = conv_mp_encode(bank, image, args.q, args.tolerance)
     save_code(code, args.out)
     initial = float(np.sum(np.square(image)))
@@ -215,64 +151,10 @@ def cmd_render_filters(args) -> int:
     return 0
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
-    if not path.is_file():
-        raise DataError(f"config file {path} does not exist")
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
-
-
-def _config_number(values: dict[str, str], key: str, default, kind=int):
-    try:
-        return kind(values.get(key, default))
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key} must be {noun}") from None
-
-
-def _pipeline_config(values: dict[str, str], seed: int | None = None) -> PipelineConfig:
-    """The config that runs: the layers' seeds derived from seed, else from the
-    file's seed key; no seed (or an older manifest's empty seed=) keeps theirs."""
-    unknown = [key for key in values if key not in PIPELINE_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]}")
-    layer1 = _train_config(values, "layer1.")
-    # layer 2 inherits layer 1's pursuit depth, schedule and tolerance unless overridden
-    layer2 = _train_config(
-        values,
-        "layer2.",
-        replace(
-            layer1,
-            num_filters=16,
-            filter_height=4,
-            filter_width=4,
-            seed=layer1.seed + 1,
-            min_activations=TRAIN_DEFAULTS.min_activations,
-        ),
-    )
-    cfg = PipelineConfig(
-        layer1=layer1,
-        layer2=layer2,
-        pool_size=_config_number(values, "pool", PipelineConfig.pool_size),
-        image_size=_config_number(values, "image_size", PipelineConfig.image_size),
-    )
-    if seed is None and values.get("seed"):
-        seed = _config_number(values, "seed", None)
-    return cfg if seed is None else seeded(cfg, seed)
-
-
 def cmd_pipeline(args) -> int:
     check_count("--scale", args.scale)
     check_count("--threads", args.threads)
-    cfg = _pipeline_config(_parse_config_file(Path(args.config)), args.seed)
+    cfg = config.pipeline_config(config.read(Path(args.config)), args.seed)
     paths = _find_corpus(Path(args.corpus), list_images)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -282,11 +164,8 @@ def cmd_pipeline(args) -> int:
         save_bank(bank, out / f"{name}.bank")
         render_filter_grid(bank, out / f"{name}_filters.pgm", cell_scale=args.scale)
     write_stats(stats, out / "stats.txt")
-    manifest = {"command": "pipeline", "corpus": args.corpus, "out": out,
-                "image_size": cfg.image_size, "pool": cfg.pool_size}
-    manifest.update(_train_entries(cfg.layer1, "layer1."))
-    manifest.update(_train_entries(cfg.layer2, "layer2."))
-    _write_manifest(out / "manifest.txt", manifest)
+    config.write(out / "manifest.txt",
+                 {"command": "pipeline", "corpus": args.corpus, "out": out, **config.entries(cfg)})
     logger.info("pipeline outputs in %s", out)
     return 0
 
@@ -331,8 +210,8 @@ def run_bench(
 
 
 def cmd_bench(args) -> int:
-    h, w = _parse_dims(args.image, "--image")
-    fh, fw = _parse_dims(args.filter, "--filter")
+    h, w = config.dims(args.image, "--image")
+    fh, fw = config.dims(args.filter, "--filter")
     try:
         q_list = [int(tok) for tok in args.q.split(",")]
     except ValueError:
@@ -372,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn a filter bank from a preprocessed corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    for name, default in _train_entries(TRAIN_DEFAULTS).items():
+    for name, default in config.entries(config.TRAIN_DEFAULTS).items():
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_train)

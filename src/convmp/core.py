@@ -61,15 +61,15 @@ class SparseCode:
 
 
 def check_count(name: str, value, least: int = 1) -> None:
-    """The one count check: value must be an integer >= least, else a
-    ConfigError names it. Counts, sizes, scales and seeds all come here."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """The one count check: value must be an integer >= least, and not a
+    bool, else a ConfigError names it. Counts, sizes, scales and seeds all come here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_tolerance(value) -> None:
-    """The one residual_tolerance check: a real number >= 0; inf passes, NaN does not."""
-    if not isinstance(value, numbers.Real) or not value >= 0:
+    """The one residual_tolerance check: a non-bool real number >= 0; inf passes, NaN does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
         raise ConfigError(f"residual_tolerance must be a number >= 0, got {value!r}")
 
 

@@ -13,17 +13,8 @@ import pytest
 import convmp
 from codes import Activation, records
 from convmp import cli
-from convmp.cli import (
-    TRAIN_DEFAULTS,
-    TRAIN_NAMES,
-    _parse_config_file,
-    _pipeline_config,
-    _train_config,
-    _train_entries,
-    build_parser,
-    main,
-    run_bench,
-)
+from convmp.cli import build_parser, main, run_bench
+from convmp.config import TRAIN_DEFAULTS, TRAIN_NAMES, entries, pipeline_config, read, train_config
 from convmp.core import (
     ConfigError,
     SparseCode,
@@ -168,7 +159,7 @@ class TestTrain:
 
     def test_defaults_match_pipeline_layer1_defaults(self):
         args = build_parser().parse_args(["train", "--corpus", "c", "--out", "m.bank"])
-        assert _train_config(vars(args)) == _pipeline_config({}).layer1
+        assert train_config(vars(args)) == pipeline_config({}).layer1
 
     def test_train_config_fields_are_the_name_tables(self):
         table = [field for fields in TRAIN_NAMES.values() for field in fields]
@@ -178,7 +169,7 @@ class TestTrain:
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         flags = [a for a in sub.choices["train"]._actions
                  if a.dest not in ("help", "corpus", "out", "threads")]
-        assert [(a.dest, a.default) for a in flags] == list(_train_entries(TRAIN_DEFAULTS).items())
+        assert [(a.dest, a.default) for a in flags] == list(entries(TRAIN_DEFAULTS).items())
         for a in flags:
             assert a.option_strings == ["--" + a.dest.replace("_", "-")]
 
@@ -188,8 +179,8 @@ class TestTrain:
         assert main(["train", "--corpus", str(corpus), "--out", str(first), "--k", "2",
                      "--filter", "5x4", "--q", "6", "--epochs", "2", "--seed", "9",
                      "--tolerance", "0.01", "--min-activations", "2"]) == 0
-        values = _parse_config_file(tmp_path / "a.bank.manifest.txt")
-        assert _train_config(values) == TrainConfig(
+        values = read(tmp_path / "a.bank.manifest.txt")
+        assert train_config(values) == TrainConfig(
             num_filters=2, filter_height=5, filter_width=4, sparsity=6, epochs=2, seed=9,
             residual_tolerance=0.01, min_activations=2,
         )
@@ -331,6 +322,30 @@ class TestEncodeReconstruct:
         assert "NaN or an infinity" in proc.stderr
         assert not (tmp_path / "c.code").exists()
 
+    def test_encode_checks_its_bank_twice(self, tmp_path, monkeypatch):
+        """load_bank checks the file's bank and prepare_bank checks it again as
+        it copies it; the encode and the reconstruction trust the prepared copy."""
+        rng = np.random.default_rng(12)
+        save_bank(normalize_filters(rng.normal(size=(4, 1, 5, 5))), tmp_path / "m.bank")
+        save_float_image(rng.normal(size=(1, 32, 32)), tmp_path / "img.f64")
+        counts = {"plain bank": 0, "unit norm": 0}
+        as_bank, filter_norms = convmp.core.as_bank, convmp.core.filter_norms
+
+        def counted_as_bank(bank, *args, **kwargs):
+            counts["plain bank"] += not isinstance(bank, convmp.core.CheckedBank)
+            return as_bank(bank, *args, **kwargs)
+
+        def counted_norms(bank):
+            counts["unit norm"] += 1
+            return filter_norms(bank)
+
+        for module in (convmp.core, convmp.conv_mp, convmp.model_io, convmp.pipeline):
+            monkeypatch.setattr(module, "as_bank", counted_as_bank)
+        monkeypatch.setattr(convmp.core, "filter_norms", counted_norms)
+        assert main(["encode", "--model", str(tmp_path / "m.bank"), "--image",
+                     str(tmp_path / "img.f64"), "--q", "7", "--out", str(tmp_path / "c.code")]) == 0
+        assert counts == {"plain bank": 2, "unit norm": 2}
+
     def test_encode_dim_mismatch_is_config_error(self, trained_model, tmp_path):
         _, model = trained_model
         tiny = tmp_path / "tiny.pgm"
@@ -395,7 +410,7 @@ class TestPipelineCommand:
                      "--out", str(out), "--seed", "5", "--threads", "1"]) == 0
         # the command saves what run_two_layer returns for the same config and seed
         bank1, bank2, _ = run_two_layer(map(load_image, list_images(tmp_path / "raw")),
-                                        _pipeline_config(_parse_config_file(config), 5))
+                                        pipeline_config(read(config), 5))
         np.testing.assert_array_equal(load_bank(out / "layer1.bank"), bank1)
         np.testing.assert_array_equal(load_bank(out / "layer2.bank"), bank2)
         assert bank1.shape == (2, 1, 6, 6) and bank2.shape == (3, 2, 2, 2)
@@ -426,9 +441,7 @@ class TestPipelineCommand:
         # a seed is already turned into the layers' seeds, and threads has no effect
         assert not [line for line in lines if line.startswith(("seed=", "threads="))]
         # read back as a config file, the manifest gives the settings that ran and the outputs
-        assert _pipeline_config(_parse_config_file(manifest)) == _pipeline_config(
-            _parse_config_file(config), seed
-        )
+        assert pipeline_config(read(manifest)) == pipeline_config(read(config), seed)
         assert main([*base, "--config", str(manifest), "--out", str(again)]) == 0
         for name in ("layer1.bank", "layer2.bank"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
@@ -456,9 +469,9 @@ class TestPipelineCommand:
     def test_older_manifest_seed_and_threads_lines_still_replay(self):
         # older manifests wrote the pipeline seed (empty when unseeded) and threads
         layers = {"layer1.seed": "0", "layer2.seed": "1", "threads": "2"}
-        assert _pipeline_config({**layers, "seed": ""}) == _pipeline_config({})
-        assert _pipeline_config({**layers, "seed": "3"}) == seeded(_pipeline_config({}), 3)
-        assert _pipeline_config({"seed": "3"}, 4) == seeded(_pipeline_config({}), 4)
+        assert pipeline_config({**layers, "seed": ""}) == pipeline_config({})
+        assert pipeline_config({**layers, "seed": "3"}) == seeded(pipeline_config({}), 3)
+        assert pipeline_config({"seed": "3"}, 4) == seeded(pipeline_config({}), 4)
 
     def test_bad_config_line_is_config_error(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -468,7 +481,7 @@ class TestPipelineCommand:
 
     def test_unknown_config_key_is_named(self):
         with pytest.raises(ConfigError, match=r"unknown config key layer1\.epoch$"):
-            _pipeline_config({"layer1.epoch": "3"})
+            pipeline_config({"layer1.epoch": "3"})
 
     def test_seed_flag_overrides_config_file_seed(self, tmp_path):
         write_pgm_corpus(tmp_path / "raw", 4, 24, seed=4)

@@ -293,7 +293,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(2, 3, 3, sparsity=5, epochs=1, seed=seed)
 
-    @pytest.mark.parametrize("tolerance", [None, "3", [0.5]])
+    @pytest.mark.parametrize("tolerance", [None, "3", [0.5], True])
     def test_a_tolerance_that_is_not_a_number_is_a_config_error(self, tolerance):
         # TrainConfig and conv_mp_encode share one check, so both reject it alike
         bank = normalize_filters(np.ones((1, 1, 2, 2)))
@@ -338,7 +338,8 @@ def _count_entry_points():
     gives, least, call with (value, a directory holding an empty config file),
     kind of value). The CLI's parsed flags are passed as an argparse
     namespace; the HxW and --q text it parses is given as text."""
-    from convmp.cli import _parse_dims, cmd_bench, cmd_pipeline, cmd_preprocess, cmd_train
+    from convmp.cli import cmd_bench, cmd_pipeline, cmd_preprocess, cmd_train
+    from convmp.config import dims
     from convmp.conv_mp import conv_mp_encode
     from convmp.model_io import render_filter_grid
     from convmp.pipeline import PipelineConfig, seeded
@@ -388,8 +389,8 @@ def _count_entry_points():
         ("bench-repeat", "--repeat", 1, lambda v, d: bench(repeat=v), "value"),
         ("bench-seed", "--seed", 0, lambda v, d: bench(seed=v), "value"),
         ("bench-q", "--q", 1, lambda v, d: bench(q=f"2,{v}"), "text"),
-        ("dims-height", "--image", 1, lambda v, d: _parse_dims(f"{v}x4", "--image"), "text"),
-        ("dims-width", "--image", 1, lambda v, d: _parse_dims(f"4x{v}", "--image"), "text"),
+        ("dims-height", "--image", 1, lambda v, d: dims(f"{v}x4", "--image"), "text"),
+        ("dims-width", "--image", 1, lambda v, d: dims(f"4x{v}", "--image"), "text"),
         ("pipeline-scale", "--scale", 1, lambda v, d: pipeline(d, scale=v), "value"),
         ("pipeline-seed", "seed", 0, lambda v, d: pipeline(d, seed=v), "seed"),
         ("pipeline-threads", "--threads", 1, lambda v, d: pipeline(d, threads=v), "value"),
@@ -405,13 +406,13 @@ COUNT_ENTRY_POINTS = _count_entry_points()
     ids=[entry[0] for entry in COUNT_ENTRY_POINTS],
 )
 def test_every_count_rejects_a_small_or_non_integer_value(tmp_path, name, least, call, kind):
-    """Below the least value, a float, None or a string: each a ConfigError
+    """Below the least value, a float, None, a string or a bool: each a ConfigError
     naming the count, from the library as from the CLI. The pipeline command
     takes a None seed as no seed, and text given as "3" is a valid count."""
     (tmp_path / "empty.cfg").write_text("")
     bad = {
-        "value": [least - 1, 2.5, None, "3"],
-        "seed": [least - 1, 2.5, "3"],
+        "value": [least - 1, 2.5, None, "3", True],
+        "seed": [least - 1, 2.5, "3", True],
         "text": [str(least - 1), "2.5", "None"],
     }[kind]
     for value in bad:

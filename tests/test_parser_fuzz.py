@@ -25,7 +25,7 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "convmp-hypothesis")
 
-from convmp.cli import _parse_config_file, _pipeline_config  # noqa: E402
+from convmp.config import pipeline_config, read  # noqa: E402
 from convmp.core import ConfigError, DataError, SparseCode  # noqa: E402
 from convmp.model_io import (  # noqa: E402
     INTP_MAX, load_bank, load_code, load_float_image, load_image, save_code,
@@ -72,7 +72,7 @@ def test_pipeline_config_parses_or_raises_typed_error(tmp_path, data):
     path = tmp_path / "fuzz.cfg"
     path.write_bytes(data)
     try:
-        assert isinstance(_pipeline_config(_parse_config_file(path)), PipelineConfig)
+        assert isinstance(pipeline_config(read(path)), PipelineConfig)
     except (ConfigError, DataError):
         pass
 
