@@ -50,8 +50,8 @@ def write(path: Path, entries: dict) -> None:
 
 
 def read(path: Path) -> dict[str, str]:
-    """A config file's or manifest's entries: key=value lines with # comments;
-    a later line overrides an earlier one."""
+    """A config file's or manifest's entries: key=value lines, each key
+    nonempty, with # comments; a later line overrides an earlier one."""
     if not path.is_file():
         raise DataError(f"config file {path} does not exist")
     values: dict[str, str] = {}
@@ -59,10 +59,10 @@ def read(path: Path) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq or not key.strip():
             raise ConfigError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -169,16 +169,13 @@ def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     return -v if d < 0 else v
 
 
-def _unit_normal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim)
-    v /= math.sqrt(v @ v)
-    return v
-
-
 @functools.lru_cache(maxsize=16)
 def _pca_start(dim: int) -> np.ndarray:
-    """The first start vector of pca_top_component, drawn once per dim (read-only)."""
-    v = _unit_normal(np.random.default_rng(_PCA_SEED), dim)
+    """The start vector of pca_top_component, a seeded unit normal drawn once
+    per dim (read-only). A start in the rows' nullspace gives way, once, to
+    the row holding the largest |entry|, scaled by that entry and normalized."""
+    v = np.random.default_rng(_PCA_SEED).normal(size=dim)
+    v /= math.sqrt(v @ v)
     v.flags.writeable = False
     return v
 
@@ -191,38 +188,40 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
     rows^T rows without forming it, in C (_native.c's power): each step is
     y = sum of (row . v) row, with dot products summed in 8 fixed lanes, so
     no BLAS routine runs and the bits do not depend on the BLAS build or
-    thread count. It starts from a seeded unit normal vector; a start whose
-    step gives y = 0 (it lies in the rows' nullspace) is replaced by the
-    next draw of the same stream. It stops when the relative residual
-    |y - lam v| / lam falls to _PCA_TOL; reaching the iteration cap first
-    is logged as a warning. The sign is chosen to keep a nonnegative inner
-    product with prev when one is given; on a near-zero tie (or without
-    prev) the first nonzero component is made positive.
+    thread count. It starts from _pca_start(dim) and stops when the
+    relative residual |y - lam v| / lam falls to _PCA_TOL; reaching the
+    iteration cap first is logged as a warning. A step giving y = 0 from
+    nonzero rows means the start lies in their nullspace: power restarts
+    once, with the budget left, from the row holding the largest |entry|,
+    which only an underflow sends to y = 0. Any other zero step is a
+    DataError: all-zero rows are a dead filter, nonzero ones have products
+    that underflow float64. The patches are read again only after power
+    fails.
+    The sign is chosen to keep a nonnegative inner product with prev when
+    one is given; on a near-zero tie (or without prev) the first nonzero
+    component is made positive.
     """
     mats = np.asarray(patches, dtype=np.float64)
     if len(mats) == 0:
         raise DataError("cannot take the principal direction of an empty patch set")
     rows = np.ascontiguousarray(mats.reshape(len(mats), -1))  # (n, dim)
-    if not np.isfinite(rows).all():
-        raise DataError("patches must be finite (found NaN or Inf)")
-    if not rows.any():
-        raise DataError("all patches are zero; dead filter")
     n, dim = rows.shape
-    v, y = _pca_start(dim).copy(), np.empty(dim)
-    budget, steps, rng = _PCA_MAX_ITER, ctypes.c_ssize_t(), None
-    while True:
-        status = _native.library().power(rows.ctypes.data, n, dim, v.ctypes.data, y.ctypes.data,
-                                         budget, _PCA_TOL, ctypes.byref(steps))
-        budget -= steps.value
-        if status != _native.POWER_ZERO or not budget:
-            break
-        if rng is None:  # a stream at the draw after _pca_start's
-            rng = np.random.default_rng(_PCA_SEED)
-            rng.normal(size=dim)
-        v = _unit_normal(rng, dim)
+    v, y, steps = _pca_start(dim).copy(), np.empty(dim), ctypes.c_ssize_t()
+    power = functools.partial(_native.library().power, rows.ctypes.data, n, dim,
+                              v.ctypes.data, y.ctypes.data)
+    status = power(_PCA_MAX_ITER, _PCA_TOL, ctypes.byref(steps))
+    if status == _native.POWER_ZERO and not y.any() and rows.any():
+        row, col = divmod(int(np.argmax(np.abs(rows))), dim)
+        v[:] = rows[row] / rows[row, col]
+        v /= math.sqrt(v @ v)
+        status = power(_PCA_MAX_ITER - steps.value, _PCA_TOL, ctypes.byref(steps))
+    if status == _native.POWER_ZERO:
+        raise DataError("the patches' products underflow float64; scale the corpus up"
+                        if rows.any() else "all patches are zero; dead filter")
     if status == _native.POWER_NON_FINITE:
-        raise DataError("the patches' products overflow float64; scale the corpus down")
-    if status != _native.POWER_CONVERGED:
+        raise DataError("the patches' products overflow float64; scale the corpus down"
+                        if np.isfinite(rows).all() else "patches must be finite (found NaN or Inf)")
+    if status == _native.POWER_CAPPED:
         logger.warning("power iteration hit its cap of %d iterations unconverged", _PCA_MAX_ITER)
     prev_flat = None if prev is None else np.asarray(prev, dtype=np.float64).ravel()
     v = _fix_sign(v, prev_flat)

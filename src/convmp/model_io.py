@@ -292,5 +292,5 @@ def list_images(directory) -> list[Path]:
 
 
 def list_float_images(directory) -> list[Path]:
-    """Sorted float-sidecar paths in a directory."""
-    return sorted(Path(directory).glob("*.f64"))
+    """Sorted float-sidecar (.f64, any case) paths in a directory."""
+    return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".f64")

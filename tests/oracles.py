@@ -5,10 +5,11 @@ atoms. Besides the plain greedy loop, a bookkeeping variant is provided
 that correlates the dictionary with the signal only once and afterwards
 updates the correlation vector through Gram-matrix rows. The plain variant
 doubles as the oracle backend for the convolutional encoder's equivalence
-tests (see toeplitz_expand). The filter refit's power iteration has two
-oracles: power_iteration, to a tolerance, and power_bits, bit for bit. No
-user path runs this module, so it lives with the tests, not in the convmp
-package.
+tests (see toeplitz_expand). oracle_greedy_steps is the convolutional
+pursuit loop in numpy, greedy_steps' bit oracle. The filter refit's power
+iteration has two oracles: power_iteration, to a tolerance, and
+power_bits, bit for bit. No user path runs this module, so it lives with
+the tests, not in the convmp package.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from codes import Activation
 from convmp._native import POWER_CAPPED, POWER_CONVERGED, POWER_NON_FINITE, POWER_ZERO
 from convmp.conv_mp import greedy_steps
 from convmp.core import UNIT_NORM_ATOL, ConfigError, DataError, as_bank
@@ -154,13 +156,39 @@ def toeplitz_expand(bank, image_dims) -> np.ndarray:
     return out
 
 
+def oracle_greedy_steps(maps, table, max_steps, tolerance=0.0):
+    """The pursuit loop in numpy, a full-map rescan every step: the reference
+    that greedy_steps, the C loop, must match bit for bit."""
+    k, hv, wv = maps.shape
+    fh = (table.shape[2] + 1) // 2
+    fw = (table.shape[3] + 1) // 2
+    activations = []
+    for _ in range(max_steps):
+        flat = int(np.abs(maps).argmax())
+        j, pr, pc = np.unravel_index(flat, maps.shape)
+        a = float(maps[j, pr, pc])
+        if abs(a) <= tolerance:
+            break
+        activations.append(Activation(int(j), int(pr), int(pc), a))
+        r0, r1 = max(0, pr - fh + 1), min(hv, pr + fh)
+        c0, c1 = max(0, pc - fw + 1), min(wv, pc + fw)
+        maps[:, r0:r1, c0:c1] -= a * table[
+            j,
+            :,
+            r0 - pr + fh - 1 : r1 - pr + fh - 1,
+            c0 - pc + fw - 1 : c1 - pc + fw - 1,
+        ]
+    return activations
+
+
 def power_iteration(rows, prev=None, tol: float = 1e-10, max_iter: int = 10_000, seed: int = 0):
     """The top right singular vector of the (n, dim) rows by numpy power
     iteration, the loop pca_top_component ran before it moved into C.
 
-    It starts from the same seeded draws (the next one after a start whose
-    step gives y = 0), stops on the same relative residual and applies the
-    same sign rule: a nonnegative inner product with prev, or, on a tie
+    It starts from the same seeded draw (after a start whose step gives
+    y = 0 it takes the stream's next draw, where pca_top_component restarts
+    from a row), stops on the same relative residual and applies the same
+    sign rule: a nonnegative inner product with prev, or, on a tie
     within 1e-12 or without prev, a positive first nonzero entry. Its sums
     run in BLAS's order, not in the compiled loop's lanes, so it is a
     tolerance oracle, not a bit oracle. Returns (vector, converged).

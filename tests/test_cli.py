@@ -130,6 +130,18 @@ class TestTrain:
         assert "norm of a 4x4 corpus patch overflows float64" in proc.stderr
         assert not (tmp_path / "m.bank").exists()
 
+    def test_an_upper_case_f64_corpus_trains_as_a_lower_case_one(self, tmp_path):
+        rng = np.random.default_rng(10)
+        images = [rng.normal(size=(1, 16, 16)) for _ in range(2)]
+        for suffix in ("f64", "F64"):
+            (tmp_path / suffix).mkdir()
+            for i, image in enumerate(images):
+                save_float_image(image, tmp_path / suffix / f"img{i}.{suffix}")
+            assert main(["train", "--corpus", str(tmp_path / suffix), "--out",
+                         str(tmp_path / f"{suffix}.bank"), "--k", "2", "--filter", "4x4",
+                         "--q", "3", "--epochs", "1"]) == 0
+        assert (tmp_path / "F64.bank").read_bytes() == (tmp_path / "f64.bank").read_bytes()
+
     def test_manifest_records_every_setting_in_flag_order(self, trained_model):
         corpus, model = trained_model
         lines = (model.parent / (model.name + ".manifest.txt")).read_text().splitlines()
@@ -236,6 +248,19 @@ class TestManifestIsWrittenLast:
         assert main(["train", "--corpus", str(corpus), "--out", str(out), "--k", "2",
                      "--filter", "4x4", "--q", "3", "--epochs", "1"]) == 3
         assert "overflows float64" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_a_train_whose_refit_underflows_exits_3_and_leaves_no_manifest(self, tmp_path,
+                                                                             capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(9)
+        for i in range(6):  # patches near 1e-90: |y|^2 of the refit's first step underflows
+            save_float_image(1e-90 * rng.normal(size=(1, 32, 32)), corpus / f"img{i}.f64")
+        out = tmp_path / "o" / "m.bank"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out), "--k", "3",
+                     "--filter", "6x6", "--q", "8", "--epochs", "1"]) == 3
+        assert "underflow float64; scale the corpus up" in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
 
     def test_a_failed_pipeline_leaves_no_manifest(self, tmp_path, capsys):
@@ -478,6 +503,15 @@ class TestPipelineCommand:
         config.write_text("layer1.k 8\n")
         assert main(["pipeline", "--corpus", str(tmp_path), "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_an_empty_key_is_a_config_error_naming_its_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("layer1.k=8\n=3\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg: line 2: expected key=value, got '=3'"):
+            read(config)
+        assert main(["pipeline", "--corpus", str(tmp_path), "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_unknown_config_key_is_named(self):
         with pytest.raises(ConfigError, match=r"unknown config key layer1\.epoch$"):

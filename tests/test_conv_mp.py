@@ -8,11 +8,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from convmp import conv_mp
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps
 from blas_threads import lines_at_1_and_2_blas_threads
-from codes import Activation, records
+from codes import records
 from convmp.core import (
     ConfigError, DataError, SparseCode, normalize_filters, reconstruct, residual_energy,
 )
-from oracles import gram_matrix, mp_encode, toeplitz_expand
+from oracles import gram_matrix, mp_encode, oracle_greedy_steps, toeplitz_expand
 
 
 def random_bank(rng, k, c, fh, fw):
@@ -47,31 +47,6 @@ def shifted_inner_product(fi, fj, sr, sc):
                 if 0 <= r2 < fh and 0 <= c2 < fw:
                     total += fi[ch, r, col] * fj[ch, r2, c2]
     return total
-
-
-def oracle_greedy_steps(maps, table, max_steps, tolerance=0.0):
-    """The pursuit loop in numpy, a full-map rescan every step: the reference
-    that greedy_steps, the C loop, must match bit for bit."""
-    k, hv, wv = maps.shape
-    fh = (table.shape[2] + 1) // 2
-    fw = (table.shape[3] + 1) // 2
-    activations = []
-    for _ in range(max_steps):
-        flat = int(np.abs(maps).argmax())
-        j, pr, pc = np.unravel_index(flat, maps.shape)
-        a = float(maps[j, pr, pc])
-        if abs(a) <= tolerance:
-            break
-        activations.append(Activation(int(j), int(pr), int(pc), a))
-        r0, r1 = max(0, pr - fh + 1), min(hv, pr + fh)
-        c0, c1 = max(0, pc - fw + 1), min(wv, pc + fw)
-        maps[:, r0:r1, c0:c1] -= a * table[
-            j,
-            :,
-            r0 - pr + fh - 1 : r1 - pr + fh - 1,
-            c0 - pc + fw - 1 : c1 - pc + fw - 1,
-        ]
-    return activations
 
 
 def run_both(maps, table, q, tolerance=0.0):

@@ -6,6 +6,7 @@ import pytest
 from blas_threads import lines_at_1_and_2_blas_threads
 from codes import Activation, records
 from convmp import core, dict_learn
+from convmp._native import POWER_CONVERGED, POWER_ZERO
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, prepare_bank
 from convmp.core import (
     DataError,
@@ -24,6 +25,7 @@ from convmp.dict_learn import (
     train,
     update_filter,
 )
+from oracles import power_bits
 
 
 def unit(v):
@@ -285,19 +287,57 @@ class TestPcaTopComponent:
             pca_top_component(patches)
         assert caplog.records == []
 
+    @staticmethod
+    def _nullspace_rows(rank):
+        """Rows orthogonal to the seeded start, which power's first step
+        sends to y = 0: at rank 1, (b, -a) and -2 (b, -a) against the start
+        (a, b); at rank 2, (b, -a, 0), 2 (c, 0, -a) and (0, c, -b) / 2
+        against (a, b, c). Each row's dot product with the start pairs
+        x*y with -(y*x), which cancel exactly. Strided rows keep numpy off
+        BLAS, whose fused multiply-adds would leave a rounding residue."""
+        if rank == 1:
+            a, b = dict_learn._pca_start(2)
+            rows = np.array([[b, 0.0, -a, 0.0], [-2 * b, 0.0, 2 * a, 0.0]])[:, ::2]
+        else:
+            a, b, c = dict_learn._pca_start(3)
+            rows = np.array([[b, 0.0, -a, 0.0, 0.0, 0.0], [2 * c, 0.0, 0.0, 0.0, -2 * a, 0.0],
+                             [0.0, 0.0, c / 2, 0.0, -b / 2, 0.0]])[:, ::2]
+        assert not np.any((rows @ dict_learn._pca_start(rank + 1)) @ rows)
+        return rows
+
     def test_a_start_in_the_nullspace_restarts(self):
-        # rows orthogonal to the seeded start (a, b): each row is (b, -a)
-        # times a power of two. Strided rows keep numpy off BLAS, whose fused
-        # multiply-adds would leave a rounding residue; numpy's own loop
-        # rounds each product, so b*a - a*b is exactly zero.
-        start = np.random.default_rng(dict_learn._PCA_SEED).normal(size=2)
-        start /= math.sqrt(start @ start)
-        a, b = start
-        rows = np.array([[b, 0.0, -a, 0.0], [-2 * b, 0.0, 2 * a, 0.0]])[:, ::2]
-        assert not np.any((rows @ start) @ rows)  # the first step gives y = 0
+        rows = self._nullspace_rows(1)
+        a, b = dict_learn._pca_start(2)
         # the restarted start converges to the rows' direction, first entry positive
         np.testing.assert_allclose(pca_top_component(rows), unit([b, -a]) * np.sign(b),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_the_restart_has_the_bits_of_power_from_the_largest_row(self, rank):
+        # one restart, with the budget left, from the row holding the largest
+        # |entry|, scaled by that entry and normalized
+        rows = self._nullspace_rows(rank)
+        max_iter, tol = dict_learn._PCA_MAX_ITER, dict_learn._PCA_TOL
+        status, _, used = power_bits(rows, dict_learn._pca_start(rank + 1), max_iter, tol)
+        assert status == POWER_ZERO
+        row, col = np.unravel_index(np.argmax(np.abs(rows)), rows.shape)
+        start = rows[row] / rows[row, col]
+        start /= math.sqrt(start @ start)
+        status, want, _ = power_bits(rows, start, max_iter - used, tol)
+        assert status == POWER_CONVERGED
+        want = -want if want[np.flatnonzero(want)[0]] < 0 else want
+        assert pca_top_component(rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-200])
+    def test_products_that_underflow_are_a_data_error(self, scale, caplog):
+        # at 1e-150 |y|^2 underflows while y does not; at 1e-200 every
+        # (row . v) row does, so the start looks like one in the nullspace,
+        # and the product of the restart's row underflows as well
+        rows = np.random.default_rng(63).normal(size=(50, 64)) * scale
+        with caplog.at_level("WARNING", logger="convmp.dict_learn"):
+            with pytest.raises(DataError, match="underflow float64; scale the corpus up"):
+                pca_top_component(rows)
+        assert caplog.records == []
 
     def test_large_sets_have_the_same_bits_at_1_and_2_blas_threads(self):
         # The sets a row-blocked numpy refit had to split, 450 x 1024 being

@@ -27,8 +27,9 @@ from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_s
 from convmp.core import SparseCode, normalize_filters, reconstruct, residual_energy  # noqa: E402
 from convmp._native import POWER_CONVERGED, library  # noqa: E402
 from convmp.dict_learn import _PCA_MAX_ITER, _PCA_TOL, _pca_start, pca_top_component  # noqa: E402
-from oracles import mp_encode, power_bits, power_iteration, toeplitz_expand  # noqa: E402
-from test_conv_mp import oracle_greedy_steps  # noqa: E402
+from oracles import (  # noqa: E402
+    mp_encode, oracle_greedy_steps, power_bits, power_iteration, toeplitz_expand,
+)
 
 PROPERTY = settings(FUZZ, max_examples=150)  # keeps the four small properties near 2 s
 

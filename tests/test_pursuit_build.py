@@ -23,7 +23,7 @@ from convmp.conv_mp import build_shift_gram, correlate, greedy_steps
 from convmp.core import DataError, SparseCode, normalize_filters
 from convmp.dict_learn import pca_top_component
 from convmp.model_io import save_bank, save_code, save_float_image
-from test_conv_mp import oracle_greedy_steps
+from oracles import oracle_greedy_steps
 
 Q = 40
 
