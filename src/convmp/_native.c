@@ -32,15 +32,15 @@ never settled by a bound. The first scan reads every entry, so it also
 rejects maps that hold a NaN or an infinity.
 
 power runs pca_top_component's loop on the (n, dim) patch rows: y = sum of
-(row . v) row, each entry of y summed in row order; lam = v . y; v = y / |y|;
-stop once the residual |y - lam v| is at most the tolerance times lam. Every
-dot product sums x[i] * y[i] into 8 lanes, lane i mod 8, in index order from
-0, then folds them ((0+1)+(2+3))+((4+5)+(6+7)). The loop is plain C, whose
-lanes the compiler may run side by side but not reorder; it is built twice,
-for the baseline target (two-lane SSE2 on x86-64) and for AVX-512F (one
-register per dot product), and a run-time CPU check picks the second where
-the CPU has it. Both give the same bits, and no BLAS routine runs, so
-neither does a BLAS build or thread count change them.
+(row . v) row, one row at a time, so each entry of y is summed in row order;
+lam = v . y; v = y / |y|; stop once the residual |y - lam v| is at most the
+tolerance times lam. Every dot product sums x[i] * y[i] into 8 lanes, lane i
+mod 8, in index order from 0, then folds them ((0+1)+(2+3))+((4+5)+(6+7)).
+The loop is plain C, whose lanes the compiler may run side by side but not
+reorder; it is built twice, for the baseline target (two-lane SSE2 on
+x86-64) and for AVX-512F (one register per dot product), and a run-time CPU
+check picks the second where the CPU has it. Both give the same bits, and no
+BLAS routine runs, so neither does a BLAS build or thread count change them.
 */
 
 #ifdef __SSE2__
@@ -305,16 +305,7 @@ enum { POWER_CONVERGED, POWER_CAPPED, POWER_ZERO, POWER_NON_FINITE };
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* The fold of x . y's 8 lanes, from i on: the entries past the last whole 8
-   add into their lanes first. */
-INLINE double finish(double *lane, const double *x, const double *y, ptrdiff_t i, ptrdiff_t n)
-{
-    for (ptrdiff_t l = 0; i + l < n; l++)
-        lane[l] += x[i + l] * y[i + l];
-    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
+/* x . y in 8 lanes, lane i mod 8, in index order from 0, then folded. */
 INLINE double dot(const double *x, const double *y, ptrdiff_t n)
 {
     double lane[8] = {0.0};
@@ -322,34 +313,19 @@ INLINE double dot(const double *x, const double *y, ptrdiff_t n)
     for (; i + 8 <= n; i += 8)
         for (int l = 0; l < 8; l++)
             lane[l] += x[i + l] * y[i + l];
-    return finish(lane, x, y, i, n);
+    for (ptrdiff_t l = 0; i + l < n; l++)
+        lane[l] += x[i + l] * y[i + l];
+    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
 /* y = the sum of (row . v) row over the n rows, each entry summed in row
-   order. Four rows at a time: their dot products run side by side rather
-   than each waiting on its own additions, then each entry of y takes the
-   four rows in order. */
+   order. */
 INLINE void gather(const double *rows, ptrdiff_t n, ptrdiff_t dim, const double *v, double *y)
 {
     for (ptrdiff_t d = 0; d < dim; d++)
         y[d] = 0.0;
-    ptrdiff_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const double *r = rows + i * dim;
-        double lane[4][8] = {{0.0}};
-        ptrdiff_t d = 0;
-        for (; d + 8 <= dim; d += 8)
-            for (int k = 0; k < 4; k++)
-                for (int l = 0; l < 8; l++)
-                    lane[k][l] += r[k * dim + d + l] * v[d + l];
-        double t[4];
-        for (int k = 0; k < 4; k++)
-            t[k] = finish(lane[k], r + k * dim, v, d, dim);
-        for (d = 0; d < dim; d++)
-            y[d] = (((y[d] + t[0] * r[d]) + t[1] * r[dim + d]) + t[2] * r[2 * dim + d]) +
-                   t[3] * r[3 * dim + d];
-    }
-    for (; i < n; i++) { /* the last n mod 4 rows */
+    for (ptrdiff_t i = 0; i < n; i++) {
         const double *r = rows + i * dim, t = dot(r, v, dim);
         for (ptrdiff_t d = 0; d < dim; d++)
             y[d] += t * r[d];
@@ -364,10 +340,10 @@ INLINE int iterate(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, do
     while (*iterations < max_iter) {
         ++*iterations;
         gather(rows, n, dim, v, y);
-        const double lam = dot(v, y, dim), norm = sqrt(dot(y, y, dim));
+        const double lam = dot(v, y, dim), yy = dot(y, y, dim), norm = sqrt(yy);
         if (!(norm <= DBL_MAX))
             return POWER_NON_FINITE;
-        if (norm == 0.0)
+        if (yy < DBL_MIN) /* zero, or subnormal: |y| would not be exact enough */
             return POWER_ZERO;
         for (ptrdiff_t d = 0; d < dim; d++) /* v holds y - lam v for a moment */
             v[d] = y[d] - lam * v[d];
@@ -393,9 +369,10 @@ iterate_avx512f(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, doubl
    rows from the unit vector v, with y as dim entries of scratch; stop once
    |y - lam v| <= tolerance * max(lam, DBL_MIN). v takes the last step's
    y / |y| and *iterations the steps run. Returns POWER_CONVERGED, or
-   POWER_CAPPED after max_iter steps; POWER_ZERO, v untouched, if a step's y
-   is zero (v lies in the rows' nullspace); POWER_NON_FINITE if a product
-   overflows. */
+   POWER_CAPPED after max_iter steps; POWER_ZERO, v untouched, if a step's
+   |y|^2 is below DBL_MIN: y is zero (v lies in the rows' nullspace) or so
+   small that |y| is inexact (rows near 1e-78 or less); POWER_NON_FINITE if
+   a product overflows. */
 int power(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, double *y,
           ptrdiff_t max_iter, double tolerance, ptrdiff_t *iterations)
 {

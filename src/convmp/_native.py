@@ -6,9 +6,8 @@ the platform tag, so an edited source or another Python gets its own build.
 It goes into this package's __pycache__, as bytecode does, or into a
 per-user cache directory (mode 0700) when that is not writable. A build
 writes a temporary file and installs it with os.replace, so processes
-racing to build it are safe; then the builds of other hashes, and those of
-the library's old name, _pursuit, are removed. A cached build that does not
-load is built again, once.
+racing to build it are safe; then the builds of other hashes are removed.
+A cached build that does not load is built again, once.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def _build(target: Path) -> Path:
     # readable like the source, as bytecode is (the linker kept mkstemp's 0600)
     os.chmod(tmp, SOURCE.stat().st_mode & 0o777)
     os.replace(tmp, target)
-    for stale in [*target.parent.glob("_native-*.so"), *target.parent.glob("_pursuit-*.so")]:
+    for stale in target.parent.glob("_native-*.so"):
         if stale != target:
             stale.unlink(missing_ok=True)
     return target

@@ -193,10 +193,10 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
     iteration cap first is logged as a warning. A step giving y = 0 from
     nonzero rows means the start lies in their nullspace: power restarts
     once, with the budget left, from the row holding the largest |entry|,
-    which only an underflow sends to y = 0. Any other zero step is a
-    DataError: all-zero rows are a dead filter, nonzero ones have products
-    that underflow float64. The patches are read again only after power
-    fails.
+    which only an underflow sends to y = 0. Any other step with |y|^2 zero
+    or subnormal is a DataError: all-zero rows are a dead filter, nonzero
+    ones have products that underflow float64 (rows near 1e-78 or less).
+    The patches are read again only after power fails.
     The sign is chosen to keep a nonnegative inner product with prev when
     one is given; on a near-zero tie (or without prev) the first nonzero
     component is made positive.

@@ -239,7 +239,8 @@ def power_bits(rows, v, max_iter: int, tolerance: float):
     row by row, lam = v . y, norm = |y|, then the residual |y - lam v| and
     v = y / norm; it stops once the residual is at most tolerance times
     max(lam, the smallest normal double). Returns (status, v, iterations)
-    with power's status codes; a zero or non-finite step leaves v as it was.
+    with power's status codes; a step whose |y|^2 is non-finite or below the
+    smallest normal double leaves v as it was.
     """
     rows = np.asarray(rows, dtype=np.float64)
     v = np.array(v, dtype=np.float64)
@@ -247,10 +248,11 @@ def power_bits(rows, v, max_iter: int, tolerance: float):
     for step in range(1, max_iter + 1):
         t = _dot8(rows, v)
         y = np.cumsum(np.concatenate([head, t[:, None] * rows]), axis=0)[-1]
-        lam, norm = _dot8(v, y), np.sqrt(_dot8(y, y))
+        lam, yy = _dot8(v, y), _dot8(y, y)
+        norm = np.sqrt(yy)
         if not norm <= np.finfo(np.float64).max:
             return POWER_NON_FINITE, v, step
-        if norm == 0.0:
+        if yy < np.finfo(np.float64).tiny:
             return POWER_ZERO, v, step
         d = y - lam * v
         residual = np.sqrt(_dot8(d, d))

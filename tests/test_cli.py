@@ -250,17 +250,32 @@ class TestManifestIsWrittenLast:
         assert "overflows float64" in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
 
-    def test_a_train_whose_refit_underflows_exits_3_and_leaves_no_manifest(self, tmp_path,
-                                                                             capsys):
+    @staticmethod
+    def _train_scaled(tmp_path, scale, epochs):
+        """main's exit code for train on six 32x32 normal images times scale."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         rng = np.random.default_rng(9)
-        for i in range(6):  # patches near 1e-90: |y|^2 of the refit's first step underflows
-            save_float_image(1e-90 * rng.normal(size=(1, 32, 32)), corpus / f"img{i}.f64")
+        for i in range(6):
+            save_float_image(scale * rng.normal(size=(1, 32, 32)), corpus / f"img{i}.f64")
         out = tmp_path / "o" / "m.bank"
-        assert main(["train", "--corpus", str(corpus), "--out", str(out), "--k", "3",
-                     "--filter", "6x6", "--q", "8", "--epochs", "1"]) == 3
+        return main(["train", "--corpus", str(corpus), "--out", str(out), "--k", "3",
+                     "--filter", "6x6", "--q", "8", "--epochs", str(epochs)])
+
+    def test_a_train_whose_refit_underflows_exits_3_and_leaves_no_manifest(self, tmp_path,
+                                                                             capsys):
+        # patches near 1e-90: |y|^2 of the refit's first step underflows
+        assert self._train_scaled(tmp_path, 1e-90, 1) == 3
         assert "underflow float64; scale the corpus up" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_a_train_whose_refit_norm_is_subnormal_exits_3_and_leaves_no_manifest(
+            self, tmp_path, capsys):
+        # patches near 1e-80: |y|^2 is subnormal, so y / |y| would leave a
+        # filter off unit norm for the next epoch's bank check to reject
+        assert self._train_scaled(tmp_path, 1e-80, 2) == 3
+        err = capsys.readouterr().err
+        assert "underflow float64; scale the corpus up" in err and "norm" not in err
         assert list((tmp_path / "o").iterdir()) == []
 
     def test_a_failed_pipeline_leaves_no_manifest(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from blas_threads import lines_at_1_and_2_blas_threads
 from codes import Activation, records
-from convmp import core, dict_learn
+from convmp import _native, core, dict_learn
 from convmp._native import POWER_CONVERGED, POWER_ZERO
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, prepare_bank
 from convmp.core import (
@@ -328,16 +329,30 @@ class TestPcaTopComponent:
         want = -want if want[np.flatnonzero(want)[0]] < 0 else want
         assert pca_top_component(rows).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-200])
+    @pytest.mark.parametrize("scale", [1e-80, 1e-150, 1e-200])
     def test_products_that_underflow_are_a_data_error(self, scale, caplog):
-        # at 1e-150 |y|^2 underflows while y does not; at 1e-200 every
-        # (row . v) row does, so the start looks like one in the nullspace,
-        # and the product of the restart's row underflows as well
+        # at 1e-80 |y|^2 is subnormal, so |y| is inexact and y / |y| would be
+        # off unit norm; at 1e-150 |y|^2 underflows while y does not; at
+        # 1e-200 every (row . v) row does, so the start looks like one in the
+        # nullspace, and the product of the restart's row underflows as well
         rows = np.random.default_rng(63).normal(size=(50, 64)) * scale
         with caplog.at_level("WARNING", logger="convmp.dict_learn"):
             with pytest.raises(DataError, match="underflow float64; scale the corpus up"):
                 pca_top_component(rows)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("scale", [1e-78, 1e-80])
+    def test_power_stops_where_its_emulation_does_once_y_is_tiny(self, scale):
+        # |y|^2 below the smallest normal double stops the first step, v untouched
+        rows = np.random.default_rng(63).normal(size=(50, 64)) * scale
+        start = dict_learn._pca_start(64)
+        max_iter, tol = dict_learn._PCA_MAX_ITER, dict_learn._PCA_TOL
+        status, want, used = power_bits(rows, start, max_iter, tol)
+        assert (status, used, want.tobytes()) == (POWER_ZERO, 1, start.tobytes())
+        v, y, steps = start.copy(), np.empty(64), ctypes.c_ssize_t()
+        got = _native.library().power(rows.ctypes.data, 50, 64, v.ctypes.data, y.ctypes.data,
+                                      max_iter, tol, ctypes.byref(steps))
+        assert (got, steps.value, v.tobytes()) == (status, used, want.tobytes())
 
     def test_large_sets_have_the_same_bits_at_1_and_2_blas_threads(self):
         # The sets a row-blocked numpy refit had to split, 450 x 1024 being

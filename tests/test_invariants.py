@@ -224,9 +224,9 @@ def test_the_compiled_power_iteration_matches_the_numpy_oracle(n, dim, scale, wi
 
 
 @PROPERTY
-@example(n=3, dim=5, scale=0, seed=0)  # fewer rows than one gather of 4, a dim below 8
-@example(n=4, dim=8, scale=0, seed=1)  # one whole gather, one whole lane block
-@example(n=203, dim=139, scale=0, seed=2)  # 3 rows past the last gather, 3 entries past the lanes
+@example(n=3, dim=5, scale=0, seed=0)  # a few rows, a dim below one lane block of 8
+@example(n=4, dim=8, scale=0, seed=1)  # one whole lane block and no entries past it
+@example(n=203, dim=139, scale=0, seed=2)  # many rows, 3 entries past the last lane block
 @given(n=st.integers(1, 300), dim=st.integers(1, 139), scale=st.integers(-30, 30),
        seed=st.integers(0, 2**32 - 1))
 def test_the_compiled_power_iteration_has_the_bits_of_its_emulation(n, dim, scale, seed):

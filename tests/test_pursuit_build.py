@@ -83,12 +83,9 @@ def test_the_first_encode_builds_the_library_and_gives_the_oracles_bytes(inputs)
     (package / "__pycache__").mkdir()
     stale = package / "__pycache__" / "_native-00000000.so"
     stale.write_bytes(b"an earlier build")
-    old_name = package / "__pycache__" / "_pursuit-00000000.so"
-    old_name.write_bytes(b"a build under the library's old name")
     finish(start_encode(inputs, "first.code"))
     assert (inputs / "first.code").read_bytes() == (inputs / "oracle.code").read_bytes()
-    # the new build replaced the one of another hash and the old name's;
-    # nothing else was written
+    # the new build replaced the one of another hash; nothing else was written
     (library,) = (package / "__pycache__").glob("*.so")
     assert library.name.startswith("_native-") and library.name != stale.name
     assert not (inputs / "user-cache").exists()
