@@ -27,9 +27,10 @@ as np.abs(maps).argmax() picks them. The steps come out as one
 core.ACTIVATION array, the form a SparseCode holds.
 
 An encoding sweep checks its bank once: prepare_bank returns a
-core.PreparedBank, read-only copies of the bank, its correlate weights and
-its shift table, which correlate, build_shift_gram, conv_mp_encode and
-core.reconstruct take without checking again. conv_mp_encode takes no
+core.PreparedBank, read-only copies of the bank and its shift table, which
+correlate, build_shift_gram, conv_mp_encode and core.reconstruct take
+without checking again; like the maps and the table, the bank is stored in
+the order correlate reads it, (k, h_f, c, w_f). conv_mp_encode takes no
 table: it prepares the bank it is given, so the table always is the bank's.
 """
 
@@ -74,10 +75,9 @@ def correlate(bank, image) -> np.ndarray:
     band multiplies the bank by each of them into a (rows, k, w_v) buffer:
     one GEMM per map row, or per column segment when a row holds more than
     CORRELATE_CHUNK_MACS multiply-adds. The band's results are then copied,
-    transposed, into the storage. A CheckedBank's weights are used as they
-    are. Maps that overflow hold infinities, which greedy_steps rejects.
+    transposed, into the storage; a prepared bank's taps are a view, not a
+    copy. Maps that overflow hold infinities, which greedy_steps rejects.
     """
-    weights = bank.weights if isinstance(bank, CheckedBank) else None
     bank = as_bank(bank, unit_norm=False)
     img = as_image(image)
     k, c, fh, fw = bank.shape
@@ -89,8 +89,7 @@ def correlate(bank, image) -> np.ndarray:
     hv, wv = h - fh + 1, w - fw + 1
     sc, sh, sw = img.strides
     unfold = as_strided(img, (h, c, fw, wv), (sh, sc, sw, sw), writeable=False)
-    if weights is None:
-        weights = _weights(bank)
+    weights = bank.transpose(0, 2, 1, 3).reshape(k, -1)
     # a band of n map rows copies n + h_f - 1 unfolded rows of c * w_f * w_v
     # samples, and its GEMMs write n * k * w_v
     unfolded = c * fw * wv
@@ -115,24 +114,18 @@ def correlate(bank, image) -> np.ndarray:
     return storage.transpose(2, 0, 1)
 
 
-def _weights(bank: np.ndarray) -> np.ndarray:
-    """correlate's GEMM operand: each filter's taps in (dy, channel, dx) order."""
-    return bank.transpose(0, 2, 1, 3).reshape(len(bank), -1)
-
-
 def prepare_bank(bank) -> PreparedBank:
-    """Check a bank once, unit norm included, and derive correlate's weights
-    and the shift table from it once, for the calls of one encoding sweep.
-    All three are read-only and copied from bank, so changing bank later
+    """Check a bank once, unit norm included, and build its shift table once,
+    for the calls of one encoding sweep. Both are read-only copies, the bank
+    stored in correlate's (k, h_f, c, w_f) tap order, so changing bank later
     does not reach them. A PreparedBank is returned as it is."""
     if isinstance(bank, PreparedBank):
         return bank
-    array = as_bank(bank).copy()
-    weights = _weights(array)
-    table = build_shift_gram(CheckedBank(array, weights))
-    for a in (array, weights, table):
+    array = as_bank(bank).transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
+    table = build_shift_gram(CheckedBank(array))
+    for a in (array, table):
         a.flags.writeable = False
-    return PreparedBank(array, weights, table)
+    return PreparedBank(array, table)
 
 
 def build_shift_gram(bank) -> np.ndarray:

@@ -109,13 +109,11 @@ def as_image(arr, name: str = "image") -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CheckedBank:
     """A filter bank that passed as_bank's checks, unit norm included
-    (conv_mp.prepare_bank makes one): a read-only copy of the array, and
-    correlate's (k, h_f*c*w_f) weights with taps in (dy, channel, dx) order.
-    as_bank returns its array unchecked, so the functions that take a bank
-    skip the checks it passed."""
+    (conv_mp.prepare_bank makes one): a read-only copy of the array. as_bank
+    returns its array unchecked, so the functions that take a bank skip the
+    checks it passed."""
 
     array: np.ndarray
-    weights: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -173,9 +173,11 @@ def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
 def _pca_start(dim: int) -> np.ndarray:
     """The start vector of pca_top_component, a seeded unit normal drawn once
     per dim (read-only). A start in the rows' nullspace gives way, once, to
-    the row holding the largest |entry|, scaled by that entry and normalized."""
+    the row holding the largest |entry|, scaled by that entry and normalized.
+    Both norms are exactly rounded sums (math.fsum), not BLAS ddot, whose
+    bits depend on the kernel OpenBLAS picks for the CPU."""
     v = np.random.default_rng(_PCA_SEED).normal(size=dim)
-    v /= math.sqrt(v @ v)
+    v /= math.sqrt(math.fsum(v * v))
     v.flags.writeable = False
     return v
 
@@ -213,7 +215,7 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
     if status == _native.POWER_ZERO and not y.any() and rows.any():
         row, col = divmod(int(np.argmax(np.abs(rows))), dim)
         v[:] = rows[row] / rows[row, col]
-        v /= math.sqrt(v @ v)
+        v /= math.sqrt(math.fsum(v * v))
         status = power(_PCA_MAX_ITER - steps.value, _PCA_TOL, ctypes.byref(steps))
     if status == _native.POWER_ZERO:
         raise DataError("the patches' products underflow float64; scale the corpus up"

@@ -291,6 +291,21 @@ class TestBuildShiftGram:
 
 
 class TestConvMpEncode:
+    def test_a_prepared_bank_is_stored_in_tap_order_and_gives_the_plain_bytes(self):
+        # layer 2's shape: 16 filters over 8 channels of 4x4, on 7x7 maps
+        rng = np.random.default_rng(81)
+        bank = random_bank(rng, 16, 8, 4, 4)
+        image = rng.normal(size=(8, 7, 7))
+        prepared = conv_mp.prepare_bank(bank)
+        taps = prepared.array.transpose(0, 2, 1, 3)  # correlate's (k, h_f, c, w_f) order
+        assert taps.flags.c_contiguous and not taps.flags.writeable
+        assert correlate(prepared, image).tobytes() == correlate(bank, image).tobytes()
+        assert build_shift_gram(prepared).tobytes() == build_shift_gram(bank).tobytes()
+        code = conv_mp_encode(prepared, image, 12)
+        assert records(code) == records(conv_mp_encode(bank, image, 12))
+        for c in (code, SparseCode(8, 7, 7)):
+            assert reconstruct(c, prepared).tobytes() == reconstruct(c, bank).tobytes()
+
     def test_single_placement_recovered(self):
         rng = np.random.default_rng(27)
         bank = random_bank(rng, 3, 1, 5, 5)

@@ -1,10 +1,11 @@
 import ctypes
 import math
+import platform
 
 import numpy as np
 import pytest
 
-from blas_threads import lines_at_1_and_2_blas_threads
+from blas_threads import kernels_picked_at_run_time, lines_at_1_and_2_blas_threads, lines_in_children
 from codes import Activation, records
 from convmp import _native, core, dict_learn
 from convmp._native import POWER_CONVERGED, POWER_ZERO
@@ -373,6 +374,24 @@ class TestPcaTopComponent:
         assert len(one) == len(two) == 3
         assert [a for a, b in zip(one, two) if a != b] == []
 
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                        or not kernels_picked_at_run_time(),
+                        reason="OPENBLAS_CORETYPE picks a kernel of numpy's own x86-64 OpenBLAS")
+    def test_the_refit_has_the_same_bits_under_the_prescott_blas_kernel(self):
+        # OPENBLAS_CORETYPE swaps the BLAS kernels a CPU would pick, so one
+        # host shows what another CPU would; every x86-64 CPU runs Prescott's.
+        # Normalizing the start with BLAS ddot changed the bytes at dims 36 and 64.
+        script = (
+            "import numpy as np\n"
+            "from convmp.dict_learn import pca_top_component\n"
+            "for dim in (16, 36, 64, 128, 256):\n"
+            "    rows = np.random.default_rng(dim).normal(size=(40, dim))\n"
+            "    print(dim, pca_top_component(rows).tobytes().hex())\n"
+        )
+        usual, prescott = lines_in_children(script, [{}, {"OPENBLAS_CORETYPE": "Prescott"}])
+        assert len(usual) == len(prescott) == 5
+        assert [a.split()[0] for a, b in zip(usual, prescott) if a != b] == []
+
     def test_warns_when_the_iteration_cap_is_reached(self, caplog, monkeypatch):
         rng = np.random.default_rng(57)
         patches = [rng.normal(size=(1, 3, 3)) for _ in range(20)]
@@ -719,13 +738,13 @@ class TestEncodeAll:
 
     def test_a_prepared_bank_holds_read_only_copies(self):
         rng = np.random.default_rng(73)
-        bank = normalize_filters(rng.normal(size=(2, 1, 3, 3)))  # weights: a view, one channel
+        bank = normalize_filters(rng.normal(size=(2, 1, 3, 3)))
         image = rng.normal(size=(1, 8, 9))
         prepared = prepare_bank(bank)
         want = records(conv_mp_encode(bank, image, 4))
         bank[0] = -bank[0]  # as train's filter updates do, after the sweep
         assert records(conv_mp_encode(prepared, image, 4)) == want
-        for a in (prepared.array, prepared.weights, prepared.table):
+        for a in (prepared.array, prepared.table):
             assert not a.flags.writeable
         with pytest.raises(AttributeError):
             prepared.table = build_shift_gram(bank)

@@ -207,7 +207,8 @@ def test_the_baseline_and_scalar_power_iterations_give_the_dispatched_bits(tmp_p
     # it; -DCONVMP_NO_AVX512F leaves only the baseline build (two-lane SSE2
     # on x86-64), and -fno-tree-vectorize makes that one lane at a time. Sets
     # with a dim of 8 or more, and not a multiple of 8, run whole lanes and a
-    # tail; row counts that are not a multiple of 4 run the last rows alone.
+    # tail; power gathers every row alone, so the row counts, 1 to 300, only
+    # vary how many gathers a step makes.
     rng = np.random.default_rng(63)
     sets = [rng.normal(size=shape) for shape in
             [(1, 1), (3, 7), (9, 13), (17, 128), (40, 256), (300, 61), (25, 8)]]
