@@ -1,8 +1,8 @@
 """Build and load _native.c, the compiled kernels, on first use.
 
 The library is built with the C compiler Python was built with (sysconfig's
-CC) and named by a hash of the source, the flags, the compiler setting and
-the platform tag, so an edited source or another Python gets its own build.
+CC, else cc) and named by a hash of the source, the flags and the platform
+tag, so an edited source or another Python gets its own build.
 It goes into this package's __pycache__, as bytecode does, or into a
 per-user cache directory (mode 0700) when that is not writable. A build
 writes a temporary file and installs it with os.replace, so processes
@@ -19,8 +19,6 @@ import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
-# The compiler command; None means the one Python was built with.
-CC = None
 # No -ffast-math or -march=native: the kernels must give the same bits everywhere.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("_native.c")
@@ -58,7 +56,7 @@ def library() -> ctypes.CDLL:
 def _library() -> Path:
     # zlib, not hashlib: numpy has loaded zlib already, while hashlib maps
     # OpenSSL, ≈3.5 MB of resident memory for one 32-bit name
-    key = zlib.crc32(SOURCE.read_bytes() + repr((FLAGS, CC, EXTENSION_SUFFIXES[0])).encode())
+    key = zlib.crc32(SOURCE.read_bytes() + repr((FLAGS, EXTENSION_SUFFIXES[0])).encode())
     name = f"_native-{key:08x}.so"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "convmp"
     places = [SOURCE.parent / "__pycache__", cache]
@@ -84,7 +82,7 @@ def _build(target: Path) -> Path:
 
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
     os.close(fd)
-    cc = shlex.split(CC or sysconfig.get_config_var("CC") or "cc")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     command = [*cc, *FLAGS, str(SOURCE), "-o", tmp]
     try:
         done = subprocess.run(command, capture_output=True, text=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps, prepare_bank
+from .conv_mp import conv_mp_encode, correlate, greedy_steps, prepare_bank
 from .core import (
     ConfigError, DataError, check_count, normalize_filters, reconstruct, residual_energy,
 )
@@ -182,9 +182,9 @@ def run_bench(
     h, w = image_dims
     fh, fw = filter_dims
     rng = np.random.default_rng(seed)
-    bank = normalize_filters(rng.normal(size=(k, 1, fh, fw)))
+    bank = prepare_bank(normalize_filters(rng.normal(size=(k, 1, fh, fw))))
     image = rng.normal(size=(1, h, w))
-    table = build_shift_gram(bank)
+    table = bank.table
     maps = correlate(bank, image)
     # copies in correlate's filter-innermost layout, which greedy_steps updates in place
     greedy_steps(maps.copy(order="K"), table, max(q_list))  # warm caches before timing

@@ -27,11 +27,10 @@ as np.abs(maps).argmax() picks them. The steps come out as one
 core.ACTIVATION array, the form a SparseCode holds.
 
 An encoding sweep checks its bank once: prepare_bank returns a
-core.PreparedBank, read-only copies of the bank and its shift table, which
-correlate, build_shift_gram, conv_mp_encode and core.reconstruct take
-without checking again; like the maps and the table, the bank is stored in
-the order correlate reads it, (k, h_f, c, w_f). conv_mp_encode takes no
-table: it prepares the bank it is given, so the table always is the bank's.
+core.PreparedBank, a read-only copy of the bank stored in correlate's
+(k, h_f, c, w_f) order, as the maps and the table are, which correlate,
+build_shift_gram, conv_mp_encode and core.reconstruct take unchecked. It
+builds its shift table on first read and keeps it: a table is its bank's.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ._native import library
 from .core import (
-    ACTIVATION, CheckedBank, ConfigError, DataError, PreparedBank, SparseCode,
+    ACTIVATION, ConfigError, DataError, PreparedBank, SparseCode,
     as_bank, as_image, check_count, check_tolerance,
 )
 
@@ -115,17 +114,15 @@ def correlate(bank, image) -> np.ndarray:
 
 
 def prepare_bank(bank) -> PreparedBank:
-    """Check a bank once, unit norm included, and build its shift table once,
-    for the calls of one encoding sweep. Both are read-only copies, the bank
-    stored in correlate's (k, h_f, c, w_f) tap order, so changing bank later
-    does not reach them. A PreparedBank is returned as it is."""
+    """Check a bank once, unit norm included, for the calls of one encoding
+    sweep. The PreparedBank holds a read-only copy, stored in correlate's
+    (k, h_f, c, w_f) tap order, so changing bank later reaches neither it
+    nor the shift table built from it. A PreparedBank is returned as it is."""
     if isinstance(bank, PreparedBank):
         return bank
     array = as_bank(bank).transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
-    table = build_shift_gram(CheckedBank(array))
-    for a in (array, table):
-        a.flags.writeable = False
-    return PreparedBank(array, table)
+    array.flags.writeable = False
+    return PreparedBank(array)
 
 
 def build_shift_gram(bank) -> np.ndarray:
@@ -212,11 +209,11 @@ def greedy_steps(maps, table, max_steps: int, tolerance: float = 0.0) -> np.ndar
 def conv_mp_encode(bank, image, q: int, residual_tolerance: float = 0.0) -> SparseCode:
     """Greedily encode an image with at most q activations.
 
-    The bank is checked and its shift table built by prepare_bank; a
-    PreparedBank is used as it is, so a sweep over many images pays for
-    both once. The image is correlated with the bank once (correlate
-    validates it); afterwards the correlation maps are maintained through
-    the table's lookups.
+    The bank is checked by prepare_bank; a PreparedBank is used as it is,
+    and builds its shift table on its first encode, so a sweep over many
+    images pays for both once. The image is correlated with the bank once
+    (correlate validates it); afterwards the correlation maps are
+    maintained through the table's lookups.
     """
     bank = prepare_bank(bank)
     check_count("q", q)

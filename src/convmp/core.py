@@ -18,6 +18,7 @@ are never mutated; operations are pure. Configs check themselves when built.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -107,31 +108,30 @@ def as_image(arr, name: str = "image") -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CheckedBank:
-    """A filter bank that passed as_bank's checks, unit norm included
-    (conv_mp.prepare_bank makes one): a read-only copy of the array. as_bank
-    returns its array unchecked, so the functions that take a bank skip the
-    checks it passed."""
+class PreparedBank:
+    """A filter bank that passed as_bank's checks, unit norm included, as a
+    read-only copy (conv_mp.prepare_bank makes one), so as_bank returns its
+    array unchecked. Its shift table is built from the array on first read
+    and kept read-only, so a bank's table cannot belong to another bank."""
 
     array: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.array.shape
+        return self.array.shape  # perfbench's correlate hook reads a bank's shape
 
-
-@dataclass(frozen=True, eq=False)
-class PreparedBank(CheckedBank):
-    """A CheckedBank with its shift table, for the calls of one encoding
-    sweep; conv_mp.conv_mp_encode uses it as it is."""
-
-    table: np.ndarray
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        from .conv_mp import build_shift_gram  # here, as conv_mp imports this module
+        table = build_shift_gram(self)
+        table.flags.writeable = False
+        return table
 
 
 def as_bank(arr, name: str = "bank", unit_norm: bool = True) -> np.ndarray:
     """Validate an array as a (count, channels, h_f, w_f) filter bank; a
-    CheckedBank's array passed these checks when it was made."""
-    if isinstance(arr, CheckedBank):
+    PreparedBank's array passed these checks when it was made."""
+    if isinstance(arr, PreparedBank):
         return arr.array
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 4:

@@ -2,8 +2,8 @@
 update each filter as the top principal direction of its activated patches.
 
 init_filters checks the corpus once, where it enters. One epoch checks
-the current bank once (conv_mp.prepare_bank, which also builds its shift
-table), encodes and reconstructs every image with it, then sweeps the
+the current bank once (conv_mp.prepare_bank; the first encode builds its
+shift table), encodes and reconstructs every image with it, then sweeps the
 filters in ascending index order (Gauss-Seidel: each update sees
 residuals reflecting the ones before it). For a filter j, every image
 location where j is active contributes the patch the filter is trying to
@@ -83,12 +83,15 @@ def _draw_unit_patch(images, fh: int, fw: int, rng: np.random.Generator) -> np.n
         c = int(rng.integers(img.shape[2] - fw + 1))
         patch = img[:, r : r + fh, c : c + fw]
         with np.errstate(over="ignore"):  # an overflow is reported below
-            norm = float(np.sqrt(np.sum(patch * patch)))
-        if not math.isfinite(norm):
+            energy = float(np.sum(patch * patch))
+        if not math.isfinite(energy):
             raise DataError(f"the norm of a {fh}x{fw} corpus patch overflows float64; "
                             "scale the corpus down")
-        if norm > 0.0:
-            return patch / norm
+        if energy >= np.finfo(float).tiny:  # below it, as in power, the norm is inexact
+            return patch / math.sqrt(energy)
+        if patch.any():
+            raise DataError(f"the norm of a nonzero {fh}x{fw} corpus patch underflows "
+                            "float64; scale the corpus up")
     raise DataError(
         f"could not draw a nonzero {fh}x{fw} patch in {_REDRAW_LIMIT} tries; "
         "is the corpus all zero?"

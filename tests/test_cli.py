@@ -269,6 +269,14 @@ class TestManifestIsWrittenLast:
         assert "underflow float64; scale the corpus up" in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
 
+    def test_a_train_whose_patch_norms_underflow_exits_3_and_leaves_no_manifest(self, tmp_path,
+                                                                               capsys):
+        # at 2^-540 init_filters' patches are nonzero, but their sums of squares are 0
+        assert self._train_scaled(tmp_path, 2.0**-540, 1) == 3
+        err = capsys.readouterr().err
+        assert "patch underflows float64; scale the corpus up" in err and "all zero" not in err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_a_train_whose_refit_norm_is_subnormal_exits_3_and_leaves_no_manifest(
             self, tmp_path, capsys):
         # patches near 1e-80: |y|^2 is subnormal, so y / |y| would leave a
@@ -372,7 +380,7 @@ class TestEncodeReconstruct:
         as_bank, filter_norms = convmp.core.as_bank, convmp.core.filter_norms
 
         def counted_as_bank(bank, *args, **kwargs):
-            counts["plain bank"] += not isinstance(bank, convmp.core.CheckedBank)
+            counts["plain bank"] += not isinstance(bank, convmp.core.PreparedBank)
             return as_bank(bank, *args, **kwargs)
 
         def counted_norms(bank):

@@ -7,11 +7,12 @@ import pytest
 
 from blas_threads import kernels_picked_at_run_time, lines_at_1_and_2_blas_threads, lines_in_children
 from codes import Activation, records
-from convmp import _native, core, dict_learn
+from convmp import _native, conv_mp, core, dict_learn
 from convmp._native import POWER_CONVERGED, POWER_ZERO
 from convmp.conv_mp import build_shift_gram, conv_mp_encode, prepare_bank
 from convmp.core import (
     DataError,
+    PreparedBank,
     SparseCode,
     TrainConfig,
     normalize_filters,
@@ -150,6 +151,15 @@ class TestInitFilters:
         # each sample is finite, but a 3x3 patch's sum of squares is 9e400
         with pytest.raises(DataError, match="norm of a 3x3 corpus patch overflows"):
             init_filters([np.full((1, 6, 6), 1e200)], make_cfg())
+
+    @pytest.mark.parametrize("exponent", [-540, -520])
+    def test_a_nonzero_patch_whose_norm_underflows_is_a_data_error(self, exponent):
+        # at 2^-540 a 3x3 patch's sum of squares is 0, at 2^-520 subnormal,
+        # where its square root is inexact: the corpus is not all zero
+        images = [2.0**exponent * np.random.default_rng(43).normal(size=(1, 24, 24))]
+        with pytest.raises(DataError, match="nonzero 3x3 corpus patch underflows float64; "
+                                            "scale the corpus up"):
+            init_filters(images, make_cfg())
 
 
 class TestCollectActivatedPatches:
@@ -748,6 +758,43 @@ class TestEncodeAll:
             assert not a.flags.writeable
         with pytest.raises(AttributeError):
             prepared.table = build_shift_gram(bank)
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """Counts of shift-table builds (conv_mp.build_shift_gram), from here on."""
+        counts = {"tables": 0}
+        build = conv_mp.build_shift_gram
+
+        def counted_build(bank):
+            counts["tables"] += 1
+            return build(bank)
+
+        monkeypatch.setattr(conv_mp, "build_shift_gram", counted_build)
+        return counts
+
+    def test_a_prepared_bank_derives_its_table_and_takes_no_other(self):
+        bank = normalize_filters(np.random.default_rng(74).normal(size=(2, 1, 3, 3)))
+        prepared = prepare_bank(bank)
+        with pytest.raises(TypeError):
+            PreparedBank(prepared.array, build_shift_gram(bank))
+        # perfbench's correlate hook reads a bank's shape to count its flops
+        assert prepared.shape == bank.shape
+
+    def test_a_bank_prepared_only_to_reconstruct_builds_no_table(self, tables):
+        rng = np.random.default_rng(75)
+        prepared = prepare_bank(normalize_filters(rng.normal(size=(3, 2, 4, 4))))
+        code = SparseCode(2, 9, 9, [Activation(1, 2, 3, 0.5), Activation(0, 5, 0, -1.5)])
+        reconstruct(code, prepared)
+        assert tables == {"tables": 0}
+
+    def test_a_sweep_builds_one_table_the_banks_own(self, tables):
+        rng = np.random.default_rng(76)
+        bank = normalize_filters(rng.normal(size=(3, 2, 4, 4)))
+        images = [rng.normal(size=(2, 11, 12)) for _ in range(4)]
+        prepared = prepare_bank(bank)
+        encode_all(prepared, images, 5)
+        assert tables == {"tables": 1}
+        assert prepared.table.tobytes() == build_shift_gram(bank).tobytes()
 
     def test_a_bank_off_unit_norm_is_rejected_once(self):
         bank = 2 * normalize_filters(np.random.default_rng(72).normal(size=(2, 1, 3, 3)))

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -115,8 +116,15 @@ def rebuild(tmp_path, monkeypatch):
 def test_a_missing_compiler_is_a_named_error_without_a_traceback(
     inputs, rebuild, monkeypatch, capsys
 ):
-    monkeypatch.setattr(_native, "CC", "convmp-no-such-compiler -O0")
-    before = sorted((_native.SOURCE.parent / "__pycache__").glob("_native-*"))
+    # a copy of the package has no build of its own, so the encode builds one
+    package = fresh_package(inputs)
+    monkeypatch.setattr(_native, "SOURCE", package / "_native.c")
+    (package / "__pycache__").mkdir()
+    other = package / "__pycache__" / "_native-00000000.so"
+    other.write_bytes(b"an earlier build")
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "convmp-no-such-compiler -O0"
+                        if name == "CC" else config_var(name))
     assert main(encode_argv(inputs, "failed.code")) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: building the native library failed: "
@@ -125,7 +133,7 @@ def test_a_missing_compiler_is_a_named_error_without_a_traceback(
     assert "Traceback" not in err
     assert not (inputs / "failed.code").exists()
     # a failed build leaves no file behind and removes no other build
-    assert sorted((_native.SOURCE.parent / "__pycache__").glob("_native-*")) == before
+    assert list((package / "__pycache__").glob("_native-*")) == [other]
 
 
 def test_a_compiler_error_quotes_the_compilers_stderr(tmp_path, rebuild, monkeypatch):
