@@ -78,6 +78,5 @@ def test_outputs_have_the_golden_bits_under_the_prescott_kernel():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     key = (np.__version__, blas["version"])
     if key not in GOLDEN:
-        print(f"golden hashes for {key}: {got}")
         pytest.skip(f"no golden hashes for numpy {key[0]} with OpenBLAS {key[1]}; got {got}")
     assert got == GOLDEN[key]
