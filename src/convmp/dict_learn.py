@@ -295,36 +295,41 @@ def train(images, cfg: TrainConfig, threads: int = 1) -> tuple[np.ndarray, Train
     """
     imgs = [np.asarray(im, dtype=np.float64) for im in images]
     bank = init_filters(imgs, cfg)
-    fh, fw = cfg.filter_height, cfg.filter_width
+    stats = TrainStats()
+    rng = np.random.default_rng([cfg.seed, 1])  # reinit draws, distinct stream
+    for epoch in range(cfg.epochs):
+        _epoch(bank, imgs, cfg, rng, stats, epoch)
+    return bank, stats
+
+
+def _epoch(bank, imgs, cfg: TrainConfig, rng, stats: TrainStats, epoch: int) -> None:
+    """train's epoch: encode, record stats, sweep the filters (bank in place,
+    reinits drawn from rng). bank and rng are all it hands the next epoch."""
+    # checked once for the sweep's encodes and reconstructions; the
+    # filter updates below change bank, so the next epoch prepares it again
+    prepared = prepare_bank(bank)
+    codes = encode_all(prepared, imgs, cfg.sparsity, cfg.residual_tolerance)
     residual = np.empty(sum(im.size for im in imgs))  # every image's residual, back to back
     bounds = np.cumsum([0] + [im.size for im in imgs])
     views = [residual[a:b].reshape(im.shape) for a, b, im in zip(bounds, bounds[1:], imgs)]
-    stats = TrainStats()
-    rng = np.random.default_rng([cfg.seed, 1])  # reinit draws, distinct stream
+    for im, code, view in zip(imgs, codes, views):
+        np.subtract(im, reconstruct(code, prepared), out=view)
+    energy = float(sum(np.sum(np.square(r)) for r in views))
+    filters = np.concatenate([code.activations["filter_index"] for code in codes])
+    counts = np.bincount(filters, minlength=cfg.num_filters).tolist()
+    stats.epoch_energy.append(energy)
+    stats.activation_counts.append(counts)
+    if max(counts) == 0:
+        raise DataError(
+            "every filter is dead: no activations were produced this epoch "
+            "(all-zero corpus or residual_tolerance too high)"
+        )
+    stats.reinit_events += [(epoch, j) for j in _sweep(bank, codes, residual, imgs, rng, cfg)]
+    logger.info("%s", stats.line(epoch))
 
-    for epoch in range(cfg.epochs):
-        # checked once for the sweep's encodes and reconstructions; the
-        # filter updates below change bank, so the next epoch prepares it again
-        prepared = prepare_bank(bank)
-        codes = encode_all(prepared, imgs, cfg.sparsity, cfg.residual_tolerance)
-        for im, code, view in zip(imgs, codes, views):
-            np.subtract(im, reconstruct(code, prepared), out=view)
 
-        energy = float(sum(np.sum(np.square(r)) for r in views))
-        filters = np.concatenate([code.activations["filter_index"] for code in codes])
-        counts = np.bincount(filters, minlength=cfg.num_filters).tolist()
-        stats.epoch_energy.append(energy)
-        stats.activation_counts.append(counts)
-        if max(counts) == 0:
-            raise DataError(
-                "every filter is dead: no activations were produced this epoch "
-                "(all-zero corpus or residual_tolerance too high)"
-            )
-
-        windows = filter_windows(codes, cfg.num_filters, fh, fw)
-        for j, (index, coefs) in enumerate(windows):
-            if update_filter(bank, j, index, coefs, residual, imgs, rng, cfg.min_activations):
-                stats.reinit_events.append((epoch, j))
-        logger.info("%s", stats.line(epoch))
-
-    return bank, stats
+def _sweep(bank, codes, residual, imgs, rng, cfg: TrainConfig) -> list[int]:
+    """Update every filter in index order; the filters reinitialized."""
+    windows = filter_windows(codes, cfg.num_filters, cfg.filter_height, cfg.filter_width)
+    return [j for j, (index, coefs) in enumerate(windows)
+            if update_filter(bank, j, index, coefs, residual, imgs, rng, cfg.min_activations)]

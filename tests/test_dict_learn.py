@@ -867,6 +867,30 @@ class TestTrain:
         assert len(one) == len(two) == 6
         assert [a for a, b in zip(one, two) if a != b] == []
 
+    def test_resuming_after_epoch_1_from_the_bank_bytes_and_rng_state_gives_trains_bytes(self):
+        # the state an epoch hands the next is the bank and the reinit RNG:
+        # resume from their saved bytes in fresh objects and finish the run
+        rng = np.random.default_rng(1)
+        images = [rng.normal(size=(1, 12, 12)) for _ in range(3)]
+        cfg = TrainConfig(5, 3, 3, 6, epochs=3, seed=1, min_activations=3)
+        want_bank, want = train(images, cfg)
+        assert [e for e, _ in want.reinit_events].count(2) >= 1  # the resumed epoch redraws
+
+        bank, stats = init_filters(images, cfg), dict_learn.TrainStats()
+        reinit = np.random.default_rng([cfg.seed, 1])
+        for epoch in range(2):
+            dict_learn._epoch(bank, images, cfg, reinit, stats, epoch)
+        saved, state = bank.tobytes(), reinit.bit_generator.state
+        bank = np.frombuffer(saved).reshape(bank.shape).copy()
+        reinit = np.random.default_rng()
+        reinit.bit_generator.state = state
+        stats = dict_learn.TrainStats(list(stats.epoch_energy), list(stats.activation_counts),
+                                      list(stats.reinit_events))
+        dict_learn._epoch(bank, images, cfg, reinit, stats, 2)
+        assert bank.tobytes() == want_bank.tobytes()
+        assert stats.lines() == want.lines()
+        assert stats.reinit_events == want.reinit_events
+
     def test_counts_sum_to_steps_taken(self):
         rng = np.random.default_rng(55)
         images = [rng.normal(size=(1, 10, 10)) for _ in range(3)]
