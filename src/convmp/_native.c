@@ -1,7 +1,10 @@
 /* convmp's compiled kernels, built on first use by _native.py and called
-through ctypes: pursue, the pursuit loop of conv_mp.greedy_steps, and
-power, the power iteration of dict_learn.pca_top_component. Both are built
-with -ffp-contract=off, so no fused multiply-add changes a rounding.
+through ctypes: pursue, the pursuit loop of conv_mp.greedy_steps; power,
+the power iteration of dict_learn.pca_top_component; and the filter
+sweep's reconstruct, collect and repair (core.reconstruct, the patch
+gather of dict_learn.collect_activated_patches and the residual repair of
+dict_learn.update_filter). All are built with -ffp-contract=off, so no
+fused multiply-add changes a rounding.
 
 pursue runs over a per-tile max cache. The maps are stored
 filter-innermost, (hv, wv, k), and the shift table (k, th, tw, k) with the
@@ -41,6 +44,11 @@ reorder; it is built twice, for the baseline target (two-lane SSE2 on
 x86-64) and for AVX-512F (one register per dot product), and a run-time CPU
 check picks the second where the CPU has it. Both give the same bits, and no
 BLAS routine runs, so neither does a BLAS build or thread count change them.
+
+reconstruct, collect and repair keep the bits of the numpy they replaced:
+one multiply and one add (or subtract) per sample, and a sample that
+several windows or activations touch takes its terms in their order, as
+np.bincount, np.add.at and np.subtract.at add them.
 */
 
 #ifdef __SSE2__
@@ -381,4 +389,100 @@ int power(const double *rows, ptrdiff_t n, ptrdiff_t dim, double *v, double *y,
         return iterate_avx512f(rows, n, dim, v, y, max_iter, tolerance, iterations);
 #endif
     return iterate(rows, n, dim, v, y, max_iter, tolerance, iterations);
+}
+
+
+/* ---- reconstruct, collect and repair ---- */
+
+/* One window of dict_learn's flat residual buffer: its first sample, and
+   the width and plane size (height * width) of its image. */
+typedef struct {
+    intptr_t start, width, plane;
+} Window;
+
+/* x += a * f over the c x fh x fw window at x of an image with the given
+   width and plane size; f's taps lie at the element strides fs (channel,
+   row, column). One multiply and one add per sample, as numpy's. */
+static void add_window(double *x, ptrdiff_t width, ptrdiff_t plane, double a, const double *f,
+                       const ptrdiff_t *fs, ptrdiff_t c, ptrdiff_t fh, ptrdiff_t fw)
+{
+    for (ptrdiff_t ch = 0; ch < c; ch++)
+        for (ptrdiff_t r = 0; r < fh; r++) {
+            double *row = x + ch * plane + r * width;
+            const double *taps = f + ch * fs[0] + r * fs[1];
+            for (ptrdiff_t col = 0; col < fw; col++)
+                row[col] += a * taps[col * fs[2]];
+        }
+}
+
+/* Paste the n steps of a code into out, its zeroed (c, h, w) image: each
+   step adds coefficient * filter at its position, the steps in order, so
+   each sample sums its terms in activation order from +0.0, as np.bincount
+   does. The (k, c, fh, fw) bank's taps lie at the element strides bs. */
+void reconstruct(const Step *steps, ptrdiff_t n, const double *bank, const ptrdiff_t *bs,
+                 ptrdiff_t c, ptrdiff_t fh, ptrdiff_t fw, ptrdiff_t h, ptrdiff_t w, double *out)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        add_window(out + steps[i].row * w + steps[i].col, w, h * w, steps[i].coefficient,
+                   bank + steps[i].filter_index * bs[0], bs + 1, c, fh, fw);
+}
+
+/* Whether each of the n windows, c x fh x fw, lies in a buffer of size
+   samples: its image rows hold fw samples, its planes fh rows, and its
+   first and last samples are in the buffer. */
+static int fit(const Window *windows, ptrdiff_t n, ptrdiff_t size, ptrdiff_t c, ptrdiff_t fh,
+               ptrdiff_t fw)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const Window g = windows[i];
+        if (g.start < 0 || g.start > size || g.plane > size || g.width < fw ||
+            g.plane / fh < g.width || g.start + (c - 1) * g.plane + (fh - 1) * g.width + fw > size)
+            return 0;
+    }
+    return 1;
+}
+
+/* Row i of the (n, c*fh*fw) patches is window i of residual, a buffer of
+   size samples, plus coefs[i] * f, in the window's C order; f is a
+   C-contiguous filter. Returns -1, writing nothing, if a window does not
+   fit the buffer, else 0. */
+int collect(const double *residual, ptrdiff_t size, const Window *windows, ptrdiff_t n,
+            const double *coefs, const double *f, ptrdiff_t c, ptrdiff_t fh, ptrdiff_t fw,
+            double *patches)
+{
+    if (!fit(windows, n, size, c, fh, fw))
+        return -1;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const Window g = windows[i];
+        const double *tap = f;
+        for (ptrdiff_t ch = 0; ch < c; ch++)
+            for (ptrdiff_t r = 0; r < fh; r++) {
+                const double *row = residual + g.start + ch * g.plane + r * g.width;
+                for (ptrdiff_t col = 0; col < fw; col++)
+                    *patches++ = row[col] + coefs[i] * *tap++;
+            }
+    }
+    return 0;
+}
+
+/* Repair residual, a buffer of size samples, after filter old became new:
+   add coefs[i] * old over every window i in order, then subtract
+   proj[i] * new over every window in order, as np.add.at and then
+   np.subtract.at do; the two passes are not interleaved. r + (-p * t) is
+   r - p * t bit for bit. The filters are C-contiguous. Returns -1, writing
+   nothing, if a window does not fit the buffer, else 0. */
+int repair(double *residual, ptrdiff_t size, const Window *windows, ptrdiff_t n, ptrdiff_t c,
+           ptrdiff_t fh, ptrdiff_t fw, const double *coefs, const double *old, const double *proj,
+           const double *new)
+{
+    const ptrdiff_t fs[3] = {fh * fw, fw, 1};
+    if (!fit(windows, n, size, c, fh, fw))
+        return -1;
+    for (ptrdiff_t i = 0; i < n; i++)
+        add_window(residual + windows[i].start, windows[i].width, windows[i].plane, coefs[i], old,
+                   fs, c, fh, fw);
+    for (ptrdiff_t i = 0; i < n; i++)
+        add_window(residual + windows[i].start, windows[i].width, windows[i].plane, -proj[i], new,
+                   fs, c, fh, fw);
+    return 0;
 }

@@ -32,9 +32,12 @@ class BuildError(RuntimeError):
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The loaded library, building it if needed, with its two entry points
+    """The loaded library, building it if needed, with its five entry points
     declared: pursue(maps, k, hv, wv, table, fh, fw, max_steps, tolerance,
-    out) and power(rows, n, dim, v, y, max_iter, tolerance, iterations)."""
+    out), power(rows, n, dim, v, y, max_iter, tolerance, iterations),
+    reconstruct(steps, n, bank, strides, c, fh, fw, h, w, out),
+    collect(residual, size, windows, n, coefs, f, c, fh, fw, patches) and
+    repair(residual, size, windows, n, c, fh, fw, coefs, old, proj, new)."""
     path = _library()
     try:
         loaded = ctypes.CDLL(str(path))
@@ -50,6 +53,11 @@ def library() -> ctypes.CDLL:
     loaded.power.argtypes = [pointer, size, size, pointer, pointer, size, double,
                              ctypes.POINTER(size)]
     loaded.power.restype = ctypes.c_int
+    loaded.reconstruct.argtypes = [pointer, size, pointer, pointer, *[size] * 5, pointer]
+    loaded.reconstruct.restype = None
+    loaded.collect.argtypes = [pointer, size, pointer, size, pointer, pointer, *[size] * 3, pointer]
+    loaded.repair.argtypes = [pointer, size, pointer, *[size] * 4, *[pointer] * 4]
+    loaded.collect.restype = loaded.repair.restype = ctypes.c_int
     return loaded
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
+
 UNIT_NORM_ATOL = 1e-10  # the one filter-norm tolerance: loaders, encoder and saver agree
 
 
@@ -176,26 +178,22 @@ def check_compatible(code: SparseCode, bank: np.ndarray) -> None:
         raise ConfigError(f"activation {i}: {name} {acts[name][i]} outside {where}")
 
 
-def window_offsets(shape, fh: int, fw: int) -> np.ndarray:
-    """Flat C-order offsets of the samples under an fh x fw window at (0, 0)
-    of a (c, h, w) image, in the window's own C order."""
-    c, h, w = shape
-    window = np.arange(c)[:, None, None] * (h * w) + np.arange(fh)[:, None] * w
-    return (window + np.arange(fw)).ravel()
-
-
 def reconstruct(code: SparseCode, bank: np.ndarray) -> np.ndarray:
-    """Sum of coefficient-scaled filters pasted at their activation positions."""
-    bank = as_bank(bank, unit_norm=False)
+    """Sum of coefficient-scaled filters pasted at their activation positions.
+
+    One pass in C (_native.c's reconstruct) over the activations in order,
+    reading the bank where it lies: each sample sums its terms in
+    activation order from +0.0, as pasting one by one would."""
+    bank = np.require(as_bank(bank, unit_norm=False), requirements="A")
     check_compatible(code, bank)
-    k, c, fh, fw = bank.shape
+    _, c, fh, fw = bank.shape
     h, w = code.image_height, code.image_width
-    # One scatter: bincount adds its weights in index order, so each sample
-    # sums its contributions in activation order, as pasting one by one would.
-    acts = code.activations
-    index = (acts["row"] * w + acts["col"])[:, None] + window_offsets((c, h, w), fh, fw)
-    values = acts["coefficient"][:, None] * bank.reshape(k, -1)[acts["filter_index"]]
-    return np.bincount(index.ravel(), values.ravel(), minlength=c * h * w).reshape(c, h, w)
+    acts = np.require(code.activations, requirements=("C", "A"))
+    strides = np.array(bank.strides, dtype=np.intp) // bank.itemsize
+    out = np.zeros((c, h, w))
+    _native.library().reconstruct(acts.ctypes.data, len(acts), bank.ctypes.data,
+                                  strides.ctypes.data, c, fh, fw, h, w, out.ctypes.data)
+    return out
 
 
 def residual_energy(image, code: SparseCode, bank: np.ndarray) -> float:

@@ -15,15 +15,15 @@ image minus reconstruction. Codes are not rewritten: the next epoch
 encodes afresh.
 
 The residuals of all images live in one flat float64 buffer, images back
-to back. filter_windows reads the fields of the codes' ACTIVATION arrays,
-groups the epoch's activations in one pass and gives each filter's
-distinct windows as one (n, c*h_f*w_f) index of flat samples, so
-collecting its patches is one gather and the repair is two ordered
-scatters, np.add.at then np.subtract.at. Each sample takes its updates in
-the order a loop over the positions would apply them, so the repair gives
-that loop's bits. The principal direction comes from power iteration on
-the (n, dim) patch rows themselves, two matrix-vector products per step,
-so no Gram matrix is formed; the loop runs in C (_native.c's power).
+to back. filter_windows groups the epoch's activations in one pass and
+gives each filter's distinct windows by their flat starts. The residual,
+the gather of a filter's patches and their repair run in C (_native.c's
+reconstruct, collect and repair) with numpy's bits and no index matrix:
+the repair adds back every old contribution, then subtracts every new one,
+each pass in window order, as a loop over the positions would. The
+principal direction comes from power iteration on the (n, dim) patch rows
+themselves, with no Gram matrix, also in C (power); np.vecdot's
+re-projection is the sweep's one BLAS call.
 
 The alternation is not guaranteed to decrease the energy (the encoding
 subproblem is not convex); TrainStats records per-epoch energy so the
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _native
 from .conv_mp import conv_mp_encode, prepare_bank
-from .core import DataError, TrainConfig, as_image, reconstruct, window_offsets
+from .core import ConfigError, DataError, TrainConfig, as_image, reconstruct
 
 logger = logging.getLogger(__name__)
 
@@ -124,44 +124,58 @@ def filter_windows(codes, num_filters: int, fh: int, fw: int):
     """Each filter's distinct windows, for the codes' residuals laid back to
     back in one flat buffer, in code order.
 
-    Yields, for filters 0..num_filters-1 in turn, the (n, c*fh*fw) index of
-    the flat samples under each window and the (n,) coefficients summed
-    there in activation order. Rows follow code order, then first use.
+    Yields, for filters 0..num_filters-1 in turn, the (n, 3) windows (flat
+    start, image width, image plane size: _native.c's Window) and the (n,)
+    coefficients summed there in activation order, in code order, then first use.
     """
     shapes = [(code.channels, code.image_height, code.image_width) for code in codes]
     sizes = [math.prod(shape) for shape in shapes]
     total = sum(sizes)
-    kinds: dict[tuple[int, int, int], int] = {}  # image shape -> its row of the table
-    image_kind = np.array([kinds.setdefault(shape, len(kinds)) for shape in shapes])
-    table = np.stack([window_offsets(shape, fh, fw) for shape in kinds])
     # every code's activations back to back, each keyed by (filter, window start)
     acts = np.concatenate([code.activations for code in codes])
     image = np.repeat(np.arange(len(codes)), [len(code) for code in codes])
-    bases, widths = np.cumsum([0] + sizes[:-1]), np.array(shapes)[:, 2]
-    keys = acts["filter_index"] * total + bases[image] + acts["row"] * widths[image] + acts["col"]
+    bases = np.cumsum([0] + sizes[:-1])
+    dims = np.array([(w, h * w) for _, h, w in shapes], dtype=np.intp)  # width, plane
+    keys = acts["filter_index"] * total + bases[image] + acts["row"] * dims[image, 0] + acts["col"]
     # unique finds each window's first use, and bincount sums its
     # coefficients in activation order, as a dict would
     keys, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     sums = np.bincount(inv, acts["coefficient"]).astype(np.float64, copy=False)  # empty: int64
     order = np.lexsort((first, keys // total))  # by filter, then first use
-    keys, sums, kind = keys[order], sums[order], image_kind[image[first[order]]]
+    keys, sums = keys[order], sums[order]
+    windows = np.column_stack((keys % total, dims[image[first[order]]]))
     bounds = np.searchsorted(keys // total, np.arange(num_filters + 1))
     for lo, hi in zip(bounds, bounds[1:]):
-        index = table[kind[lo:hi]]
-        index += keys[lo:hi, None] % total
-        yield index, sums[lo:hi]
+        yield windows[lo:hi], sums[lo:hi]
 
 
-def collect_activated_patches(residual, index, coefs, filt) -> np.ndarray:
-    """The (n, c*fh*fw) patches a filter should explain at its positions, in
-    index order: each residual window plus the filter's own contribution.
-
-    residual is the flat buffer index points into; the caller maintains it
-    as image - reconstruction.
-    """
-    patches = residual[index]
-    patches += coefs[:, None] * filt.ravel()
+def collect_activated_patches(residual, windows, coefs, filt) -> np.ndarray:
+    """The (n, c*fh*fw) patches a filter should explain at its windows (as
+    filter_windows yields them) in the flat buffer residual, which the caller
+    maintains as image - reconstruction: each residual window plus the
+    filter's own contribution, in C (_native.c's collect)."""
+    windows, coefs = _check_windows(residual, windows, coefs)
+    filt = np.ascontiguousarray(filt, dtype=np.float64)
+    patches = np.empty((len(windows), filt.size))
+    if _native.library().collect(residual.ctypes.data, residual.size, windows.ctypes.data,
+                                 len(windows), coefs.ctypes.data, filt.ctypes.data, *filt.shape,
+                                 patches.ctypes.data):
+        raise ConfigError(f"a {'x'.join(map(str, filt.shape))} window lies outside the residual")
     return patches
+
+
+def _check_windows(residual, windows, coefs):
+    """windows and coefs as C-contiguous intp and float64 arrays, for a
+    residual that is a writeable C-contiguous float64 buffer: the forms the
+    sweep's kernels read, which also check that each window fits."""
+    if not (residual.dtype == np.float64 and residual.flags.c_contiguous
+            and residual.flags.writeable):
+        raise ConfigError("the residual must be a writeable C-contiguous float64 buffer")
+    windows = np.ascontiguousarray(windows, dtype=np.intp)
+    coefs = np.ascontiguousarray(coefs, dtype=np.float64)
+    if windows.shape != (len(coefs), 3):
+        raise ConfigError(f"windows of shape {windows.shape} do not fit {len(coefs)} coefficients")
+    return windows, coefs
 
 
 def _fix_sign(v: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
@@ -236,7 +250,7 @@ def pca_top_component(patches, prev=None) -> np.ndarray:
 def update_filter(
     bank,
     j: int,
-    index: np.ndarray,
+    windows: np.ndarray,
     coefs: np.ndarray,
     residual: np.ndarray,
     images,
@@ -245,35 +259,31 @@ def update_filter(
 ) -> bool:
     """Replace filter j and repair the flat residual buffer in place.
 
-    index and coefs are filter j's windows as filter_windows yields them
+    windows and coefs are filter j's as filter_windows yields them
     (possibly none). With enough activated positions the new filter is the
     top principal direction of their patches; otherwise the filter is dead
     and is reinitialized from a random data patch. Either way each
     coefficient of j is re-projected onto the new filter, and the residual
     gets back all old contributions of j, then loses all new ones, so it
-    stays image - reconstruction. np.add.at applies repeated indices in
-    order, so each sample takes its updates in the order a loop over the
-    positions would. Returns True when the dead-filter path was taken. bank
-    and residual are updated in place.
+    stays image - reconstruction; each pass runs in window order (_native.c's
+    repair), as a loop over the positions would. Returns True when the
+    dead-filter path was taken. bank and residual are updated in place.
     """
-    _, _, fh, fw = bank.shape
-    old_w = bank[j].copy()
-    patches = collect_activated_patches(residual, index, coefs, old_w)
+    _, c, fh, fw = bank.shape
+    old_w = np.array(bank[j], dtype=np.float64)
+    windows, coefs = _check_windows(residual, windows, coefs)
+    patches = collect_activated_patches(residual, windows, coefs, old_w)
     dead = len(patches) < min_activations or not np.any(patches)
     if dead:
         new_w = _draw_unit_patch(images, fh, fw, rng)
     else:
         new_w = pca_top_component(patches, prev=old_w).reshape(old_w.shape)
 
-    new_flat = new_w.ravel()
+    new_flat = np.asarray(new_w, dtype=np.float64).ravel()
     proj = np.vecdot(patches, new_flat)  # one dot per row: the bits of new_flat @ row
-    # the patches are no longer read; their buffer takes the scatter values.
-    # Raveled, ufunc.at takes numpy's 1-D fast path, in the same order.
-    flat_index, scatter = index.ravel(), patches.ravel()
-    np.multiply(coefs[:, None], old_w.ravel(), out=patches)
-    np.add.at(residual, flat_index, scatter)
-    np.multiply(proj[:, None], new_flat, out=patches)
-    np.subtract.at(residual, flat_index, scatter)
+    _native.library().repair(residual.ctypes.data, residual.size, windows.ctypes.data,
+                             len(windows), c, fh, fw, coefs.ctypes.data, old_w.ctypes.data,
+                             proj.ctypes.data, new_flat.ctypes.data)  # collect checked the fit
     bank[j] = new_w
     return dead
 
@@ -330,6 +340,6 @@ def _epoch(bank, imgs, cfg: TrainConfig, rng, stats: TrainStats, epoch: int) -> 
 
 def _sweep(bank, codes, residual, imgs, rng, cfg: TrainConfig) -> list[int]:
     """Update every filter in index order; the filters reinitialized."""
-    windows = filter_windows(codes, cfg.num_filters, cfg.filter_height, cfg.filter_width)
-    return [j for j, (index, coefs) in enumerate(windows)
-            if update_filter(bank, j, index, coefs, residual, imgs, rng, cfg.min_activations)]
+    per_filter = filter_windows(codes, cfg.num_filters, cfg.filter_height, cfg.filter_width)
+    return [j for j, (windows, coefs) in enumerate(per_filter)
+            if update_filter(bank, j, windows, coefs, residual, imgs, rng, cfg.min_activations)]

@@ -8,8 +8,12 @@ doubles as the oracle backend for the convolutional encoder's equivalence
 tests (see toeplitz_expand). oracle_greedy_steps is the convolutional
 pursuit loop in numpy, greedy_steps' bit oracle. The filter refit's power
 iteration has two oracles: power_iteration, to a tolerance, and
-power_bits, bit for bit. No user path runs this module, so it lives with
-the tests, not in the convmp package.
+power_bits, bit for bit. The compiled reconstruct, collect and repair have
+theirs in the numpy they replaced: reconstruct_bits (one np.bincount),
+collect_bits (a gather through window_index) and repair_bits (np.add.at,
+then np.subtract.at). oracle_update_filter is the sweep step as a loop over
+positions. No user path runs this module, so it lives with the tests, not
+in the convmp package.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 from codes import Activation
 from convmp._native import POWER_CAPPED, POWER_CONVERGED, POWER_NON_FINITE, POWER_ZERO
 from convmp.conv_mp import greedy_steps
-from convmp.core import UNIT_NORM_ATOL, ConfigError, DataError, as_bank
+from convmp.core import UNIT_NORM_ATOL, ConfigError, DataError, as_bank, check_compatible
+from convmp.dict_learn import _draw_unit_patch, pca_top_component
 
 TOEPLITZ_COLUMN_LIMIT = 100_000
 
@@ -260,3 +265,74 @@ def power_bits(rows, v, max_iter: int, tolerance: float):
         if residual <= tolerance * max(lam, np.finfo(np.float64).tiny):
             return POWER_CONVERGED, v, step
     return POWER_CAPPED, v, max_iter
+
+
+def window_index(windows, c: int, fh: int, fw: int) -> np.ndarray:
+    """The (n, c*fh*fw) flat sample index under each of filter_windows's
+    windows, in the window's C order: start + channel * plane + row * width
+    + column."""
+    start, width, plane = (np.asarray(windows)[:, i, None, None, None] for i in range(3))
+    index = start + np.arange(c)[:, None, None] * plane + np.arange(fh)[:, None] * width
+    return (index + np.arange(fw)).reshape(len(windows), c * fh * fw)
+
+
+def reconstruct_bits(code, bank) -> np.ndarray:
+    """core.reconstruct as one np.bincount over every (activation, tap):
+    bincount adds its weights in index order from +0.0, so each sample sums
+    its terms in activation order."""
+    bank = as_bank(bank, unit_norm=False)
+    check_compatible(code, bank)
+    k, c, fh, fw = bank.shape
+    h, w = code.image_height, code.image_width
+    acts = code.activations
+    starts = np.stack([acts["row"] * w + acts["col"], np.full(len(acts), w),
+                       np.full(len(acts), h * w)], axis=1)
+    index = window_index(starts, c, fh, fw)
+    values = acts["coefficient"][:, None] * bank.reshape(k, -1)[acts["filter_index"]]
+    return np.bincount(index.ravel(), values.ravel(), minlength=c * h * w).reshape(c, h, w)
+
+
+def collect_bits(residual, windows, coefs, filt) -> np.ndarray:
+    """dict_learn.collect_activated_patches as a numpy gather: each window
+    of the flat residual, plus coefs times the filter."""
+    filt = np.asarray(filt, dtype=np.float64)
+    patches = residual[window_index(windows, *filt.shape)]
+    patches += coefs[:, None] * filt.ravel()
+    return patches
+
+
+def repair_bits(residual, windows, coefs, old, proj, new) -> None:
+    """The repair of dict_learn.update_filter as two ordered scatters, in
+    place: np.add.at of coefs times the old filter over every window, then
+    np.subtract.at of proj times the new one."""
+    index = window_index(windows, *old.shape).ravel()
+    np.add.at(residual, index, (coefs[:, None] * old.ravel()).ravel())
+    np.subtract.at(residual, index, (proj[:, None] * np.ravel(new)).ravel())
+
+
+def oracle_update_filter(bank, j, positions, residuals, images, rng, min_activations=1):
+    """The sweep step as a sequential loop over per-image residuals and
+    positions: collect each patch, refit with the library's PCA (or redraw a
+    dead filter), then per image add back every old contribution and
+    subtract every projected new one, position by position. The flat
+    update_filter must reproduce it bit for bit."""
+    _, _, fh, fw = bank.shape
+    old_w = bank[j].copy()
+    patches = [
+        [residual[:, r : r + fh, c : c + fw] + a * old_w for (r, c), a in p.items()]
+        for residual, p in zip(residuals, positions)
+    ]
+    flat = [patch for image_patches in patches for patch in image_patches]
+    dead = len(flat) < min_activations or not any(np.any(patch) for patch in flat)
+    if dead:
+        new_w = _draw_unit_patch(images, fh, fw, rng)
+    else:
+        new_w = pca_top_component(flat, prev=old_w)
+    new_flat = new_w.ravel()
+    for residual, image_positions, image_patches in zip(residuals, positions, patches):
+        for (r, c), a in image_positions.items():
+            residual[:, r : r + fh, c : c + fw] += a * old_w
+        for (r, c), patch in zip(image_positions, image_patches):
+            residual[:, r : r + fh, c : c + fw] -= float(new_flat @ patch.ravel()) * new_w
+    bank[j] = new_w
+    return dead

@@ -21,7 +21,8 @@ from convmp.core import (
     reconstruct,
     residual_energy,
 )
-from convmp.conv_mp import conv_mp_encode
+from convmp.conv_mp import conv_mp_encode, prepare_bank
+from oracles import reconstruct_bits
 
 
 def paste_oracle(code, bank):
@@ -118,6 +119,26 @@ class TestReconstruct:
         assert got.shape == want.shape == (2, h, w)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros included
+
+    def test_reads_any_bank_layout_where_it_lies(self):
+        # the compiled paste reads the bank through its strides: a prepared
+        # bank's (k, h_f, c, w_f) storage, Fortran order, negative strides,
+        # and an unaligned copy all give the bits of the np.bincount oracle,
+        # as does a code whose activations are a strided view
+        rng = np.random.default_rng(4)
+        bank = random_bank(rng, 3, 2, 4, 3)
+        code = random_code(rng, bank, 2, 11, 9, 60)
+        unaligned = np.empty(bank.nbytes + 1, np.uint8)[1:].view(np.float64).reshape(bank.shape)
+        unaligned[:] = bank
+        assert not unaligned.flags.aligned
+        layouts = [bank, prepare_bank(bank), np.asfortranarray(bank),
+                   np.flip(np.flip(bank).copy()), unaligned]
+        want = reconstruct_bits(code, bank).tobytes()
+        for layout in layouts:
+            assert reconstruct(code, layout).tobytes() == want
+        every_other = SparseCode(2, 11, 9, code.activations[::2])
+        assert not every_other.activations.flags.c_contiguous
+        assert reconstruct(every_other, bank).tobytes() == reconstruct_bits(every_other, bank).tobytes()
 
     def test_linearity_in_the_code(self):
         rng = np.random.default_rng(2)

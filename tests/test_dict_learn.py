@@ -28,7 +28,7 @@ from convmp.dict_learn import (
     train,
     update_filter,
 )
-from oracles import power_bits
+from oracles import oracle_update_filter, power_bits, window_index
 
 
 def unit(v):
@@ -52,14 +52,14 @@ def flat_buffer(residuals):
 
 def flat_sweep(residuals, codes, j, bank):
     """Per-image residuals and their codes in the form the sweep takes them
-    for filter j: flat_buffer's buffer and views, j's window index and
-    summed coefficients, and the patches collect_activated_patches gathers
-    there, each in the filter's shape."""
+    for filter j: flat_buffer's buffer and views, j's windows and summed
+    coefficients, and the patches collect_activated_patches gathers there,
+    each in the filter's shape."""
     k, _, fh, fw = bank.shape
     flat, views = flat_buffer(residuals)
-    index, coefs = windows_of(codes, k, fh, fw)[j]
-    patches = collect_activated_patches(flat, index, coefs, bank[j])
-    return flat, views, index, coefs, list(patches.reshape(-1, *bank[j].shape))
+    windows, coefs = windows_of(codes, k, fh, fw)[j]
+    patches = collect_activated_patches(flat, windows, coefs, bank[j])
+    return flat, views, windows, coefs, list(patches.reshape(-1, *bank[j].shape))
 
 
 def oracle_group_by_filter(code, num_filters):
@@ -169,9 +169,9 @@ class TestCollectActivatedPatches:
         code = SparseCode(1, 8, 8, [Activation(0, 2, 3, 1.4)])
         image = reconstruct(code, bank)
         residual = image - reconstruct(code, bank)
-        _, _, index, coefs, patches = flat_sweep([residual], [code], 0, bank)
+        _, _, windows, coefs, patches = flat_sweep([residual], [code], 0, bank)
         np.testing.assert_array_equal(coefs, [1.4])
-        np.testing.assert_array_equal(index[:, 0], [2 * 8 + 3])  # the window's corner
+        np.testing.assert_array_equal(windows[:, 0], [2 * 8 + 3])  # the window's corner
         assert len(patches) == 1
         np.testing.assert_allclose(patches[0], 1.4 * bank[0], rtol=0, atol=1e-12)
 
@@ -179,8 +179,9 @@ class TestCollectActivatedPatches:
         bank = np.stack([unit(np.ones((1, 2, 2))), unit(np.eye(2)[None])])
         code = SparseCode(1, 5, 5, [Activation(0, 1, 1, 2.0)])
         image = reconstruct(code, bank)
-        _, _, index, coefs, patches = flat_sweep([image * 0.0], [code], 1, bank)
-        assert index.shape == (0, 4) and coefs.shape == (0,)
+        _, _, windows, coefs, patches = flat_sweep([image * 0.0], [code], 1, bank)
+        assert windows.shape == (0, 3) and coefs.shape == (0,)
+        assert window_index(windows, 1, 2, 2).shape == (0, 4)
         assert patches == []
 
     def test_repeated_position_accumulates(self):
@@ -193,8 +194,8 @@ class TestCollectActivatedPatches:
         )
         image = reconstruct(code, bank)
         residual = image - reconstruct(code, bank)
-        _, _, index, coefs, patches = flat_sweep([residual], [code], 0, bank)
-        np.testing.assert_array_equal(index[:, 0], [1 * 4 + 1, 0 * 4 + 2])  # first-use order
+        _, _, windows, coefs, patches = flat_sweep([residual], [code], 0, bank)
+        np.testing.assert_array_equal(windows[:, 0], [1 * 4 + 1, 0 * 4 + 2])  # first-use order
         assert coefs[0] == pytest.approx(1.5, abs=1e-15)
         assert len(patches) == 2
         np.testing.assert_allclose(patches[0], 1.5 * bank[0], rtol=0, atol=1e-12)
@@ -213,6 +214,35 @@ class TestCollectActivatedPatches:
         others = SparseCode(1, 8, 8, [acts[1]])
         expect = (image - reconstruct(others, bank))[:, 2:5, 2:5]
         np.testing.assert_allclose(patches[0], expect, rtol=0, atol=1e-12)
+
+
+    def test_a_window_outside_the_buffer_or_a_malformed_argument_is_rejected(self):
+        # the compiled gather and repair read the windows where they lie, so
+        # they check, before reading or writing, that each window fits
+        flat, filt, coefs = np.arange(20.0), np.full((1, 2, 2), 0.5), np.ones(1)
+        fits = [(0, 5, 20), (13, 5, 20)]  # in a 4x5 image: the first and last 2x2 corners
+        for window in fits:
+            windows = np.array([window], dtype=np.intp)
+            assert collect_activated_patches(flat, windows, coefs, filt).shape == (1, 4)
+        misfits = [(-1, 5, 20), (14, 5, 20), (0, 1, 20), (0, 5, 5), (0, 5, 21),
+                   (2**62, 5, 20), (0, 2**62, 2**62)]  # the last two would overflow a sum
+        for window in misfits:
+            windows = np.array([window], dtype=np.intp)
+            with pytest.raises(core.ConfigError, match="2x2 window lies outside the residual"):
+                collect_activated_patches(flat, windows, coefs, filt)
+            assert _native.library().repair(flat.ctypes.data, flat.size, windows.ctypes.data, 1,
+                                            1, 2, 2, coefs.ctypes.data, filt.ctypes.data,
+                                            coefs.ctypes.data, filt.ctypes.data) == -1
+            assert np.array_equal(flat, np.arange(20.0))  # nothing written
+        windows = np.array([fits[0]], dtype=np.intp)
+        with pytest.raises(core.ConfigError, match=r"shape \(1, 3\) do not fit 2 coefficients"):
+            collect_activated_patches(flat, windows, np.ones(2), filt)
+        read_only = flat.copy()
+        read_only.flags.writeable = False
+        for residual in (np.arange(40.0)[::2], read_only, np.arange(20)):
+            with pytest.raises(core.ConfigError, match="writeable C-contiguous float64"):
+                update_filter(filt[None].copy(), 0, windows, coefs, residual, [flat[None, None]],
+                              np.random.default_rng(0))
 
 
 class TestPcaTopComponent:
@@ -433,10 +463,10 @@ def _projected_code(code, j, residual, old_bank, new_w):
 class TestUpdateFilter:
     def _state(self, bank, code, image, j):
         """The residual (a view of the flat buffer update_filter repairs) and
-        filter j's sweep inputs: index, coefs, buffer."""
+        filter j's sweep inputs: windows, coefs, buffer."""
         residual = image - reconstruct(code, bank)
-        flat, (residual,), index, coefs, _ = flat_sweep([residual], [code], j, bank)
-        return residual, (index, coefs, flat)
+        flat, (residual,), windows, coefs, _ = flat_sweep([residual], [code], j, bank)
+        return residual, (windows, coefs, flat)
 
     def test_perfect_data_is_a_fixed_point(self):
         rng = np.random.default_rng(46)
@@ -548,43 +578,15 @@ class TestUpdateFilter:
         images = [rng.normal(size=(1, 8, 8)), rng.normal(size=(1, 9, 7))]
         residuals = [im - reconstruct(code, bank) for im, code in zip(images, codes)]
         before, old_bank = [r.copy() for r in residuals], bank.copy()
-        flat, residuals, index, coefs, _ = flat_sweep(residuals, codes, 0, bank)
+        flat, residuals, windows, coefs, _ = flat_sweep(residuals, codes, 0, bank)
 
-        dead = update_filter(bank, 0, index, coefs, flat, images, np.random.default_rng(3))
+        dead = update_filter(bank, 0, windows, coefs, flat, images, np.random.default_rng(3))
         assert not dead
         for i, image in enumerate(images):
             expected = _projected_code(codes[i], 0, before[i], old_bank, bank[0])
             np.testing.assert_allclose(
                 residuals[i], image - reconstruct(expected, bank), rtol=0, atol=1e-8
             )
-
-
-def oracle_update_filter(bank, j, positions, residuals, images, rng, min_activations=1):
-    """The sweep step as a sequential loop over per-image residuals and
-    positions: collect each patch, refit with the library's PCA (or redraw a
-    dead filter), then per image add back every old contribution and
-    subtract every projected new one, position by position. The flat
-    update_filter must reproduce it bit for bit."""
-    _, _, fh, fw = bank.shape
-    old_w = bank[j].copy()
-    patches = [
-        [residual[:, r : r + fh, c : c + fw] + a * old_w for (r, c), a in p.items()]
-        for residual, p in zip(residuals, positions)
-    ]
-    flat = [patch for image_patches in patches for patch in image_patches]
-    dead = len(flat) < min_activations or not any(np.any(patch) for patch in flat)
-    if dead:
-        new_w = dict_learn._draw_unit_patch(images, fh, fw, rng)
-    else:
-        new_w = pca_top_component(flat, prev=old_w)
-    new_flat = new_w.ravel()
-    for residual, image_positions, image_patches in zip(residuals, positions, patches):
-        for (r, c), a in image_positions.items():
-            residual[:, r : r + fh, c : c + fw] += a * old_w
-        for (r, c), patch in zip(image_positions, image_patches):
-            residual[:, r : r + fh, c : c + fw] -= float(new_flat @ patch.ravel()) * new_w
-    bank[j] = new_w
-    return dead
 
 
 class TestSweepMatchesOracle:
@@ -615,13 +617,12 @@ class TestSweepMatchesOracle:
         oracle_bank, flat_bank = bank.copy(), bank.copy()
         oracle_rng, flat_rng = np.random.default_rng(9), np.random.default_rng(9)
         flat, views = flat_buffer(residuals)
-        windows = windows_of(codes, k, fh, fw)
         deads = []
-        for j, (index, coefs) in enumerate(windows):
+        for j, (windows, coefs) in enumerate(windows_of(codes, k, fh, fw)):
             positions = [g[j] for g in groups]
             expect = oracle_update_filter(oracle_bank, j, positions, residuals, images,
                                           oracle_rng, min_activations)
-            got = update_filter(flat_bank, j, index, coefs, flat, images, flat_rng,
+            got = update_filter(flat_bank, j, windows, coefs, flat, images, flat_rng,
                                 min_activations)
             assert got == expect
             deads.append(got)
@@ -673,8 +674,9 @@ class TestFilterWindows:
             got = windows_of(codes, k, fh, fw)
             expect = oracle_windows(codes, shapes, k, fh, fw)
             assert len(got) == k
-            for (index, coefs), (oracle_index, oracle_coefs) in zip(got, expect):
-                assert index.dtype == np.intp and coefs.dtype == np.float64
+            for (windows, coefs), (oracle_index, oracle_coefs) in zip(got, expect):
+                assert windows.dtype == np.intp and coefs.dtype == np.float64
+                index = window_index(windows, shapes[0][0], fh, fw)
                 assert np.array_equal(index, oracle_index)
                 assert index.shape == oracle_index.shape
                 assert coefs.tobytes() == oracle_coefs.tobytes()
@@ -695,28 +697,32 @@ class TestFilterWindows:
             SparseCode(2, 3, 3, [Activation(1, 1, 0, 4.0)]),
             SparseCode(2, 5, 4, [Activation(0, 2, 1, 2.0)]),
         ]
-        index, coefs = windows_of(codes, 2, 2, 3)[0]
-        assert index.shape == (3, 2 * 2 * 3)
+        windows, coefs = windows_of(codes, 2, 2, 3)[0]
+        index = window_index(windows, 2, 2, 3)
+        assert windows.shape == (3, 3) and index.shape == (3, 2 * 2 * 3)
+        # each window's image width and plane size: images 0, 0 and 2
+        np.testing.assert_array_equal(windows[:, 1:], [[5, 20], [5, 20], [4, 20]])
         np.testing.assert_array_equal(coefs, [0.5, -1.0, 2.0])
         # in a buffer holding its own flat positions, each image's window
-        # reads out the index row
+        # reads out the index row of its window
         flat, views = flat_buffer([np.zeros(shape) for shape in shapes])
         flat[:] = np.arange(flat.size)
-        windows = [views[0][:, 1:3, 2:5], views[0][:, 0:2, 0:3], views[2][:, 2:4, 1:4]]
-        for row, window in zip(index, windows):
+        placed = [views[0][:, 1:3, 2:5], views[0][:, 0:2, 0:3], views[2][:, 2:4, 1:4]]
+        for row, window in zip(index, placed):
             np.testing.assert_array_equal(row, window.ravel())
 
     def test_repeats_sum_in_activation_order_at_the_first_use(self):
         acts = [Activation(0, 1, 1, 0.1), Activation(0, 0, 0, 5.0), Activation(0, 1, 1, 0.2),
                 Activation(0, 1, 1, 0.3)]
-        index, coefs = windows_of([SparseCode(1, 4, 4, acts)], 1, 2, 2)[0]
-        np.testing.assert_array_equal(index[:, 0], [5, 0])
+        windows, coefs = windows_of([SparseCode(1, 4, 4, acts)], 1, 2, 2)[0]
+        np.testing.assert_array_equal(windows[:, 0], [5, 0])
         assert coefs[0] == (0.0 + 0.1 + 0.2) + 0.3 and coefs[1] == 5.0
 
     def test_no_positions_give_an_empty_index(self):
         empty = [SparseCode(3, 6, 6), SparseCode(3, 5, 7)]
-        [(index, coefs)] = windows_of(empty, 1, 2, 2)
-        assert index.shape == (0, 12) and coefs.shape == (0,)
+        [(windows, coefs)] = windows_of(empty, 1, 2, 2)
+        assert windows.shape == (0, 3) and coefs.shape == (0,)
+        assert window_index(windows, 3, 2, 2).shape == (0, 12)
 
 
 class TestEncodeAll:

@@ -6,7 +6,9 @@ settings (derandomized, no example database). Sizes stay small: the largest
 explicit dictionary is 432 x 243 floats, under 1 MB. The C pursuit loop is
 checked against its numpy oracle on larger maps too, up to 16 x 249 x 249,
 and the C power iteration of the filter refit against two numpy oracles:
-one to a tolerance, and one that emulates its lanes bit for bit.
+one to a tolerance, and one that emulates its lanes bit for bit. The C
+reconstruct, collect and repair of the filter sweep are checked byte for
+byte against the numpy they replaced.
 """
 
 import ctypes
@@ -23,12 +25,19 @@ from test_parser_fuzz import FUZZ  # noqa: E402
 
 from blas_threads import lines_at_1_and_2_blas_threads  # noqa: E402
 from codes import records  # noqa: E402
-from convmp.conv_mp import build_shift_gram, conv_mp_encode, correlate, greedy_steps  # noqa: E402
+from convmp.conv_mp import (  # noqa: E402
+    build_shift_gram, conv_mp_encode, correlate, greedy_steps, prepare_bank,
+)
 from convmp.core import SparseCode, normalize_filters, reconstruct, residual_energy  # noqa: E402
 from convmp._native import POWER_CONVERGED, library  # noqa: E402
-from convmp.dict_learn import _PCA_MAX_ITER, _PCA_TOL, _pca_start, pca_top_component  # noqa: E402
+from convmp import _native  # noqa: E402
+from convmp.dict_learn import (  # noqa: E402
+    _PCA_MAX_ITER, _PCA_TOL, _pca_start, collect_activated_patches, filter_windows,
+    pca_top_component,
+)
 from oracles import (  # noqa: E402
-    mp_encode, oracle_greedy_steps, power_bits, power_iteration, toeplitz_expand,
+    collect_bits, mp_encode, oracle_greedy_steps, power_bits, power_iteration,
+    reconstruct_bits, repair_bits, toeplitz_expand,
 )
 
 PROPERTY = settings(FUZZ, max_examples=150)  # keeps the four small properties near 2 s
@@ -245,3 +254,56 @@ def test_the_compiled_power_iteration_has_the_bits_of_its_emulation(n, dim, scal
     # pca_top_component runs power from the same start, then makes the first nonzero entry positive
     first = want[np.flatnonzero(want)[0]]
     assert pca_top_component(rows).tobytes() == (-want if first < 0 else want).tobytes()
+
+
+@st.composite
+def sweeps(draw):
+    """(bank, images, codes, rng) for the filter sweep's kernels: a unit-norm
+    k x c x h_f x w_f bank whose last filter has no windows, and 2-4 normal
+    images of two shapes in turn, each with up to 14 activations whose
+    corners lie on a 3x3 grid at most, so one filter's windows repeat and
+    overlap and a sample sums three or more terms."""
+    k, c = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    fh, fw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(fh, fh + 4)), draw(st.integers(fw, fw + 4))
+    shapes = [(c, h, w), (c, h + draw(st.integers(1, 3)), w)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = normalize_filters(rng.normal(size=(k, c, fh, fw)))
+    images, codes = [], []
+    for i in range(draw(st.integers(2, 4))):
+        shape = shapes[i % 2]
+        rows, cols = min(3, shape[1] - fh + 1), min(3, shape[2] - fw + 1)
+        acts = [(int(rng.integers(k - 1)), int(rng.integers(rows)), int(rng.integers(cols)),
+                 float(rng.normal())) for _ in range(draw(st.integers(0, 14)))]
+        images.append(rng.normal(size=shape))
+        codes.append(SparseCode(*shape, acts))
+    return bank, images, codes, rng
+
+
+@PROPERTY
+@given(case=sweeps())
+def test_the_sweep_kernels_have_the_bits_of_the_numpy_they_replaced(case):
+    # reconstruct against one np.bincount, from the bank and from the
+    # prepared bank where it lies; then per filter, collect against the
+    # numpy gather and repair against np.add.at and np.subtract.at
+    bank, images, codes, rng = case
+    k, c, fh, fw = bank.shape
+    prepared = prepare_bank(bank)
+    residuals = []
+    for image, code in zip(images, codes):
+        want = reconstruct_bits(code, bank).tobytes()
+        assert reconstruct(code, bank).tobytes() == want
+        assert reconstruct(code, prepared).tobytes() == want
+        residuals.append((image - reconstruct(code, bank)).ravel())
+    flat = np.concatenate(residuals)
+    oracle = flat.copy()
+    for j, (windows, coefs) in enumerate(filter_windows(codes, k, fh, fw)):
+        assert j < k - 1 or len(windows) == 0
+        patches = collect_activated_patches(flat, windows, coefs, bank[j])
+        assert patches.tobytes() == collect_bits(oracle, windows, coefs, bank[j]).tobytes()
+        proj, new = rng.normal(size=len(windows)), rng.normal(size=(c, fh, fw))
+        assert _native.library().repair(
+            flat.ctypes.data, flat.size, windows.ctypes.data, len(windows), c, fh, fw,
+            coefs.ctypes.data, bank[j].ctypes.data, proj.ctypes.data, new.ctypes.data) == 0
+        repair_bits(oracle, windows, coefs, bank[j], proj, new)
+        assert flat.tobytes() == oracle.tobytes()
