@@ -160,7 +160,7 @@ def collect_activated_patches(residual, windows, coefs, filt) -> np.ndarray:
     if _native.library().collect(residual.ctypes.data, residual.size, windows.ctypes.data,
                                  len(windows), coefs.ctypes.data, filt.ctypes.data, *filt.shape,
                                  patches.ctypes.data):
-        raise ConfigError(f"a {'x'.join(map(str, filt.shape))} window lies outside the residual")
+        raise ConfigError(f"a window lies outside the {residual.size}-sample residual")
     return patches
 
 

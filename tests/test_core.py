@@ -138,7 +138,8 @@ class TestReconstruct:
             assert reconstruct(code, layout).tobytes() == want
         every_other = SparseCode(2, 11, 9, code.activations[::2])
         assert not every_other.activations.flags.c_contiguous
-        assert reconstruct(every_other, bank).tobytes() == reconstruct_bits(every_other, bank).tobytes()
+        want = reconstruct_bits(every_other, bank).tobytes()
+        assert reconstruct(every_other, bank).tobytes() == want
 
     def test_linearity_in_the_code(self):
         rng = np.random.default_rng(2)

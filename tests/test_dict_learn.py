@@ -228,7 +228,7 @@ class TestCollectActivatedPatches:
                    (2**62, 5, 20), (0, 2**62, 2**62)]  # the last two would overflow a sum
         for window in misfits:
             windows = np.array([window], dtype=np.intp)
-            with pytest.raises(core.ConfigError, match="2x2 window lies outside the residual"):
+            with pytest.raises(core.ConfigError, match="outside the 20-sample residual"):
                 collect_activated_patches(flat, windows, coefs, filt)
             assert _native.library().repair(flat.ctypes.data, flat.size, windows.ctypes.data, 1,
                                             1, 2, 2, coefs.ctypes.data, filt.ctypes.data,

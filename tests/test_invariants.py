@@ -30,7 +30,6 @@ from convmp.conv_mp import (  # noqa: E402
 )
 from convmp.core import SparseCode, normalize_filters, reconstruct, residual_energy  # noqa: E402
 from convmp._native import POWER_CONVERGED, library  # noqa: E402
-from convmp import _native  # noqa: E402
 from convmp.dict_learn import (  # noqa: E402
     _PCA_MAX_ITER, _PCA_TOL, _pca_start, collect_activated_patches, filter_windows,
     pca_top_component,
@@ -302,7 +301,7 @@ def test_the_sweep_kernels_have_the_bits_of_the_numpy_they_replaced(case):
         patches = collect_activated_patches(flat, windows, coefs, bank[j])
         assert patches.tobytes() == collect_bits(oracle, windows, coefs, bank[j]).tobytes()
         proj, new = rng.normal(size=len(windows)), rng.normal(size=(c, fh, fw))
-        assert _native.library().repair(
+        assert library().repair(
             flat.ctypes.data, flat.size, windows.ctypes.data, len(windows), c, fh, fw,
             coefs.ctypes.data, bank[j].ctypes.data, proj.ctypes.data, new.ctypes.data) == 0
         repair_bits(oracle, windows, coefs, bank[j], proj, new)
